@@ -39,5 +39,5 @@ mod lexer;
 mod parser;
 mod writer;
 
-pub use parser::parse;
+pub use parser::{parse, MAX_EXPR_DEPTH};
 pub use writer::write;

@@ -5,6 +5,13 @@ use crate::{error::CircuitError, Circuit, Gate, NoiseChannel};
 use std::collections::HashMap;
 use std::f64::consts::PI;
 
+/// The deepest nesting of parentheses and unary minus a parameter
+/// expression may use. The expression parser recurses once per level;
+/// the cap turns a hostile input (say `rz(((…pi…)))` nested 100k deep)
+/// into a parse error instead of a stack overflow, far above anything a
+/// real program writes.
+pub const MAX_EXPR_DEPTH: usize = 128;
+
 /// Parses OpenQASM 2 source into a [`Circuit`].
 ///
 /// Multiple quantum registers are flattened into one qubit index space in
@@ -15,12 +22,15 @@ use std::f64::consts::PI;
 /// # Errors
 ///
 /// [`CircuitError::Parse`] with a line number on any lexical or syntactic
-/// problem, unknown gate, undeclared register or out-of-range index.
+/// problem, unknown gate, undeclared register or out-of-range index —
+/// including a parameter expression nested deeper than
+/// [`MAX_EXPR_DEPTH`].
 pub fn parse(src: &str) -> Result<Circuit, CircuitError> {
     let tokens = tokenize(src)?;
     Parser {
         tokens,
         pos: 0,
+        depth: 0,
         regs: HashMap::new(),
         n_qubits: 0,
         circuit: None,
@@ -31,6 +41,8 @@ pub fn parse(src: &str) -> Result<Circuit, CircuitError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current parameter-expression nesting (see [`MAX_EXPR_DEPTH`]).
+    depth: usize,
     /// quantum register name → (offset, size)
     regs: HashMap<String, (usize, usize)>,
     n_qubits: usize,
@@ -306,14 +318,31 @@ impl Parser {
         match self.next() {
             Some(TokenKind::Number(v)) => Ok(v),
             Some(TokenKind::Ident(s)) if s == "pi" => Ok(PI),
-            Some(TokenKind::Sym('-')) => Ok(-self.factor()?),
-            Some(TokenKind::Sym('(')) => {
-                let v = self.expr()?;
-                self.expect_sym(')')?;
+            Some(TokenKind::Sym('-')) => self.nested(|p| Ok(-p.factor()?)),
+            Some(TokenKind::Sym('(')) => self.nested(|p| {
+                let v = p.expr()?;
+                p.expect_sym(')')?;
                 Ok(v)
-            }
+            }),
             other => Err(self.error(format!("expected expression, found {other:?}"))),
         }
+    }
+
+    /// Parses one nesting level with `inner`, refusing to go deeper than
+    /// [`MAX_EXPR_DEPTH`].
+    fn nested(
+        &mut self,
+        inner: impl FnOnce(&mut Self) -> Result<f64, CircuitError>,
+    ) -> Result<f64, CircuitError> {
+        if self.depth == MAX_EXPR_DEPTH {
+            return Err(self.error(format!(
+                "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let value = inner(self);
+        self.depth -= 1;
+        value
     }
 
     /// `channel(params) q[i];` re-lexed from a directive comment body.
@@ -428,6 +457,31 @@ mod tests {
         );
         // Order preserved: h, noise, x.
         assert!(c.instructions()[2].is_gate());
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_crash() {
+        let program = |open: &str, close: &str, depth: usize| {
+            format!(
+                "OPENQASM 2.0;\nqreg q[1];\nrz({}pi{}) q[0];\n",
+                open.repeat(depth),
+                close.repeat(depth)
+            )
+        };
+        // At the cap the expression still parses.
+        assert!(parse(&program("(", ")", MAX_EXPR_DEPTH)).is_ok());
+        assert!(parse(&program("-", "", MAX_EXPR_DEPTH)).is_ok());
+        for (open, close) in [("(", ")"), ("-", ""), ("-(", ")")] {
+            for depth in [MAX_EXPR_DEPTH + 1, 100_000] {
+                match parse(&program(open, close, depth)) {
+                    Err(CircuitError::Parse { line, message }) => {
+                        assert_eq!(line, 3);
+                        assert!(message.contains("nested deeper"), "{message}");
+                    }
+                    other => panic!("{open:?} × {depth}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

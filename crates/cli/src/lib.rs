@@ -113,7 +113,8 @@ pub struct CliOptions {
     /// Shared-store reclamation at quiescent boundaries
     /// (`--store-reclaim`).
     pub store_reclaim: StoreReclaimMode,
-    /// Maximum lane width for vectorised noise sweeps (`--lanes`).
+    /// `--lanes`: accepted for compatibility, no effect (see
+    /// [`CheckOptions::sweep_lanes`]).
     pub sweep_lanes: usize,
     /// Cross-term computed-table seeding between workers
     /// (`--seed-cache on|off`; on by default, a no-op off the shared
@@ -144,7 +145,7 @@ impl Default for CliOptions {
             threads: qaec::default_threads(),
             shared_table: qaec::default_shared_table(),
             store_reclaim: qaec::default_store_reclaim(),
-            sweep_lanes: qaec::default_sweep_lanes(),
+            sweep_lanes: core.sweep_lanes,
             seed_cache: true,
             svd_threshold: core.svd_threshold,
             max_bond: core.max_bond,
@@ -234,14 +235,8 @@ OPTIONS:
                                are bit-reproducible for every thread
                                count; off restores the fastest private
                                sequential Algorithm II driver
-    --lanes <n>                sweep: maximum lane width for the
-                               vectorised Algorithm II noise sweep —
-                               points are batched and contracted in
-                               multi-lane passes (rounded down to 1, 2,
-                               4 or 8; 1 forces the scalar per-point
-                               path; results are bit-identical either
-                               way; default: QAEC_SWEEP_LANES env var,
-                               else 8)
+    --lanes <n>                accepted, no effect (the retired
+                               multi-lane sweep width)
     --store-reclaim <on|off|auto>
                                retire shared-store arenas at quiescent
                                boundaries (between sweep points / serve

@@ -22,9 +22,12 @@
 //! mean exactly the same thing in one-shot and serving mode.
 //!
 //! The JSON reader below is deliberately minimal (objects, arrays,
-//! strings with escapes, numbers, booleans, null — no nested depth
-//! limit games, no comments): enough for the protocol, no serde
-//! dependency, mirroring the hand-rolled writer in `qaec_bench::json`.
+//! strings with escapes, numbers, booleans, null — no comments): enough
+//! for the protocol, no serde dependency, mirroring the hand-rolled
+//! writer in `qaec_bench::json`. It recurses once per nesting level and
+//! refuses values nested deeper than [`MAX_JSON_DEPTH`], so a hostile
+//! line (say 400k `[`) gets a structured error instead of overflowing
+//! the stack.
 
 use crate::{check_json, epsilon_point_json, load, noise_point_json, CliOptions};
 use qaec::{
@@ -215,9 +218,15 @@ impl Json {
     }
 }
 
+/// The deepest array/object nesting a request line may use — protocol
+/// requests nest two levels; the cap only stops hostile input.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Current array/object nesting (see [`MAX_JSON_DEPTH`]).
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
@@ -225,7 +234,23 @@ impl<'a> Reader<'a> {
         Reader {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
+    }
+
+    /// Parses one array or object with `inner`, refusing to nest deeper
+    /// than [`MAX_JSON_DEPTH`].
+    fn nested(&mut self, inner: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(format!(
+                "value nested deeper than {MAX_JSON_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = inner(self);
+        self.depth -= 1;
+        value
     }
 
     fn skip_ws(&mut self) {
@@ -265,8 +290,8 @@ impl<'a> Reader<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -916,6 +941,45 @@ mod tests {
         ] {
             assert!(parse_json(bad).is_err(), "`{bad}` must be rejected");
         }
+    }
+
+    #[test]
+    fn deeply_nested_input_is_answered_in_band() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nested(MAX_JSON_DEPTH)).is_ok());
+        assert!(parse_json(&nested(MAX_JSON_DEPTH + 1))
+            .unwrap_err()
+            .contains("nested deeper"));
+
+        // A 400k-bracket line, then a QASM parameter nested 100k deep,
+        // then a good request: the first two get structured errors and
+        // the third is still answered.
+        let deep_qasm = format!(
+            "OPENQASM 2.0;\\nqreg q[1];\\nrz({}pi{}) q[0];\\n",
+            "(".repeat(100_000),
+            ")".repeat(100_000)
+        );
+        let input = format!(
+            concat!(
+                "{}\n",
+                "{{\"id\": 1, \"op\": \"check\", \"ideal\": \"{q}\", ",
+                "\"noisy\": \"{q}\", \"epsilon\": 0.05}}\n",
+                "{{\"id\": 2, \"op\": \"check\", \"ideal\": \"{i}\", ",
+                "\"noisy\": \"{n}\", \"epsilon\": 0.05}}\n",
+            ),
+            "[".repeat(400_000),
+            q = deep_qasm,
+            i = IDEAL,
+            n = NOISY,
+        );
+        let lines = batch(&service(), &input);
+        assert_eq!(lines.len(), 3);
+        assert!(lines[0].contains("\"ok\": false"), "{}", lines[0]);
+        assert!(lines[0].contains("nested deeper"), "{}", lines[0]);
+        assert!(lines[1].contains("\"ok\": false"), "{}", lines[1]);
+        assert!(lines[1].contains("nested deeper"), "{}", lines[1]);
+        assert!(lines[2].contains("\"ok\": true"), "{}", lines[2]);
+        assert!(lines[2].contains("\"id\": 2"), "{}", lines[2]);
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl Alg1Artifacts {
             cancel_inverse_pairs(&mut template.elements, n_wires);
         }
 
-        let d = (1u64 << noisy.n_qubits()) as f64;
+        let d = (noisy.n_qubits() as f64).exp2();
 
         // Every instantiation shares the network structure, so the plan
         // and variable order come from the first term and are reused

@@ -18,19 +18,34 @@
 //! (`--threads` stays a pure performance knob). `SharedTableMode::Off`
 //! keeps the original private sequential driver, including its
 //! mark-compact GC (append-only shared arenas cannot compact).
+//!
+//! ## The fold
+//!
+//! A noise sweep changes only the noise-site tensors of the doubled
+//! network — a handful among thousands — so most plan steps compute the
+//! same edge at every point. A session's first noise sweep contracts
+//! every step whose operands do not depend on a noise site once, on its
+//! warm store, and keeps the edges those steps hand to noise-dependent
+//! steps (the *frontier*, an `Alg2Fold`). Each sweep point then
+//! converts only its noise-site tensors and runs the remaining steps
+//! from the frontier ([`qaec_tdd::contract_steps_parallel`]). Step purity
+//! makes every edge, the fidelity and `max_nodes` bit-identical to a
+//! cold one-shot check of the re-parameterised pair.
 
 use crate::error::QaecError;
-use crate::miter::{build_trace_network, identity_map, Alg2Template, BuiltNetwork};
+use crate::miter::{build_trace_network, identity_map, Alg2Template, BuiltNetwork, MiterElement};
 use crate::optimize::{cancel_inverse_pairs, eliminate_swaps};
 use crate::options::{CheckOptions, SharedTableMode};
 use crate::validate;
 use qaec_circuit::{Circuit, NoiseChannel};
+use qaec_math::C64;
 use qaec_tdd::{
-    contract_network_lanes, contract_network_opts, contract_network_parallel, DriverOptions,
-    LaneError, ParallelOptions, SharedTddStore, TddManager, TddStats,
+    contract_network_opts, contract_network_parallel, contract_steps_parallel, scale_free_loops,
+    DriverOptions, Edge, ParallelOptions, SharedTddStore, StepRun, TddManager, TddStats,
 };
-use qaec_tensornet::plan::PlanCost;
-use qaec_tensornet::ContractionPlan;
+use qaec_tensornet::plan::{PlanCost, PlanGraph};
+use qaec_tensornet::{ContractionPlan, PlanStep, Tensor, TensorNetwork};
+use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -82,35 +97,76 @@ pub(crate) fn fidelity_alg2_prevalidated(
     Ok(report)
 }
 
-/// Outcome of one multi-lane Algorithm II batch
-/// ([`Alg2Artifacts::run_channels_lanes`]): one fidelity per lane, plus
-/// the single traversal's shared evidence.
-#[derive(Clone, Debug)]
-pub(crate) struct Alg2LaneReport {
-    /// Per-lane Jamiolkowski fidelities, bit-identical to the scalar
-    /// per-point replay.
-    pub(crate) fidelities: Vec<f64>,
-    /// Largest intermediate *lane-diagram* node count for the batch.
-    pub(crate) max_nodes: usize,
-    /// Wall-clock time of the whole batch (instantiation + contraction).
-    pub(crate) elapsed: Duration,
-    /// Lane-engine statistics of the batch's single traversal.
-    pub(crate) stats: TddStats,
-}
-
-/// The compiled, reusable part of an Algorithm II check: the doubled
-/// miter template (noise sites still substitutable), the base network
-/// for the compiled channels, and the contraction plan + variable order
-/// every instantiation shares. A noise-sweep point re-fills the noise
-/// holes and contracts on the *same* plan — no replanning.
+/// The compiled, reusable part of an Algorithm II check: the base
+/// network for the compiled channels, where each noise site sits, and
+/// the contraction plan + variable order every sweep point shares. A
+/// noise-sweep point replaces the noise-site tensors and contracts on
+/// the *same* plan — no replanning.
 #[derive(Clone, Debug)]
 pub(crate) struct Alg2Artifacts {
-    pub(crate) template: Alg2Template,
-    final_map: Vec<usize>,
+    /// The compiled channel of each noise site, in site order.
+    pub(crate) channels: Vec<NoiseChannel>,
     built: BuiltNetwork,
     plan: ContractionPlan,
     plan_cost: PlanCost,
+    /// `(slot, site)` of every noise-site tensor in `built.network`.
+    noise_slots: Vec<(usize, usize)>,
     d: f64,
+}
+
+/// The noise-free part of a compiled doubled network, contracted once on
+/// one store generation: the edges the folded steps hand to
+/// noise-dependent steps (the *frontier*). It lives beside the store
+/// generation its edges point into; reclamation compacts the store with
+/// the frontier as roots and remaps it ([`Alg2Fold::remapped`]).
+pub(crate) struct Alg2Fold {
+    split: Arc<FoldSplit>,
+    /// The edges of `split.frontier`, in order.
+    frontier: Vec<Edge>,
+    /// Largest diagram among the folded steps and the conversions they
+    /// made — part of every point's `max_nodes`.
+    max_nodes: usize,
+}
+
+/// Which plan steps fold and which slots the fold keeps: a function of
+/// the compiled plan and its noise sites alone, so it survives store
+/// reclamation unchanged.
+struct FoldSplit {
+    graph: PlanGraph,
+    /// Steps with an operand that depends on a noise site: run per
+    /// point. The other steps run once, into the fold.
+    residual: Vec<bool>,
+    /// Noise-free slots a point run reads: operands of residual steps,
+    /// plus the root and unconsumed inputs when they are noise-free.
+    frontier: Vec<usize>,
+    /// What a point run returns: the unconsumed inputs, then the root.
+    keep: Vec<usize>,
+}
+
+impl fmt::Debug for Alg2Fold {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Alg2Fold")
+            .field("frontier", &self.frontier.len())
+            .field("max_nodes", &self.max_nodes)
+            .finish()
+    }
+}
+
+impl Alg2Fold {
+    /// The frontier edges, in the fold's store generation.
+    pub(crate) fn frontier(&self) -> &[Edge] {
+        &self.frontier
+    }
+
+    /// The same fold over a compacted store: `frontier` is this fold's
+    /// frontier as [`SharedTddStore::compact`] remapped it.
+    pub(crate) fn remapped(&self, frontier: Vec<Edge>) -> Alg2Fold {
+        Alg2Fold {
+            split: Arc::clone(&self.split),
+            frontier,
+            max_nodes: self.max_nodes,
+        }
+    }
 }
 
 impl Alg2Artifacts {
@@ -139,13 +195,23 @@ impl Alg2Artifacts {
             .network
             .plan_parallel(options.strategy, options.threads.max(1));
         let plan_cost = plan.cost(&built.network);
+        // The network holds one tensor per miter element, in order.
+        let noise_slots = template
+            .elements
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, element)| match element {
+                MiterElement::NoiseSite { site, .. } => Some((slot, *site)),
+                MiterElement::Fixed { .. } => None,
+            })
+            .collect();
         Alg2Artifacts {
-            template,
-            final_map,
+            channels: template.channels,
             built,
             plan,
             plan_cost,
-            d: (1u64 << noisy.n_qubits()) as f64,
+            noise_slots,
+            d: (noisy.n_qubits() as f64).exp2(),
         }
     }
 
@@ -155,109 +221,180 @@ impl Alg2Artifacts {
         options: &CheckOptions,
         warm_store: Option<&Arc<SharedTddStore>>,
     ) -> Result<Alg2Report, QaecError> {
-        self.run_network(&self.built, options, warm_store)
+        self.run_network(&self.built.network, options, warm_store)
     }
 
-    /// One contraction of a noise-sweep point: the noise holes are
-    /// re-filled with `channels` (same sites, same arities), the wire
-    /// bookkeeping is re-laid (cheap, linear), and the compiled plan and
-    /// variable order are reused — the plan depends only on the element
-    /// structure, which re-instantiation preserves.
-    pub(crate) fn run_channels(
+    /// One noise-sweep point on a private store (`--shared-table off`):
+    /// the compiled network with its noise-site tensors replaced,
+    /// contracted in full.
+    pub(crate) fn run_replay(
         &self,
         channels: &[NoiseChannel],
         options: &CheckOptions,
-        warm_store: Option<&Arc<SharedTddStore>>,
     ) -> Result<Alg2Report, QaecError> {
-        let elements = self.template.instantiate(channels);
-        let built = build_trace_network(
-            &elements,
-            self.template.width,
-            &self.final_map,
-            options.var_order,
-        );
-        debug_assert!(
-            built.order == self.built.order,
-            "re-instantiation must preserve the index structure"
-        );
-        self.run_network(&built, options, warm_store)
+        let mut network = self.built.network.clone();
+        for (&(slot, _), tensor) in self.noise_slots.iter().zip(self.noise_tensors(channels)) {
+            network.replace(slot, tensor);
+        }
+        self.run_network(&network, options, None)
     }
 
-    /// One multi-lane contraction of `L` noise-sweep points at once: the
-    /// template is re-instantiated per lane (same element structure, so
-    /// the compiled plan and order apply to every lane), and all `L`
-    /// networks are contracted in a single traversal by the lane engine
-    /// ([`qaec_tdd::lanes`]).
+    /// One noise-sweep point on a shared store: converts the point's
+    /// noise-site tensors and runs the noise-dependent steps from
+    /// `fold`, building the fold first when `fold` is `None` (the
+    /// report's time and statistics then include it). Returns the fold
+    /// for the caller to keep beside `store`.
     ///
-    /// Returns `Ok(None)` on lane divergence — the engine could not keep
-    /// every lane bit-identical to its scalar run, and the caller must
-    /// replay the batch per point on [`Alg2Artifacts::run_channels`]. On
-    /// success each lane's fidelity is bit-identical to the per-point
-    /// replay; `max_nodes` counts *lane-diagram* nodes (one shared
-    /// skeleton, not comparable to scalar `max_nodes`), and the
-    /// statistics cover the whole batch's single traversal.
-    ///
-    /// The lane snap replicates `store`'s canonical interning, so the
-    /// session's warm-store tolerance is the one the lanes must match;
-    /// the store's arenas themselves are untouched (the lane manager is
-    /// private to the batch).
-    pub(crate) fn run_channels_lanes<const L: usize>(
+    /// The fidelity and `max_nodes` are bit-identical to a cold one-shot
+    /// check of the pair with these channels, at every thread count.
+    pub(crate) fn run_folded(
         &self,
-        points: &[Vec<NoiseChannel>],
-        options: &CheckOptions,
         store: &Arc<SharedTddStore>,
-    ) -> Result<Option<Alg2LaneReport>, QaecError> {
-        debug_assert_eq!(points.len(), L);
+        fold: Option<Arc<Alg2Fold>>,
+        channels: &[NoiseChannel],
+        options: &CheckOptions,
+    ) -> Result<(Alg2Report, Arc<Alg2Fold>), QaecError> {
         let start = Instant::now();
-        let networks: Vec<_> = points
+        // Statistics fence: a warm (session-reused) store reports only
+        // this point's allocation delta.
+        let epoch = store.reset_between_runs();
+        let mut stats = TddStats::default();
+        let fold = match fold {
+            Some(fold) => fold,
+            None => Arc::new(self.fold(store, options, &mut stats)?),
+        };
+        let split = &fold.split;
+        let noise = self.noise_tensors(channels);
+        let inputs = |slot: usize| {
+            let k = self.noise_slots.iter().position(|&(s, _)| s == slot);
+            &noise[k.expect("a point run converts only noise-site tensors")]
+        };
+        let resolved: Vec<(usize, Edge)> = split
+            .frontier
             .iter()
-            .map(|channels| {
-                let elements = self.template.instantiate(channels);
-                let built = build_trace_network(
-                    &elements,
-                    self.template.width,
-                    &self.final_map,
-                    options.var_order,
-                );
-                debug_assert!(
-                    built.order == self.built.order,
-                    "re-instantiation must preserve the index structure"
-                );
-                built.network
-            })
+            .copied()
+            .zip(fold.frontier.iter().copied())
             .collect();
-        match contract_network_lanes::<L>(
-            store.tolerance(),
-            &networks,
+        let run = StepRun {
+            steps: &split.residual,
+            resolved: &resolved,
+            keep: &split.keep,
+        };
+        let out = contract_steps_parallel(
+            store,
             &self.plan,
+            &split.graph,
+            &inputs,
             &self.built.order,
-            options.deadline,
-        ) {
-            Ok(outcome) => {
-                let fidelities = outcome
-                    .scalars
-                    .iter()
-                    .map(|trace| {
-                        (trace.re / (self.d * self.d))
-                            .clamp(0.0, 1.0 + 1e-9)
-                            .min(1.0)
-                    })
-                    .collect();
-                Ok(Some(Alg2LaneReport {
-                    fidelities,
-                    max_nodes: outcome.max_nodes,
-                    elapsed: start.elapsed(),
-                    stats: outcome.stats,
-                }))
-            }
-            Err(LaneError::Divergence(_)) => Ok(None),
-            Err(LaneError::Timeout) => Err(QaecError::Timeout),
+            run,
+            parallel(options),
+        )
+        .map_err(|_| QaecError::Timeout)?;
+        stats.merge(&out.stats);
+        let root = match split.graph.root_slot {
+            Some(_) => *out.kept.last().expect("root kept"),
+            None => Edge::ONE,
+        };
+        let root = scale_free_loops(store, root, self.plan.free_loops, &mut stats);
+        let trace = TddManager::new_shared(store)
+            .edge_scalar(root)
+            .expect("closed network");
+        // Allocation counters are store-owned: merged exactly once.
+        stats.merge(&store.stats_since(epoch));
+        let max_nodes = fold.max_nodes.max(out.max_nodes).max(1);
+        let report = self.report(trace, max_nodes, stats, start);
+        Ok((report, fold))
+    }
+
+    /// Contracts every step whose operands do not depend on a noise site
+    /// on `store`, keeping the frontier edges; merges the work into
+    /// `stats`.
+    fn fold(
+        &self,
+        store: &Arc<SharedTddStore>,
+        options: &CheckOptions,
+        stats: &mut TddStats,
+    ) -> Result<Alg2Fold, QaecError> {
+        let split = Arc::new(self.split());
+        let folded: Vec<bool> = split.residual.iter().map(|r| !r).collect();
+        let inputs = |slot: usize| &self.built.network.tensors()[slot];
+        let run = StepRun {
+            steps: &folded,
+            resolved: &[],
+            keep: &split.frontier,
+        };
+        let out = contract_steps_parallel(
+            store,
+            &self.plan,
+            &split.graph,
+            &inputs,
+            &self.built.order,
+            run,
+            parallel(options),
+        )
+        .map_err(|_| QaecError::Timeout)?;
+        stats.merge(&out.stats);
+        Ok(Alg2Fold {
+            split,
+            frontier: out.kept,
+            max_nodes: out.max_nodes,
+        })
+    }
+
+    /// Marks every slot that depends on a noise site, in plan order
+    /// (steps come in topological order), and derives the fold's split.
+    fn split(&self) -> FoldSplit {
+        let graph = self.plan.graph(&self.built.network);
+        let n_slots = self.plan.n_slots.max(graph.n_inputs);
+        let mut noisy = vec![false; n_slots];
+        for &(slot, _) in &self.noise_slots {
+            noisy[slot] = true;
         }
+        let mut read = vec![false; n_slots];
+        let mut residual = vec![false; self.plan.steps.len()];
+        for (i, step) in self.plan.steps.iter().enumerate() {
+            let operands = match step {
+                PlanStep::Contract { a, b, .. } => vec![*a, *b],
+                PlanStep::SumOut { t, .. } => vec![*t],
+            };
+            if operands.iter().any(|&slot| noisy[slot]) {
+                residual[i] = true;
+                noisy[step.result()] = true;
+                for slot in operands {
+                    read[slot] = true;
+                }
+            }
+        }
+        let mut keep = graph.unconsumed_inputs.clone();
+        keep.extend(graph.root_slot);
+        for &slot in &keep {
+            read[slot] = true;
+        }
+        FoldSplit {
+            frontier: (0..n_slots).filter(|&s| read[s] && !noisy[s]).collect(),
+            residual,
+            keep,
+            graph,
+        }
+    }
+
+    /// The noise-site tensors of one sweep point, in `noise_slots`
+    /// order: each channel's superoperator matrix over the base
+    /// network's indices for its site.
+    fn noise_tensors(&self, channels: &[NoiseChannel]) -> Vec<Tensor> {
+        self.noise_slots
+            .iter()
+            .map(|&(slot, site)| {
+                let base = &self.built.network.tensors()[slot];
+                let (outs, ins) = base.indices().split_at(base.rank() / 2);
+                Tensor::from_matrix(&channels[site].superop_matrix(), outs, ins)
+            })
+            .collect()
     }
 
     fn run_network(
         &self,
-        built: &BuiltNetwork,
+        network: &TensorNetwork,
         options: &CheckOptions,
         warm_store: Option<&Arc<SharedTddStore>>,
     ) -> Result<Alg2Report, QaecError> {
@@ -269,7 +406,6 @@ impl Alg2Artifacts {
         // performance knob — the fidelity and `max_nodes` are
         // bit-identical whatever the count.
         let (max_nodes, trace, stats) = if options.shared_table != SharedTableMode::Off {
-            let workers = options.threads.max(1);
             let store = match warm_store {
                 Some(store) => Arc::clone(store),
                 None => SharedTddStore::new(),
@@ -279,13 +415,10 @@ impl Alg2Artifacts {
             let epoch = store.reset_between_runs();
             let outcome = contract_network_parallel(
                 &store,
-                &built.network,
+                network,
                 &self.plan,
-                &built.order,
-                ParallelOptions {
-                    workers,
-                    deadline: options.deadline,
-                },
+                &self.built.order,
+                parallel(options),
             )
             .map_err(|_| QaecError::Timeout)?;
             let reader = TddManager::new_shared(&store);
@@ -300,9 +433,9 @@ impl Alg2Artifacts {
             let mut manager = TddManager::new();
             let result = contract_network_opts(
                 &mut manager,
-                &built.network,
+                network,
                 &self.plan,
-                &built.order,
+                &self.built.order,
                 DriverOptions {
                     gc_threshold: options.gc_threshold,
                     deadline: options.deadline,
@@ -312,19 +445,30 @@ impl Alg2Artifacts {
             let trace = manager.edge_scalar(result.root).expect("closed network");
             (result.max_nodes, trace, manager.stats())
         };
+        Ok(self.report(trace, max_nodes, stats, start))
+    }
 
+    /// The report of one contraction with trace `trace`.
+    fn report(&self, trace: C64, max_nodes: usize, stats: TddStats, start: Instant) -> Alg2Report {
         // Σ|tr(U†Eᵢ)|² is real and non-negative; the imaginary part is
         // round-off.
         let fidelity = (trace.re / (self.d * self.d))
             .clamp(0.0, 1.0 + 1e-9)
             .min(1.0);
-
-        Ok(Alg2Report {
+        Alg2Report {
             fidelity,
             max_nodes,
             elapsed: start.elapsed(),
             plan_cost: self.plan_cost,
             stats,
-        })
+        }
+    }
+}
+
+/// The plan-driver knobs of `options`.
+fn parallel(options: &CheckOptions) -> ParallelOptions {
+    ParallelOptions {
+        workers: options.threads.max(1),
+        deadline: options.deadline,
     }
 }

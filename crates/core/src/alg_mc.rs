@@ -113,7 +113,7 @@ pub fn fidelity_monte_carlo(
         cancel_inverse_pairs(&mut template.elements, n_wires);
     }
 
-    let d = (1u64 << noisy.n_qubits()) as f64;
+    let d = (noisy.n_qubits() as f64).exp2();
     let d2 = d * d;
 
     // Shared plan/order across instantiations (identical structure).

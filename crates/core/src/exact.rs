@@ -120,7 +120,7 @@ pub fn check_unitary_equivalence(
     .map_err(|_| QaecError::Timeout)?;
     let trace = manager.edge_scalar(result.root).expect("closed network");
 
-    let d = (1u64 << left.n_qubits()) as f64;
+    let d = (left.n_qubits() as f64).exp2();
     let verdict = if (trace.abs() - d).abs() <= 1e-9 * d {
         let theta = trace.arg();
         if theta.abs() <= 1e-9 {

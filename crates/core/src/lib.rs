@@ -80,8 +80,8 @@ pub use checker::{
 };
 pub use error::QaecError;
 pub use options::{
-    default_shared_table, default_store_reclaim, default_sweep_lanes, default_threads,
-    AlgorithmChoice, CheckOptions, SharedTableMode, StoreReclaimMode, TermOrder, VarOrderStyle,
+    default_shared_table, default_store_reclaim, default_threads, AlgorithmChoice, CheckOptions,
+    SharedTableMode, StoreReclaimMode, TermOrder, VarOrderStyle,
 };
 pub use qaec_tdd::{SharedTddStore, StoreEpoch, TddStats};
 pub use report::{AlgorithmUsed, EquivalenceReport, Verdict};

@@ -205,16 +205,9 @@ pub struct CheckOptions {
     /// [`qaec_tdd::TddStats::seed_imports`] / `seed_hits` report the
     /// traffic and its payoff.
     pub seed_cont_cache: bool,
-    /// Maximum lane width for vectorised noise sweeps
-    /// ([`crate::CompiledCheck::sweep_noise`]): Algorithm II sweep points
-    /// are batched into groups of up to this many and contracted in a
-    /// single multi-lane traversal ([`qaec_tdd::lanes`]), ⌈N/LANES⌉
-    /// passes instead of N. Clamped to the monomorphised widths
-    /// {1, 2, 4, 8}; `1` forces the scalar per-point reference path.
-    /// Results are bit-identical either way — lanes that cannot stay
-    /// bit-identical fall back to the scalar path automatically.
-    /// Default: 8, overridable via the `QAEC_SWEEP_LANES` environment
-    /// variable.
+    /// Has no effect. Kept so that struct literals and `--lanes` flags
+    /// written for the multi-lane noise-sweep engine, which this crate
+    /// no longer has, stay valid. Default: 8.
     pub sweep_lanes: usize,
     /// When the session retires its shared store for a compact
     /// successor (default: [`StoreReclaimMode::Auto`] — once the store
@@ -264,23 +257,6 @@ pub fn default_shared_table() -> SharedTableMode {
     }
 }
 
-/// The default noise-sweep lane width: the `QAEC_SWEEP_LANES`
-/// environment variable when set to a positive integer (rounded down to
-/// the nearest monomorphised width in {1, 2, 4, 8}), else 8.
-///
-/// This is what [`CheckOptions::default`] uses, so exporting
-/// `QAEC_SWEEP_LANES=1` forces every default-configured sweep through
-/// the scalar per-point reference path — CI's `sweep-lane-parity` job
-/// uses exactly that to prove the lane path bit-identical.
-pub fn default_sweep_lanes() -> usize {
-    std::env::var("QAEC_SWEEP_LANES")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .map(clamp_lane_width)
-        .unwrap_or(8)
-}
-
 /// The default store-reclamation mode: the `QAEC_STORE_RECLAIM`
 /// environment variable when set (`on`/`1`/`true` reclaim at every
 /// quiescent boundary, `off`/`0`/`false` never reclaim, `auto` the
@@ -295,17 +271,6 @@ pub fn default_store_reclaim() -> StoreReclaimMode {
         Ok("on") | Ok("1") | Ok("true") => StoreReclaimMode::On,
         Ok("off") | Ok("0") | Ok("false") => StoreReclaimMode::Off,
         _ => StoreReclaimMode::Auto,
-    }
-}
-
-/// Rounds a requested lane width down to the nearest monomorphised
-/// width: {1, 2, 4, 8}.
-pub(crate) fn clamp_lane_width(n: usize) -> usize {
-    match n {
-        0..=1 => 1,
-        2..=3 => 2,
-        4..=7 => 4,
-        _ => 8,
     }
 }
 
@@ -325,7 +290,7 @@ impl Default for CheckOptions {
             max_terms: None,
             shared_table: default_shared_table(),
             seed_cont_cache: true,
-            sweep_lanes: default_sweep_lanes(),
+            sweep_lanes: 8,
             store_reclaim: default_store_reclaim(),
             svd_threshold: 1e-8,
             max_bond: 16,
@@ -390,26 +355,5 @@ mod tests {
             _ => StoreReclaimMode::Auto,
         };
         assert_eq!(CheckOptions::default().store_reclaim, expected);
-    }
-
-    #[test]
-    fn lane_widths_clamp_to_monomorphised_set() {
-        assert_eq!(clamp_lane_width(0), 1);
-        assert_eq!(clamp_lane_width(1), 1);
-        assert_eq!(clamp_lane_width(2), 2);
-        assert_eq!(clamp_lane_width(3), 2);
-        assert_eq!(clamp_lane_width(4), 4);
-        assert_eq!(clamp_lane_width(7), 4);
-        assert_eq!(clamp_lane_width(8), 8);
-        assert_eq!(clamp_lane_width(64), 8);
-        // Unless the env override is active, the default is the widest
-        // lane; the CI parity job forces 1 to pin the scalar path.
-        let expected = std::env::var("QAEC_SWEEP_LANES")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .map(clamp_lane_width)
-            .unwrap_or(8);
-        assert_eq!(CheckOptions::default().sweep_lanes, expected);
     }
 }

@@ -18,9 +18,12 @@
 //!   [`CompiledCheck::verdict`] (free once cached bounds decide the new
 //!   ε; Algorithm I re-runs only when they cannot),
 //!   [`CompiledCheck::sweep_epsilon`], and
-//!   [`CompiledCheck::sweep_noise`] — which re-instantiates the Kraus
-//!   weights on the compiled plan instead of replanning, reusing one
-//!   warm [`SharedTddStore`] across the whole batch.
+//!   [`CompiledCheck::sweep_noise`] — which re-weights the noise sites
+//!   on the compiled plan instead of replanning, reusing one warm
+//!   [`SharedTddStore`] across the whole batch. On Algorithm II the
+//!   first noise sweep also folds the noise-free part of the doubled
+//!   network into that store once, so every later point contracts only
+//!   the noise-dependent plan steps (see [`crate::alg2`]'s fold).
 //!
 //! Warm-store reuse is value-transparent: the shared store's value-pure
 //! interning makes every contraction a pure function of its inputs, so a
@@ -30,13 +33,14 @@
 //! ([`SharedTddStore::reset_between_runs`]) so each report counts its
 //! own work, not the session's history.
 //!
-//! The same quiescent boundaries (between queries, sweep points and
-//! lane batches — no diagram edges survive them) drive **epoch-based
-//! store reclamation** ([`crate::StoreReclaimMode`], the
+//! The same quiescent boundaries (between queries and sweep points — no
+//! diagram edges survive them but the fold's frontier) drive
+//! **epoch-based store reclamation** ([`crate::StoreReclaimMode`], the
 //! `store_reclaim` knob): the session swaps the warm store for
-//! [`SharedTddStore::successor`] — always (`On`), past a size
-//! threshold (`Auto`, the default) or never (`Off`) — bounding a long
-//! session's footprint without moving a result bit.
+//! [`SharedTddStore::compact`] with the frontier as its roots — always
+//! (`On`), past a size threshold (`Auto`, the default) or never
+//! (`Off`) — bounding a long session's footprint without moving a
+//! result bit.
 //! [`CompiledCheck::warm_store_bytes`] reports the live footprint,
 //! [`CompiledCheck::warm_store_peak_bytes`] the high-water mark across
 //! swaps.
@@ -76,10 +80,10 @@
 //! ```
 
 use crate::alg1::Alg1Artifacts;
-use crate::alg2::Alg2Artifacts;
+use crate::alg2::{Alg2Artifacts, Alg2Fold};
 use crate::checker::{auto_choice, mpo_favored};
 use crate::error::QaecError;
-use crate::options::{clamp_lane_width, AlgorithmChoice, CheckOptions};
+use crate::options::{AlgorithmChoice, CheckOptions, StoreReclaimMode};
 use crate::report::{AlgorithmUsed, EquivalenceReport, Verdict};
 use crate::{validate, validate_epsilon};
 use qaec_circuit::{Circuit, NoiseChannel};
@@ -91,34 +95,67 @@ use std::sync::Arc;
 use qaec_tdd::sync::Mutex;
 use std::time::Duration;
 
-/// A swappable handle to a session's warm shared store.
+/// A swappable handle to a session's warm shared store, together with
+/// the Algorithm II fold whose frontier edges live in it.
 ///
 /// Epoch-based reclamation retires the store for a compact successor
-/// ([`SharedTddStore::successor`]) at *quiescent* boundaries — between
-/// queries and sweep points, when no contraction holds ids into the
-/// arenas. Every holder of the cell (the session, its clones, the
-/// service cache's sizing path) observes the swap through this shared
-/// handle, so the retired store's arenas free as soon as the last
-/// in-flight reference drops.
+/// ([`SharedTddStore::compact`], with the fold's frontier as its roots)
+/// at *quiescent* boundaries — between queries and sweep points, when
+/// no contraction holds ids into the arenas. Every holder of the cell
+/// (the session, its clones, the service cache's sizing path) observes
+/// the swap through this shared handle, so the retired store's arenas
+/// free as soon as the last in-flight reference drops. The store and
+/// its fold always swap together: a fold never outlives the generation
+/// it points into.
 ///
 /// Cloning shares the cell — exactly the sharing the session's `Clone`
 /// had when it cloned the store `Arc` directly.
 #[derive(Clone, Debug)]
-pub(crate) struct StoreCell(Arc<Mutex<Arc<SharedTddStore>>>);
+pub(crate) struct StoreCell(Arc<Mutex<Warm>>);
+
+/// One store generation and the fold built on it, if any.
+#[derive(Clone, Debug)]
+struct Warm {
+    store: Arc<SharedTddStore>,
+    fold: Option<Arc<Alg2Fold>>,
+}
 
 impl StoreCell {
     fn new(store: Arc<SharedTddStore>) -> StoreCell {
-        StoreCell(Arc::new(Mutex::new(store)))
+        StoreCell(Arc::new(Mutex::new(Warm { store, fold: None })))
     }
 
     /// The current store (an owned handle — safe across a concurrent
     /// swap; the handle keeps the generation it observed alive).
     pub(crate) fn get(&self) -> Arc<SharedTddStore> {
+        self.warm().store
+    }
+
+    fn warm(&self) -> Warm {
         self.0.lock().expect("store cell poisoned").clone()
     }
 
-    fn swap(&self, next: Arc<SharedTddStore>) {
-        *self.0.lock().expect("store cell poisoned") = next;
+    /// Keeps `fold`, built on `store`, beside it — unless reclamation
+    /// has already retired that generation.
+    fn keep_fold(&self, store: &Arc<SharedTddStore>, fold: Arc<Alg2Fold>) {
+        let mut warm = self.0.lock().expect("store cell poisoned");
+        if Arc::ptr_eq(&warm.store, store) {
+            warm.fold = Some(fold);
+        }
+    }
+
+    /// The quiescent-boundary reclamation hook: when `mode` says so,
+    /// swaps the store for a compact successor that keeps only the
+    /// fold's frontier, remapped.
+    fn reclaim(&self, mode: StoreReclaimMode) {
+        let Warm { store, fold } = self.warm();
+        if !mode.should_reclaim(store.approx_data_bytes()) {
+            return;
+        }
+        let roots = fold.as_ref().map_or(&[][..], |fold| fold.frontier());
+        let (store, frontier) = store.compact(roots);
+        let fold = fold.map(|fold| Arc::new(fold.remapped(frontier)));
+        *self.0.lock().expect("store cell poisoned") = Warm { store, fold };
     }
 }
 
@@ -345,19 +382,20 @@ pub struct SweepPoint {
     pub fidelity: f64,
     /// The ε-decision at this point.
     pub verdict: Verdict,
-    /// Largest intermediate diagram, in nodes. For a lane-batched
-    /// Algorithm II point this counts the batch's shared *lane-diagram*
-    /// skeleton (every point of the batch reports the same number) —
-    /// not comparable to the scalar path's per-point count.
+    /// Largest intermediate diagram, in nodes — the same count a cold
+    /// one-shot check of the point's pair reports (an Algorithm II
+    /// point counts the folded steps too).
     pub max_nodes: usize,
     /// Wall-clock time of this point's contraction (planning is paid
-    /// once at compile time, not here). Lane-batched points report the
-    /// whole batch's single traversal.
+    /// once at compile time, not here). On Algorithm II, the point that
+    /// builds the session's fold — the first point of its first noise
+    /// sweep — includes building it.
     pub elapsed: Duration,
     /// Decision-diagram statistics of this point alone — epoch-fenced on
     /// the session's warm store, so warm reuse shows up as fewer
-    /// `nodes_created`, not as double-counted history. Lane-batched
-    /// points share their batch's single-traversal statistics.
+    /// `nodes_created`, not as double-counted history. The point that
+    /// builds the Algorithm II fold includes the fold's work; later
+    /// points count only their noise-dependent steps.
     pub stats: TddStats,
 }
 
@@ -503,17 +541,12 @@ impl CompiledCheck {
     /// and sweep points, when no contraction holds ids into the store.
     /// Retires the store for a compact successor when
     /// `options.store_reclaim` says so — value-transparent (interning is
-    /// pure, no engine value depends on an id), so results are
-    /// bit-identical whether or when swaps happen.
+    /// pure, no engine value depends on an id, and the fold's frontier
+    /// migrates bit-exactly), so results are bit-identical whether or
+    /// when swaps happen.
     fn maybe_reclaim_store(&self) {
-        let Some(cell) = &self.store else { return };
-        let store = cell.get();
-        if self
-            .options
-            .store_reclaim
-            .should_reclaim(store.approx_data_bytes())
-        {
-            cell.swap(store.successor());
+        if let Some(cell) = &self.store {
+            cell.reclaim(self.options.store_reclaim);
         }
     }
 
@@ -522,7 +555,7 @@ impl CompiledCheck {
     pub fn noise_channels(&self) -> &[NoiseChannel] {
         match &self.backend {
             Backend::Alg1(a) => &a.template.channels,
-            Backend::Alg2(a) => &a.template.channels,
+            Backend::Alg2(a) => &a.channels,
             Backend::Mpo(b) => b.plan.channels(),
         }
     }
@@ -827,16 +860,18 @@ impl CompiledCheck {
     /// Re-checks the compiled pair at each noise strength: every noise
     /// site's channel is replaced by the same channel at strength
     /// `strengths[i]` (via [`NoiseChannel::with_strength`]) and the
-    /// point is evaluated **on the compiled plan** — the Kraus weights
-    /// are re-instantiated, the wire bookkeeping re-laid (linear), and
-    /// planning is not repeated. The whole batch shares the session's
-    /// warm store.
+    /// point is evaluated **on the compiled plan** — only the noise-site
+    /// weights change, and planning is not repeated. The whole batch
+    /// shares the session's warm store. On Algorithm II over a shared
+    /// store, the session's first noise sweep contracts the noise-free
+    /// plan steps once (the fold) and every point runs only the steps
+    /// that depend on a noise site.
     ///
-    /// Every point's fidelity and verdict are bit-identical to a cold
-    /// [`crate::jamiolkowski_fidelity`] / [`crate::check_equivalence`]
-    /// call on the corresponding re-parameterised pair, at every thread
-    /// count — the paper's Table I column, `N` points for one
-    /// compilation.
+    /// Every point's fidelity, verdict and `max_nodes` are bit-identical
+    /// to a cold [`crate::jamiolkowski_fidelity`] /
+    /// [`crate::check_equivalence`] call on the corresponding
+    /// re-parameterised pair, at every thread count — the paper's
+    /// Table I column, `N` points for one compilation.
     ///
     /// # Errors
     ///
@@ -861,10 +896,9 @@ impl CompiledCheck {
     /// point with genuine two-sided early exit at ε — high-mass terms
     /// accumulate first and the point stops the moment its bounds
     /// decide, without computing the exact fidelity. Algorithm II
-    /// evaluates its single exact value per point (lane-batched like
+    /// evaluates its single exact value per point (from the fold, like
     /// [`CompiledCheck::sweep_noise`]); its bounds collapse to a point,
-    /// so every lane's decision is immediate once its trace is known —
-    /// a decided lane contributes nothing further.
+    /// so each decision is immediate once the point's trace is known.
     ///
     /// Verdicts agree with [`CompiledCheck::sweep_noise`] on every
     /// point: the early exit only proves the same comparison cheaper.
@@ -959,7 +993,10 @@ impl CompiledCheck {
                 .iter()
                 .map(|channels| self.alg1_point(artifacts, channels, epsilon))
                 .collect(),
-            Backend::Alg2(artifacts) => self.alg2_sweep_lanes(artifacts, epsilon, points),
+            Backend::Alg2(artifacts) => points
+                .iter()
+                .map(|channels| self.alg2_point(artifacts, channels, epsilon))
+                .collect(),
             Backend::Mpo(backend) => match &backend.escalation {
                 // `Auto` promised exact per-point fidelities: the whole
                 // sweep escalates to the exact fallback (the compiled
@@ -1044,13 +1081,24 @@ impl CompiledCheck {
         })
     }
 
+    /// One Algorithm II sweep point: from the fold on a shared-store
+    /// session (building the fold on first use), or a full private
+    /// replay on a `--shared-table off` session.
     fn alg2_point(
         &self,
         artifacts: &Alg2Artifacts,
         channels: &[NoiseChannel],
         epsilon: f64,
     ) -> Result<SweepPoint, QaecError> {
-        let report = artifacts.run_channels(channels, &self.options, self.warm_store().as_ref())?;
+        let report = match &self.store {
+            Some(cell) => {
+                let Warm { store, fold } = cell.warm();
+                let (report, fold) = artifacts.run_folded(&store, fold, channels, &self.options)?;
+                cell.keep_fold(&store, fold);
+                report
+            }
+            None => artifacts.run_replay(channels, &self.options)?,
+        };
         self.maybe_reclaim_store();
         Ok(SweepPoint {
             fidelity: report.fidelity,
@@ -1059,80 +1107,6 @@ impl CompiledCheck {
             elapsed: report.elapsed,
             stats: report.stats,
         })
-    }
-
-    /// The Algorithm II sweep body: greedily batches points into the
-    /// widest monomorphised lane width ≤ `options.sweep_lanes` and
-    /// contracts each batch in one multi-lane traversal, ⌈N/LANES⌉
-    /// passes instead of N. The ragged tail (and everything, when lanes
-    /// resolve off) runs the scalar per-point reference path.
-    ///
-    /// Lanes engage only over the session's warm shared store: the lane
-    /// snap replicates the *canonical* interning that makes scalar
-    /// results value-pure. A private-store session
-    /// ([`crate::SharedTableMode::Off`]) keeps first-come-first-served
-    /// weight merging, which is order-dependent — so it stays on the
-    /// scalar path and its results are unchanged by construction.
-    ///
-    /// A batch whose lanes diverge (a value-dependent decision that is
-    /// not lane-uniform — see [`qaec_tdd::lanes`]) is replayed per
-    /// point: divergence costs time, never changes a result. Lane
-    /// batches contract sequentially, so sweep results stay independent
-    /// of `options.threads` here too.
-    fn alg2_sweep_lanes(
-        &self,
-        artifacts: &Alg2Artifacts,
-        epsilon: f64,
-        points: &[Vec<NoiseChannel>],
-    ) -> Result<Vec<SweepPoint>, QaecError> {
-        let max_lanes = match &self.store {
-            Some(_) => clamp_lane_width(self.options.sweep_lanes),
-            None => 1,
-        };
-        let mut out = Vec::with_capacity(points.len());
-        let mut rest = points;
-        while !rest.is_empty() {
-            let width = [8, 4, 2]
-                .into_iter()
-                .find(|&w| w <= max_lanes && w <= rest.len())
-                .unwrap_or(1);
-            if width == 1 {
-                out.push(self.alg2_point(artifacts, &rest[0], epsilon)?);
-                rest = &rest[1..];
-                continue;
-            }
-            let (batch, tail) = rest.split_at(width);
-            rest = tail;
-            let store = self.warm_store().expect("lane widths require a store");
-            let report = match width {
-                8 => artifacts.run_channels_lanes::<8>(batch, &self.options, &store)?,
-                4 => artifacts.run_channels_lanes::<4>(batch, &self.options, &store)?,
-                2 => artifacts.run_channels_lanes::<2>(batch, &self.options, &store)?,
-                _ => unreachable!("lane widths are 2, 4 or 8"),
-            };
-            match report {
-                Some(report) => {
-                    for &fidelity in &report.fidelities {
-                        out.push(SweepPoint {
-                            fidelity,
-                            verdict: Verdict::decide(fidelity, epsilon),
-                            max_nodes: report.max_nodes,
-                            elapsed: report.elapsed,
-                            stats: report.stats,
-                        });
-                    }
-                    // A lane batch is a quiescent boundary too: nothing
-                    // survives it but the per-point scalars.
-                    self.maybe_reclaim_store();
-                }
-                None => {
-                    for channels in batch {
-                        out.push(self.alg2_point(artifacts, channels, epsilon)?);
-                    }
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// Serves a report from the cached interval: the evidence (bounds,

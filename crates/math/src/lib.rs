@@ -31,10 +31,8 @@
 pub mod approx;
 pub mod complex;
 pub mod eigen;
-pub mod lanes;
 pub mod matrix;
 
 pub use approx::{approx_eq_c64, approx_eq_f64, DEFAULT_TOLERANCE};
 pub use complex::C64;
-pub use lanes::LaneC64;
 pub use matrix::Matrix;

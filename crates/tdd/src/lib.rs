@@ -31,13 +31,8 @@
 //! * [`par_driver`] — the plan-level parallel driver: a DAG scheduler
 //!   dispatching independent plan steps critical-path-first to a worker
 //!   pool over one shared store, bit-identical to sequential execution
-//!   for every worker count;
-//! * [`lanes`] — the multi-lane engine: one contraction traversal
-//!   carrying `L` structurally-identical diagrams whose weights differ
-//!   per lane (a noise-sweep batch), with per-lane canonical snapping so
-//!   every lane stays bit-identical to its scalar shared-store run, and
-//!   divergence detection that falls back to the scalar path whenever a
-//!   value-dependent decision is not lane-uniform;
+//!   for every worker count — for a whole plan, or for a subset of its
+//!   steps resumed from edges an earlier run kept;
 //! * [`fxhash`] — the dependency-free Fx-style hasher behind every hot
 //!   table (unique, computed, interning);
 //! * [`gc`] — mark-compact garbage collection for long Algorithm I runs
@@ -70,7 +65,6 @@ pub mod dot;
 pub mod driver;
 pub mod fxhash;
 pub mod gc;
-pub mod lanes;
 pub mod manager;
 pub mod ops;
 pub mod par_driver;
@@ -84,8 +78,10 @@ mod model_tests;
 pub use driver::{
     contract_network, contract_network_opts, ContractionResult, DriverOptions, DriverTimeout,
 };
-pub use lanes::{contract_network_lanes, LaneDivergence, LaneError, LaneOutcome};
 pub use manager::{ContCacheKey, Edge, NodeId, TddManager, TddStats, DEADLINE_PROBE_INTERVAL};
-pub use par_driver::{contract_network_parallel, run_on_workers, ParallelOptions, ParallelOutcome};
+pub use par_driver::{
+    contract_network_parallel, contract_steps_parallel, run_on_workers, scale_free_loops,
+    ParallelOptions, ParallelOutcome, StepOutcome, StepRun,
+};
 pub use store::{SharedTddStore, StoreEpoch};
 pub use weight::{WeightId, WeightTable};

@@ -29,6 +29,12 @@
 //! [`TddManager::node_count`] values of those scheduling-independent
 //! edges, so it is deterministic too.
 //!
+//! The same argument lets a run cover only part of a plan
+//! ([`contract_steps_parallel`]): a slot's edge depends on nothing but
+//! the steps and inputs below it, so edges kept from an earlier run on
+//! the same store resume a later run exactly where a full run would
+//! stand.
+//!
 //! (The scoped family exists because the canonical grid fragments under
 //! plan-driver arithmetic — round-off twins straddling grid cells
 //! tripled the weight arena and with it the whole contraction's cost;
@@ -38,7 +44,7 @@ use crate::convert::from_tensor;
 use crate::driver::{ContractionResult, DriverTimeout};
 use crate::manager::{Edge, TddManager, TddStats};
 use crate::store::SharedTddStore;
-use qaec_tensornet::{ContractionPlan, PlanGraph, PlanStep, TensorNetwork, VarOrder};
+use qaec_tensornet::{ContractionPlan, PlanGraph, PlanStep, Tensor, TensorNetwork, VarOrder};
 use std::collections::BinaryHeap;
 // The pool scheduler's ready-queue uses Condvar, which has no model twin, so
 // its Mutex stays `std::sync` (see `crate::sync`); the atomics go through the
@@ -147,11 +153,12 @@ struct ReadyState {
 struct Scheduler {
     ready: Mutex<ReadyState>,
     wake: Condvar,
-    /// Unresolved step-dependencies per step; a step joins the heap when
-    /// its count hits zero.
+    /// Unfinished running producers per step; a step joins the heap
+    /// when its count hits zero.
     indegree: Vec<AtomicUsize>,
-    /// Write-once result slot table (inputs resolve lazily inside the
-    /// consuming step; results publish here before dependents wake).
+    /// Write-once slot table: resolved slots are set before the run,
+    /// inputs resolve lazily inside the consuming step, and results
+    /// publish here before dependents wake.
     slots: Vec<OnceLock<Edge>>,
     /// Raised on timeout: everyone drains and exits.
     stop: AtomicBool,
@@ -184,10 +191,11 @@ impl Scheduler {
     /// following): the worker's computed tables already hold that
     /// region's sub-results, and skipping the heap round-trip keeps
     /// long dependency chains off the scheduler lock.
-    fn finish_step(&self, step: usize, graph: &PlanGraph) -> Option<usize> {
+    fn finish_step(&self, step: usize, graph: &PlanGraph, running: &[bool]) -> Option<usize> {
         let mut rest: Vec<usize> = graph.dependents[step]
             .iter()
             .copied()
+            .filter(|&d| running[d])
             // ordering: AcqRel — the release half publishes this step's
             // result slot to whoever decrements last; the acquire half makes
             // every predecessor's published slot visible to the thread that
@@ -244,6 +252,40 @@ impl Drop for PanicGuard<'_> {
     }
 }
 
+/// What one [`contract_steps_parallel`] call executes: a subset of a
+/// plan's steps, started from slots an earlier call resolved.
+///
+/// This is how a compiled check folds the part of a plan that never
+/// changes between calls: one call runs the steps whose operands do not
+/// depend on the inputs that change and keeps the edges those steps pass
+/// on; every later call runs only the remaining steps, from those edges.
+/// Step purity (module docs) makes the split invisible: every slot's
+/// edge is bit-identical to the one a full run computes.
+#[derive(Clone, Copy, Debug)]
+pub struct StepRun<'a> {
+    /// `steps[i]`: whether plan step `i` runs. Every operand of a
+    /// running step must be a running step's result, a `resolved` slot
+    /// or an input slot.
+    pub steps: &'a [bool],
+    /// Slots whose edges are already in the store.
+    pub resolved: &'a [(usize, Edge)],
+    /// Slots whose edges the call returns, in order. An input slot among
+    /// them that no running step consumed is converted here.
+    pub keep: &'a [usize],
+}
+
+/// What a [`contract_steps_parallel`] call produced.
+#[derive(Clone, Debug)]
+pub struct StepOutcome {
+    /// The edges of [`StepRun::keep`], in order.
+    pub kept: Vec<Edge>,
+    /// Largest diagram among the steps run and the inputs converted.
+    pub max_nodes: usize,
+    /// Worker-local statistics merged across the pool (store-owned
+    /// counters excluded, as in [`ParallelOutcome::stats`]).
+    pub stats: TddStats,
+}
+
 /// Executes `plan` over `network` on a pool of workers sharing `store`.
 ///
 /// Results are **bit-identical** to executing the same plan sequentially
@@ -267,49 +309,145 @@ pub fn contract_network_parallel(
     options: ParallelOptions,
 ) -> Result<ParallelOutcome, DriverTimeout> {
     let graph = plan.graph(network);
-    let n_steps = plan.steps.len();
+    let steps = vec![true; plan.steps.len()];
+    // Unconsumed inputs are converted too, so `max_nodes` matches the
+    // sequential driver's leaf accounting; the root comes last.
+    let mut keep = graph.unconsumed_inputs.clone();
+    keep.extend(graph.root_slot);
+    let run = StepRun {
+        steps: &steps,
+        resolved: &[],
+        keep: &keep,
+    };
+    let inputs = |slot: usize| &network.tensors()[slot];
+    let out = contract_steps_parallel(store, plan, &graph, &inputs, order, run, options)?;
+    let root = match graph.root_slot {
+        Some(_) => *out.kept.last().expect("root kept"),
+        None => Edge::ONE,
+    };
+    let mut stats = out.stats;
+    let root = scale_free_loops(store, root, plan.free_loops, &mut stats);
+    Ok(ParallelOutcome {
+        result: ContractionResult {
+            root,
+            max_nodes: out.max_nodes.max(1),
+            peak_arena: store.arena_len(),
+            steps: plan.steps.len(),
+        },
+        stats,
+    })
+}
+
+/// Multiplies a plan's root by `2^free_loops` (closed indices no tensor
+/// touches) in a weight scope of its own — the close-out of every run
+/// that ends at the root, whether full or resumed from a fold. Merges
+/// the scaling's statistics into `stats`.
+pub fn scale_free_loops(
+    store: &Arc<SharedTddStore>,
+    root: Edge,
+    free_loops: u32,
+    stats: &mut TddStats,
+) -> Edge {
+    if free_loops == 0 {
+        return root;
+    }
+    let mut m = TddManager::new_shared_scoped(store);
+    m.begin_weight_scope();
+    let weight = m.wscale_real(root.weight, (free_loops as f64).exp2());
+    stats.merge(&m.stats());
+    Edge {
+        node: root.node,
+        weight,
+    }
+}
+
+/// Executes the steps `run` selects on a pool of workers sharing
+/// `store`: the one driver behind a full run
+/// ([`contract_network_parallel`]), the fold of a plan's fixed part and
+/// every run resumed from that fold. `inputs(slot)` supplies the tensor
+/// of an input slot (`slot < n_inputs`) a running step or `run.keep`
+/// reads without a resolved edge; `graph` is `plan.graph(network)` of
+/// the network the plan was built for.
+///
+/// Each slot's edge is bit-identical to the one a full sequential run
+/// computes, for every worker count and every split of the plan (see
+/// the module docs for the purity argument).
+///
+/// # Errors
+///
+/// [`DriverTimeout`] if the deadline expires (between steps or inside a
+/// step's `cont` recursion).
+///
+/// # Panics
+///
+/// Panics if a running step's operand is neither produced, resolved nor
+/// an input, or an index is missing from `order`.
+pub fn contract_steps_parallel<'t>(
+    store: &Arc<SharedTddStore>,
+    plan: &ContractionPlan,
+    graph: &PlanGraph,
+    inputs: &(dyn Fn(usize) -> &'t Tensor + Sync),
+    order: &VarOrder,
+    run: StepRun<'_>,
+    options: ParallelOptions,
+) -> Result<StepOutcome, DriverTimeout> {
+    let n_inputs = graph.n_inputs;
+    let runs = |step: usize| run.steps[step];
+    let n_run = (0..plan.steps.len()).filter(|&s| runs(s)).count();
+    let slots: Vec<OnceLock<Edge>> = (0..plan.n_slots.max(n_inputs))
+        .map(|_| OnceLock::new())
+        .collect();
+    for &(slot, edge) in run.resolved {
+        slots[slot].set(edge).expect("slot resolved twice");
+    }
+    // A running step waits only on the running steps producing its
+    // operands; every other operand is resolved or an input.
+    let indegree: Vec<usize> = graph
+        .operands
+        .iter()
+        .map(|producers| producers.iter().filter(|&&p| runs(p)).count())
+        .collect();
     let scheduler = Scheduler {
         ready: Mutex::new(ReadyState {
-            heap: graph
-                .initial_ready()
-                .into_iter()
+            heap: (0..plan.steps.len())
+                .filter(|&step| runs(step) && indegree[step] == 0)
                 .map(|step| ReadyStep {
                     priority: graph.priority[step],
                     step,
                 })
                 .collect(),
-            unfinished: n_steps,
+            unfinished: n_run,
         }),
         wake: Condvar::new(),
-        indegree: graph
-            .indegree
-            .iter()
-            .map(|&d| AtomicUsize::new(d))
-            .collect(),
-        slots: (0..plan.n_slots.max(network.tensors().len()))
-            .map(|_| OnceLock::new())
-            .collect(),
+        indegree: indegree.into_iter().map(AtomicUsize::new).collect(),
+        slots,
         stop: AtomicBool::new(false),
     };
+    let convert = |m: &mut TddManager, max_nodes: &mut usize, slot: usize| -> Edge {
+        assert!(
+            slot < n_inputs,
+            "slot {slot} is neither produced nor resolved"
+        );
+        let e = from_tensor(m, inputs(slot), order);
+        *max_nodes = (*max_nodes).max(m.node_count(e));
+        e
+    };
 
-    let workers = options.workers.max(1).min(n_steps.max(1));
-    let n_inputs = network.tensors().len();
+    let workers = options.workers.max(1).min(n_run.max(1));
     let worker = |_w: usize| -> Result<(usize, TddStats), DriverTimeout> {
         let _panic_guard = PanicGuard(&scheduler);
         let mut m = TddManager::new_shared_scoped(store);
         m.set_deadline(options.deadline);
         let mut max_nodes = 0usize;
-        // Resolves one operand slot: produced slots read the published
-        // edge, input slots convert the tensor here (each input is
-        // consumed by exactly one step, so no work is duplicated).
+        // Resolves one operand slot: produced and resolved slots read
+        // the published edge, input slots convert the tensor here (each
+        // input is consumed by exactly one step, so no work is
+        // duplicated).
         let fetch = |m: &mut TddManager, max_nodes: &mut usize, slot: usize| -> Edge {
-            if let Some(&e) = scheduler.slots[slot].get() {
-                return e;
+            match scheduler.slots[slot].get() {
+                Some(&e) => e,
+                None => convert(m, max_nodes, slot),
             }
-            debug_assert!(slot < n_inputs, "unpublished non-input slot {slot}");
-            let e = from_tensor(m, &network.tensors()[slot], order);
-            *max_nodes = (*max_nodes).max(m.node_count(e));
-            e
         };
         let mut follow: Option<usize> = None;
         while let Some(step) = follow.take().or_else(|| scheduler.next_step()) {
@@ -354,7 +492,7 @@ pub fn contract_network_parallel(
             scheduler.slots[result_slot]
                 .set(e)
                 .expect("step result published twice");
-            follow = scheduler.finish_step(step, &graph);
+            follow = scheduler.finish_step(step, graph, run.steps);
         }
         Ok((max_nodes, m.stats()))
     };
@@ -383,41 +521,18 @@ pub fn contract_network_parallel(
         return Err(DriverTimeout);
     }
 
-    // Close out: resolve the root (converting it here if the plan left a
-    // bare input unconsumed), account for any other unconsumed inputs so
-    // `max_nodes` matches the sequential driver's leaf accounting, and
-    // apply the free-loop scalar.
+    // Close out: read the kept slots, converting any input no running
+    // step consumed (published, so a slot kept twice converts once).
     let mut m = TddManager::new_shared_scoped(store);
-    for &slot in &graph.unconsumed_inputs {
-        if scheduler.slots[slot].get().is_none() {
-            let e = from_tensor(&mut m, &network.tensors()[slot], order);
-            max_nodes = max_nodes.max(m.node_count(e));
-            scheduler.slots[slot]
-                .set(e)
-                .expect("unconsumed input published twice");
-        }
-    }
-    let mut root = match graph.root_slot {
-        Some(slot) => *scheduler.slots[slot].get().expect("root published"),
-        None => Edge::ONE,
-    };
-    if plan.free_loops > 0 {
-        m.begin_weight_scope();
-        root = Edge {
-            node: root.node,
-            weight: m.wscale_real(root.weight, (plan.free_loops as f64).exp2()),
-        };
-    }
+    let kept = run
+        .keep
+        .iter()
+        .map(|&slot| *scheduler.slots[slot].get_or_init(|| convert(&mut m, &mut max_nodes, slot)))
+        .collect();
     stats.merge(&m.stats());
-    max_nodes = max_nodes.max(1);
-
-    Ok(ParallelOutcome {
-        result: ContractionResult {
-            root,
-            max_nodes,
-            peak_arena: store.arena_len(),
-            steps: n_steps,
-        },
+    Ok(StepOutcome {
+        kept,
+        max_nodes,
         stats,
     })
 }

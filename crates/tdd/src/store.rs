@@ -899,13 +899,7 @@ impl SharedTddStore {
     /// has quiesced (no in-flight contraction holds ids into the old
     /// store) and must rebuild managers against the new store.
     pub fn successor(&self) -> Arc<SharedTddStore> {
-        let totals = self.reset_between_runs();
-        Self::build(
-            self.tol,
-            totals,
-            self.base_peak_nodes.max(self.arena_len()),
-            self.peak_bytes_used(),
-        )
+        self.compact(&[]).0
     }
 
     /// Epoch-based reclamation with live roots: migrates exactly the
@@ -930,21 +924,24 @@ impl SharedTddStore {
     /// ids — against the successor.
     pub fn compact(&self, roots: &[Edge]) -> (Arc<SharedTddStore>, Vec<Edge>) {
         // Reverse weight maps: id → canonical cell key (grid shards).
+        // Without roots nothing migrates, so neither map is needed.
         let mut grid_keys: FxHashMap<WeightId, (i64, i64)> = FxHashMap::default();
-        for stripe in &self.weight_stripes {
-            let map = stripe.lock().expect("weight stripe poisoned");
-            for (&key, &id) in map.iter() {
-                grid_keys.insert(id, key);
-            }
-        }
         // Exact-family membership: these ids migrate through the
         // successor's exact maps so a post-swap intern of the same bits
         // finds the migrated id (id-equality fast paths stay sound).
         let mut exact_ids: FxHashMap<WeightId, ()> = FxHashMap::default();
-        for stripe in &self.exact_stripes {
-            let map = stripe.lock().expect("exact weight stripe poisoned");
-            for &id in map.values() {
-                exact_ids.insert(id, ());
+        if !roots.is_empty() {
+            for stripe in &self.weight_stripes {
+                let map = stripe.lock().expect("weight stripe poisoned");
+                for (&key, &id) in map.iter() {
+                    grid_keys.insert(id, key);
+                }
+            }
+            for stripe in &self.exact_stripes {
+                let map = stripe.lock().expect("exact weight stripe poisoned");
+                for &id in map.values() {
+                    exact_ids.insert(id, ());
+                }
             }
         }
 

@@ -46,6 +46,22 @@ impl TensorNetwork {
         self.tensors.len() - 1
     }
 
+    /// Replaces the tensor in `slot` with one over the same indices, so
+    /// every plan built for the network still applies; returns the old
+    /// tensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is out of range or the index lists differ.
+    pub fn replace(&mut self, slot: usize, tensor: Tensor) -> Tensor {
+        assert_eq!(
+            self.tensors[slot].indices(),
+            tensor.indices(),
+            "a replacement tensor must keep the slot's indices"
+        );
+        std::mem::replace(&mut self.tensors[slot], tensor)
+    }
+
     /// Marks an index as open: it survives contraction into the result.
     pub fn mark_open(&mut self, idx: IndexId) {
         self.open.insert(idx);

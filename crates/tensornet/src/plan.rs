@@ -135,6 +135,8 @@ pub struct PlanGraph {
     /// root for well-formed plans, but tracked so an executor can
     /// account for every converted input.
     pub unconsumed_inputs: Vec<usize>,
+    /// The network's tensor count: slots below it are inputs.
+    pub n_inputs: usize,
 }
 
 impl PlanGraph {
@@ -416,6 +418,7 @@ impl ContractionPlan {
             priority,
             root_slot,
             unconsumed_inputs,
+            n_inputs,
         }
     }
 }

@@ -321,3 +321,37 @@ fn explicit_mpo_noise_sweep_tracks_exact() {
         }
     }
 }
+
+/// Past 64 qubits the Hilbert-space dimension `2^n` no longer fits a
+/// `u64` shift: Algorithm II must still normalise by the true dimension.
+/// `tile(qft3 + one depolarizing site, k)` has `F_J = 0.999^k` exactly,
+/// and the certified MPO interval must contain the exact answer.
+#[test]
+fn fidelity_past_64_qubits_keeps_its_dimension() {
+    let block = qft(3, QftStyle::DecomposedNoSwaps);
+    let noisy_block =
+        insert_random_noise(&block, &NoiseChannel::Depolarizing { p: 0.999 }, 1, SEED);
+    for copies in [22usize, 32] {
+        let (ideal, noisy) = (tile(&block, copies), tile(&noisy_block, copies));
+        assert!(ideal.n_qubits() > 64, "{} qubits", ideal.n_qubits());
+        let alg2 = jamiolkowski_fidelity(
+            &ideal,
+            &noisy,
+            &CheckOptions {
+                algorithm: AlgorithmChoice::AlgorithmII,
+                ..CheckOptions::default()
+            },
+        )
+        .expect("exact");
+        let expected = 0.999f64.powi(copies as i32);
+        assert!(
+            (alg2 - expected).abs() < 1e-9,
+            "{copies} copies: Algorithm II {alg2} vs {expected}"
+        );
+        let (lo, hi) = mpo_check(&ideal, &noisy, 0.5, 1e-8, 16).fidelity_bounds;
+        assert!(
+            lo - 1e-12 <= alg2 && alg2 <= hi + 1e-12,
+            "{copies} copies: {alg2} outside certified [{lo}, {hi}]"
+        );
+    }
+}

@@ -11,7 +11,7 @@
 
 use qaec::{
     check_equivalence, jamiolkowski_fidelity, AlgorithmChoice, CheckOptions, Checker, QaecError,
-    SharedTableMode, Verdict,
+    SharedTableMode, StoreReclaimMode, Verdict,
 };
 use qaec_circuit::generators::{qft, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
@@ -258,13 +258,11 @@ fn noise_sweep_matches_cold_checks_bitwise() {
 fn warm_store_stats_are_epoch_fenced_per_point() {
     let (ideal, noisy) = fixture(4, 3);
     // Algorithm II with the shared store at one worker: deterministic
-    // and warm across the whole batch. Lanes off: the epoch fencing
-    // under test is a property of the scalar warm-store path (a lane
-    // batch contracts on its own private manager and reports the
-    // batch's allocations instead).
+    // and warm across the whole batch (reclamation off, whatever the
+    // environment sets).
     let compiled = Checker::new(&ideal, &noisy)
         .options(CheckOptions {
-            sweep_lanes: 1,
+            store_reclaim: StoreReclaimMode::Off,
             ..options(AlgorithmChoice::AlgorithmII, 1, SharedTableMode::On)
         })
         .compile()

@@ -5,7 +5,7 @@
 //! compact successor at quiescent boundaries changes *nothing*
 //! observable but the footprint — every sweep fidelity and verdict is
 //! bit-identical with reclamation on, off or auto, at every thread
-//! count and lane width; and on a multi-point sweep the reclaim-on peak
+//! count; and on a multi-point sweep the reclaim-on peak
 //! footprint stays strictly (in fact multiples) below the append-only
 //! reclaim-off peak.
 //!
@@ -33,12 +33,11 @@ fn fixture(n: usize, sites: usize) -> (Circuit, Circuit) {
     (ideal, noisy)
 }
 
-fn options(threads: usize, lanes: usize, reclaim: StoreReclaimMode) -> CheckOptions {
+fn options(threads: usize, reclaim: StoreReclaimMode) -> CheckOptions {
     CheckOptions {
         algorithm: AlgorithmChoice::AlgorithmII,
         threads,
         shared_table: SharedTableMode::On,
-        sweep_lanes: lanes,
         store_reclaim: reclaim,
         ..CheckOptions::default()
     }
@@ -56,44 +55,41 @@ fn compile(ideal: &Circuit, noisy: &Circuit, opts: &CheckOptions) -> CompiledChe
 const STRENGTHS: [f64; 8] = [0.999, 0.998, 0.997, 0.996, 0.995, 0.99, 0.98, 0.97];
 const EPSILON: f64 = 0.02;
 
-/// Reclamation modes {off, on, auto} × threads {1, 4} × lanes {1, 8}:
-/// every configuration's 8-point sweep is bit-identical to the
-/// reclaim-off single-thread scalar reference. Interning is pure (a
-/// function of the value, or of the scope's values), and no engine
-/// value depends on an id, so swapping stores between points cannot
-/// move a bit.
+/// Reclamation modes {off, on, auto} × threads {1, 4}: every
+/// configuration's 8-point sweep is bit-identical to the reclaim-off
+/// single-thread reference. Interning is pure (a function of the value,
+/// or of the scope's values), no engine value depends on an id, and the
+/// fold's frontier migrates bit-exactly, so swapping stores between
+/// points cannot move a bit.
 #[test]
-fn reclaim_modes_are_bit_identical_across_threads_and_lanes() {
+fn reclaim_modes_are_bit_identical_across_threads() {
     let (ideal, noisy) = fixture(3, 4);
-    let reference = compile(&ideal, &noisy, &options(1, 1, StoreReclaimMode::Off))
+    let reference = compile(&ideal, &noisy, &options(1, StoreReclaimMode::Off))
         .sweep_noise(EPSILON, &STRENGTHS)
         .expect("reference sweep");
     assert_eq!(reference.len(), STRENGTHS.len());
     for threads in [1usize, 4] {
-        for lanes in [1usize, 8] {
-            for reclaim in [
-                StoreReclaimMode::Off,
-                StoreReclaimMode::On,
-                StoreReclaimMode::Auto,
-            ] {
-                let swept = compile(&ideal, &noisy, &options(threads, lanes, reclaim))
-                    .sweep_noise(EPSILON, &STRENGTHS)
-                    .expect("sweep");
-                assert_eq!(swept.len(), reference.len());
-                for (i, (point, expected)) in swept.iter().zip(&reference).enumerate() {
-                    assert_eq!(
-                        point.fidelity.to_bits(),
-                        expected.fidelity.to_bits(),
-                        "t{threads} lanes={lanes} {reclaim:?} point {i}: \
-                         {} != {}",
-                        point.fidelity,
-                        expected.fidelity
-                    );
-                    assert_eq!(
-                        point.verdict, expected.verdict,
-                        "t{threads} lanes={lanes} {reclaim:?} point {i}"
-                    );
-                }
+        for reclaim in [
+            StoreReclaimMode::Off,
+            StoreReclaimMode::On,
+            StoreReclaimMode::Auto,
+        ] {
+            let swept = compile(&ideal, &noisy, &options(threads, reclaim))
+                .sweep_noise(EPSILON, &STRENGTHS)
+                .expect("sweep");
+            assert_eq!(swept.len(), reference.len());
+            for (i, (point, expected)) in swept.iter().zip(&reference).enumerate() {
+                assert_eq!(
+                    point.fidelity.to_bits(),
+                    expected.fidelity.to_bits(),
+                    "t{threads} {reclaim:?} point {i}: {} != {}",
+                    point.fidelity,
+                    expected.fidelity
+                );
+                assert_eq!(
+                    point.verdict, expected.verdict,
+                    "t{threads} {reclaim:?} point {i}"
+                );
             }
         }
     }
@@ -105,8 +101,8 @@ fn reclaim_modes_are_bit_identical_across_threads_and_lanes() {
 #[test]
 fn queries_survive_reclamation_between_them() {
     let (ideal, noisy) = fixture(3, 3);
-    let mut off = compile(&ideal, &noisy, &options(1, 1, StoreReclaimMode::Off));
-    let mut on = compile(&ideal, &noisy, &options(1, 1, StoreReclaimMode::On));
+    let mut off = compile(&ideal, &noisy, &options(1, StoreReclaimMode::Off));
+    let mut on = compile(&ideal, &noisy, &options(1, StoreReclaimMode::On));
     let f_off = off.fidelity().expect("fidelity off");
     let f_on = on.fidelity().expect("fidelity on");
     assert_eq!(f_off.to_bits(), f_on.to_bits());
@@ -119,19 +115,20 @@ fn queries_survive_reclamation_between_them() {
     }
 }
 
-/// The memory contract: on a multi-point scalar sweep, reclaim-on
-/// retires every point's arenas at the point boundary, so its peak
-/// footprint is about one point's worth — strictly below (gated well
-/// below) the reclaim-off store that accumulates all eight points. The
+/// The memory contract: on a multi-point sweep, reclaim-on retires every
+/// point's arenas at the point boundary (keeping only the fold's
+/// frontier), so its peak footprint is about one point's worth —
+/// strictly below the reclaim-off store that accumulates all eight
+/// points. The
 /// current footprint drops the same way. Fidelities stay bit-equal
 /// while it happens.
 #[test]
 fn reclaim_on_peaks_strictly_below_reclaim_off() {
     let (ideal, noisy) = fixture(4, 5);
-    let off = compile(&ideal, &noisy, &options(1, 1, StoreReclaimMode::Off));
+    let off = compile(&ideal, &noisy, &options(1, StoreReclaimMode::Off));
     let off_points = off.sweep_noise(EPSILON, &STRENGTHS).expect("off sweep");
     let peak_off = off.warm_store_peak_bytes();
-    let on = compile(&ideal, &noisy, &options(1, 1, StoreReclaimMode::On));
+    let on = compile(&ideal, &noisy, &options(1, StoreReclaimMode::On));
     let on_points = on.sweep_noise(EPSILON, &STRENGTHS).expect("on sweep");
     let peak_on = on.warm_store_peak_bytes();
     for (a, b) in off_points.iter().zip(&on_points) {

@@ -1,13 +1,12 @@
-//! The vectorised (multi-lane) noise sweep against its scalar
-//! reference path.
+//! The `sweep_lanes` option against the scalar per-point replay.
 //!
-//! The contract under test: `sweep_lanes` is a pure performance knob.
-//! Batching sweep points into multi-lane contractions must change
-//! *nothing* observable per point — fidelities bit-identical to the
-//! scalar per-point replay at every lane width, thread count and store
-//! mode; ragged tails handled; and the ε-aware
-//! `sweep_noise_verdicts` agreeing with the exact sweep and with
-//! itself run point by point.
+//! `CheckOptions::sweep_lanes` (`--lanes`) is accepted and has no
+//! effect: it once chose how many sweep points a noise sweep contracted
+//! together. The contract under test is that it stays a pure no-op —
+//! a noise sweep at any lane width is bit-identical to the same
+//! session's points replayed one strength at a time, at every thread
+//! count and store mode — and that a sweep does not depend on the
+//! thread count.
 //!
 //! Options are always set explicitly (the CI thread-sanity and
 //! shared-table matrices override the defaults via environment
@@ -31,14 +30,9 @@ fn fixture(n: usize, sites: usize) -> (Circuit, Circuit) {
     (ideal, noisy)
 }
 
-fn options(
-    algorithm: AlgorithmChoice,
-    threads: usize,
-    shared: SharedTableMode,
-    lanes: usize,
-) -> CheckOptions {
+fn options(threads: usize, shared: SharedTableMode, lanes: usize) -> CheckOptions {
     CheckOptions {
-        algorithm,
+        algorithm: AlgorithmChoice::AlgorithmII,
         threads,
         shared_table: shared,
         sweep_lanes: lanes,
@@ -53,37 +47,34 @@ fn compile(ideal: &Circuit, noisy: &Circuit, opts: &CheckOptions) -> CompiledChe
         .expect("compile")
 }
 
-/// Nine strengths: a ragged tail for every lane width > 1
+/// Nine strengths: a ragged tail for every former lane width > 1
 /// (9 = 8+1 = 4+4+1 = 2·4+1).
 const STRENGTHS: [f64; 9] = [0.999, 0.998, 0.997, 0.996, 0.995, 0.99, 0.98, 0.97, 0.96];
 const EPSILON: f64 = 0.02;
 
 /// Lane widths {1, 2, 4, 8} × threads {1, 4} × shared/private store:
-/// every configuration's sweep is bit-identical to the same
-/// configuration with lanes forced to 1 (the scalar per-point replay).
-/// Private stores keep order-dependent first-come-first-served weight
-/// merging, so lanes auto-disable there and the comparison is
-/// trivially exact; shared stores exercise the real lane engine.
+/// every configuration's sweep is bit-identical to a lanes-1 session
+/// that sweeps one strength per call (the scalar per-point replay).
 #[test]
 fn lane_sweep_is_bitwise_identical_to_scalar_replay() {
     let (ideal, noisy) = fixture(3, 4);
     for threads in [1usize, 4] {
         for shared in [SharedTableMode::On, SharedTableMode::Off] {
-            let scalar = compile(
-                &ideal,
-                &noisy,
-                &options(AlgorithmChoice::AlgorithmII, threads, shared, 1),
-            )
-            .sweep_noise(EPSILON, &STRENGTHS)
-            .expect("scalar sweep");
-            for lanes in [2usize, 4, 8] {
-                let swept = compile(
-                    &ideal,
-                    &noisy,
-                    &options(AlgorithmChoice::AlgorithmII, threads, shared, lanes),
-                )
-                .sweep_noise(EPSILON, &STRENGTHS)
-                .expect("lane sweep");
+            let replay = compile(&ideal, &noisy, &options(threads, shared, 1));
+            let scalar: Vec<_> = STRENGTHS
+                .iter()
+                .map(|&strength| {
+                    let mut point = replay
+                        .sweep_noise(EPSILON, &[strength])
+                        .expect("scalar point");
+                    assert_eq!(point.len(), 1);
+                    point.remove(0)
+                })
+                .collect();
+            for lanes in [1usize, 2, 4, 8] {
+                let swept = compile(&ideal, &noisy, &options(threads, shared, lanes))
+                    .sweep_noise(EPSILON, &STRENGTHS)
+                    .expect("lane sweep");
                 assert_eq!(swept.len(), scalar.len());
                 for (i, (lane, reference)) in swept.iter().zip(&scalar).enumerate() {
                     assert_eq!(
@@ -98,94 +89,32 @@ fn lane_sweep_is_bitwise_identical_to_scalar_replay() {
                         lane.verdict, reference.verdict,
                         "lanes={lanes} t{threads} {shared:?} point {i}"
                     );
+                    assert_eq!(
+                        lane.max_nodes, reference.max_nodes,
+                        "lanes={lanes} t{threads} {shared:?} point {i}"
+                    );
                 }
             }
         }
     }
 }
 
-/// The lane path must also be thread-count independent on its own:
-/// batches contract sequentially, so `threads` cannot change a bit.
+/// A sweep is thread-count independent: `threads` cannot change a
+/// fidelity bit, a verdict or a node count.
 #[test]
 fn lane_sweep_is_thread_count_independent() {
     let (ideal, noisy) = fixture(3, 4);
-    let t1 = compile(
-        &ideal,
-        &noisy,
-        &options(AlgorithmChoice::AlgorithmII, 1, SharedTableMode::On, 8),
-    )
-    .sweep_noise(EPSILON, &STRENGTHS)
-    .expect("t1 sweep");
-    let t4 = compile(
-        &ideal,
-        &noisy,
-        &options(AlgorithmChoice::AlgorithmII, 4, SharedTableMode::On, 8),
-    )
-    .sweep_noise(EPSILON, &STRENGTHS)
-    .expect("t4 sweep");
+    let t1 = compile(&ideal, &noisy, &options(1, SharedTableMode::On, 8))
+        .sweep_noise(EPSILON, &STRENGTHS)
+        .expect("t1 sweep");
+    let t4 = compile(&ideal, &noisy, &options(4, SharedTableMode::On, 8))
+        .sweep_noise(EPSILON, &STRENGTHS)
+        .expect("t4 sweep");
+    assert_eq!(t1.len(), STRENGTHS.len());
+    assert_eq!(t4.len(), STRENGTHS.len());
     for (a, b) in t1.iter().zip(&t4) {
         assert_eq!(a.fidelity.to_bits(), b.fidelity.to_bits());
         assert_eq!(a.verdict, b.verdict);
         assert_eq!(a.max_nodes, b.max_nodes);
-    }
-}
-
-/// Observable proof the batching engaged (and did not silently fall
-/// back): every point of a width-8 batch reports the batch's shared
-/// single-traversal evidence — identical statistics, node counts and
-/// elapsed time — while the ragged ninth point ran alone on the scalar
-/// path.
-#[test]
-fn lane_batches_report_shared_batch_evidence() {
-    let (ideal, noisy) = fixture(3, 4);
-    let points = compile(
-        &ideal,
-        &noisy,
-        &options(AlgorithmChoice::AlgorithmII, 1, SharedTableMode::On, 8),
-    )
-    .sweep_noise(EPSILON, &STRENGTHS)
-    .expect("sweep");
-    assert_eq!(points.len(), 9);
-    let head = &points[0];
-    for (i, point) in points.iter().take(8).enumerate() {
-        assert_eq!(point.stats, head.stats, "batch point {i} stats");
-        assert_eq!(point.max_nodes, head.max_nodes, "batch point {i} nodes");
-        assert_eq!(point.elapsed, head.elapsed, "batch point {i} elapsed");
-    }
-    // The lane traversal did real decision-diagram work exactly once.
-    assert!(head.stats.cont_calls > 0);
-}
-
-/// `sweep_noise_verdicts` (ε-aware, early-exit) agrees with the exact
-/// sweep's decisions and with itself run one strength at a time, on
-/// both backends and both store modes. The ε is chosen to split the
-/// strength range, so both verdicts actually occur.
-#[test]
-fn verdicts_sweep_matches_exact_sweep_and_point_by_point_runs() {
-    let (ideal, noisy) = fixture(3, 4);
-    for algorithm in [AlgorithmChoice::AlgorithmI, AlgorithmChoice::AlgorithmII] {
-        for shared in [SharedTableMode::On, SharedTableMode::Off] {
-            let opts = options(algorithm, 1, shared, 8);
-            let compiled = compile(&ideal, &noisy, &opts);
-            let verdicts = compiled
-                .sweep_noise_verdicts(EPSILON, &STRENGTHS)
-                .expect("verdict sweep");
-            assert_eq!(verdicts.len(), STRENGTHS.len());
-            let exact = compiled
-                .sweep_noise(EPSILON, &STRENGTHS)
-                .expect("exact sweep");
-            for (i, (v, point)) in verdicts.iter().zip(&exact).enumerate() {
-                assert_eq!(*v, point.verdict, "{algorithm:?} {shared:?} point {i}");
-            }
-            for (i, &strength) in STRENGTHS.iter().enumerate() {
-                let single = compiled
-                    .sweep_noise_verdicts(EPSILON, &[strength])
-                    .expect("single-point verdict");
-                assert_eq!(single[0], verdicts[i], "{algorithm:?} {shared:?} point {i}");
-            }
-            let seen: std::collections::HashSet<_> =
-                verdicts.iter().map(|v| format!("{v}")).collect();
-            assert_eq!(seen.len(), 2, "ε must split the range: {verdicts:?}");
-        }
     }
 }
