@@ -1,10 +1,11 @@
 //! Criterion benches of the two checking algorithms: per-family
-//! contraction cost and the Algorithm I/II scaling in the noise count
-//! (the continuous version of Fig. 7).
+//! contraction cost, the Algorithm I/II scaling in the noise count (the
+//! continuous version of Fig. 7), and `Checker::compile` alone, whose
+//! cost is mostly contraction planning.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qaec::{fidelity_alg1, fidelity_alg2, CheckOptions};
-use qaec_circuit::generators::{bernstein_vazirani_all_ones, qft, QftStyle};
+use qaec::{fidelity_alg1, fidelity_alg2, AlgorithmChoice, CheckOptions, Checker};
+use qaec_circuit::generators::{bernstein_vazirani_all_ones, qft, quantum_volume, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
 use qaec_circuit::NoiseChannel;
 
@@ -88,8 +89,59 @@ fn bench_early_termination(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_compile(c: &mut Criterion) {
+    // Validation, miter construction and planning on Table I rows where
+    // planning dominates; no query runs.
+    let mut group = c.benchmark_group("compile");
+    group.sample_size(20);
+    let seed = 0xDAC2021;
+    let cases = [
+        (
+            "qft7_k6_alg2",
+            qft(7, QftStyle::DecomposedNoSwaps),
+            6,
+            AlgorithmChoice::AlgorithmII,
+        ),
+        (
+            "qv_n9d5_k3_alg2",
+            quantum_volume(9, 5, seed),
+            3,
+            AlgorithmChoice::AlgorithmII,
+        ),
+        (
+            "qft10_k2_alg1",
+            qft(10, QftStyle::DecomposedNoSwaps),
+            2,
+            AlgorithmChoice::AlgorithmI,
+        ),
+    ];
+    for (name, ideal, sites, algorithm) in cases {
+        let noisy = insert_random_noise(
+            &ideal,
+            &NoiseChannel::Depolarizing { p: 0.999 },
+            sites,
+            seed,
+        );
+        let options = CheckOptions {
+            algorithm,
+            threads: 1,
+            ..CheckOptions::default()
+        };
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                Checker::new(&ideal, &noisy)
+                    .options(options.clone())
+                    .compile()
+                    .expect("compile")
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_compile,
     bench_alg2_families,
     bench_alg1_vs_noise_count,
     bench_alg2_vs_noise_count,

@@ -17,9 +17,12 @@
 //!
 //! Malformed lines are answered with a structured
 //! `{"ok": false, "error": ...}` object — a bad request never takes the
-//! service down. The embedded result payloads are built by the same
-//! row constructors as `check --json` / `sweep --json`, so the fields
-//! mean exactly the same thing in one-shot and serving mode.
+//! service down. Lines are read as bytes: one that is not UTF-8, or
+//! longer than [`MAX_LINE_BYTES`], is answered with an error like any
+//! other bad line, and reading goes on with the next. The embedded
+//! result payloads are built by the same row constructors as
+//! `check --json` / `sweep --json`, so the fields mean exactly the same
+//! thing in one-shot and serving mode.
 //!
 //! The JSON reader below is deliberately minimal (objects, arrays,
 //! strings with escapes, numbers, booleans, null — no comments): enough
@@ -686,6 +689,79 @@ fn render_stats(id: &Option<String>, stats: &ServiceStats) -> String {
 // Serving loops.
 // ---------------------------------------------------------------------
 
+/// The longest request line `serve` accepts, in bytes, not counting the
+/// newline. A longer line is answered with an error and skipped without
+/// being held in memory.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Reads the next line of a request stream into `buf`, without its
+/// `\n` or `\r\n`; `None` at the end of the stream. A line that is not
+/// UTF-8 or is longer than [`MAX_LINE_BYTES`] comes back as the error to
+/// answer it with, and the stream stays positioned after it.
+fn read_line<'b>(
+    input: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+) -> std::io::Result<Option<Result<&'b str, BadRequest>>> {
+    buf.clear();
+    let (mut len, mut started) = (0usize, false);
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            if !started {
+                return Ok(None);
+            }
+            break;
+        }
+        started = true;
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let piece = &chunk[..newline.unwrap_or(chunk.len())];
+        len += piece.len();
+        if len <= MAX_LINE_BYTES {
+            buf.extend_from_slice(piece);
+        }
+        let used = newline.map_or(chunk.len(), |at| at + 1);
+        input.consume(used);
+        if newline.is_some() {
+            break;
+        }
+    }
+    let bad = |message: String| BadRequest {
+        id: None,
+        op: None,
+        message,
+    };
+    if len > MAX_LINE_BYTES {
+        return Ok(Some(Err(bad(format!(
+            "request line is {len} bytes, over the {MAX_LINE_BYTES}-byte limit"
+        )))));
+    }
+    if buf.last() == Some(&b'\r') {
+        buf.pop();
+    }
+    Ok(Some(std::str::from_utf8(buf).map_err(|e| {
+        bad(format!("request line is not valid UTF-8 ({e})"))
+    })))
+}
+
+/// Reads and decodes the next non-blank request line; `None` at the end
+/// of the stream.
+fn next_request(
+    input: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+) -> std::io::Result<Option<Result<Parsed, BadRequest>>> {
+    while let Some(line) = read_line(input, buf)? {
+        match line {
+            Ok(text) if text.trim().is_empty() => continue,
+            line => return Ok(Some(line.and_then(parse_request))),
+        }
+    }
+    Ok(None)
+}
+
 /// Serves a complete request stream in batch mode (the stdin
 /// transport): every line is decoded, runs of circuit requests between
 /// `stats` barriers go through [`qaec::Service::handle_batch`] (repeats
@@ -699,7 +775,7 @@ fn render_stats(id: &Option<String>, stats: &ServiceStats) -> String {
 /// answered in-band.
 pub fn serve_batch(
     service: &Service,
-    input: impl BufRead,
+    mut input: impl BufRead,
     out: &mut impl Write,
 ) -> Result<(), String> {
     enum Item {
@@ -708,12 +784,11 @@ pub fn serve_batch(
         Request(Parsed),
     }
     let mut items: Vec<Item> = Vec::new();
-    for line in input.lines() {
-        let line = line.map_err(|e| format!("reading requests: {e}"))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        items.push(match parse_request(&line) {
+    let mut buf = Vec::new();
+    while let Some(request) =
+        next_request(&mut input, &mut buf).map_err(|e| format!("reading requests: {e}"))?
+    {
+        items.push(match request {
             Err(bad) => Item::Bad(bad),
             Ok(parsed) if parsed.request.is_none() => Item::Stats(parsed),
             Ok(parsed) => Item::Request(parsed),
@@ -766,13 +841,10 @@ pub fn serve_batch(
 /// Serves one open connection line by line: each request is answered
 /// (and flushed) before the next is read, so interactive clients see
 /// responses immediately.
-fn serve_connection(service: &Service, input: impl BufRead, mut out: impl Write) {
-    for line in input.lines() {
-        let Ok(line) = line else { return };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let rendered = match parse_request(&line) {
+fn serve_connection(service: &Service, mut input: impl BufRead, mut out: impl Write) {
+    let mut buf = Vec::new();
+    while let Ok(Some(request)) = next_request(&mut input, &mut buf) {
+        let rendered = match request {
             Err(bad) => render_error(&bad.id, bad.op.as_deref(), &bad.message),
             Ok(parsed) => match &parsed.request {
                 None => render_stats(&parsed.id, &service.stats()),
@@ -1220,6 +1292,79 @@ mod tests {
         assert!(lines[0].contains("\"ok\": false"), "{}", lines[0]);
         assert!(lines[0].contains("epsilon"), "{}", lines[0]);
         assert_eq!(service.stats().sessions, 1);
+    }
+
+    /// A check request for the test pair, newline-terminated.
+    fn check_line(id: u32) -> String {
+        format!(
+            "{{\"id\": {id}, \"op\": \"check\", \"ideal\": \"{IDEAL}\", \
+             \"noisy\": \"{NOISY}\", \"epsilon\": 0.05}}\n"
+        )
+    }
+
+    /// Request 1, a non-UTF-8 line, an over-long line, request 2 with a
+    /// CRLF ending, then request 3 padded to exactly `MAX_LINE_BYTES`.
+    fn hostile_stream() -> Vec<u8> {
+        let mut input = check_line(1).into_bytes();
+        input.extend_from_slice(b"\xff\xfe\n");
+        input.extend(std::iter::repeat_n(b'x', MAX_LINE_BYTES + 1));
+        input.push(b'\n');
+        input.extend_from_slice(check_line(2).replace('\n', "\r\n").as_bytes());
+        let last = check_line(3);
+        input.extend(std::iter::repeat_n(b' ', MAX_LINE_BYTES + 1 - last.len()));
+        input.extend_from_slice(last.as_bytes());
+        input
+    }
+
+    /// The responses to [`hostile_stream`]: one per line, in order.
+    fn assert_hostile_answers(lines: &[String]) {
+        assert_eq!(lines.len(), 5, "{lines:?}");
+        for (line, id) in [(&lines[0], 1), (&lines[3], 2), (&lines[4], 3)] {
+            assert!(line.contains("\"ok\": true"), "{line}");
+            assert!(line.contains(&format!("\"id\": {id},")), "{line}");
+        }
+        assert!(lines[1].contains("\"ok\": false"), "{}", lines[1]);
+        assert!(lines[1].contains("not valid UTF-8"), "{}", lines[1]);
+        assert!(lines[2].contains("\"ok\": false"), "{}", lines[2]);
+        assert!(lines[2].contains("byte limit"), "{}", lines[2]);
+    }
+
+    #[test]
+    fn batch_answers_past_bad_bytes_and_over_long_lines() {
+        let mut out = Vec::new();
+        serve_batch(&service(), hostile_stream().as_slice(), &mut out).expect("serve_batch");
+        let lines: Vec<String> = String::from_utf8(out)
+            .expect("utf8")
+            .lines()
+            .map(str::to_string)
+            .collect();
+        assert_hostile_answers(&lines);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn unix_transport_answers_past_bad_bytes_and_over_long_lines() {
+        use std::os::unix::net::{UnixListener, UnixStream};
+        let path = std::env::temp_dir().join(format!("qaec-serve-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).expect("bind");
+        let server = std::thread::spawn(move || serve_unix(Arc::new(service()), listener, Some(1)));
+        let mut stream = UnixStream::connect(&path).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        // The server answers line by line while the long line streams in.
+        stream.write_all(&hostile_stream()).expect("write");
+        stream.flush().expect("flush");
+        let lines: Vec<String> = (0..5)
+            .map(|_| {
+                let mut line = String::new();
+                reader.read_line(&mut line).expect("read");
+                line.trim_end().to_string()
+            })
+            .collect();
+        assert_hostile_answers(&lines);
+        drop(stream);
+        server.join().expect("join").expect("serve_unix");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -108,7 +108,7 @@ pub(crate) fn fidelity_alg1_prevalidated(
 pub(crate) struct Alg1Artifacts {
     pub(crate) template: Alg1Template,
     final_map: Vec<usize>,
-    plan: ContractionPlan,
+    pub(crate) plan: ContractionPlan,
     order: VarOrder,
     d2: f64,
 }

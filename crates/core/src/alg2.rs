@@ -107,7 +107,7 @@ pub(crate) struct Alg2Artifacts {
     /// The compiled channel of each noise site, in site order.
     pub(crate) channels: Vec<NoiseChannel>,
     built: BuiltNetwork,
-    plan: ContractionPlan,
+    pub(crate) plan: ContractionPlan,
     plan_cost: PlanCost,
     /// `(slot, site)` of every noise-site tensor in `built.network`.
     noise_slots: Vec<(usize, usize)>,

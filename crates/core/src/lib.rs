@@ -64,6 +64,8 @@ pub mod checker;
 pub mod engine;
 pub mod error;
 pub mod exact;
+#[cfg(test)]
+mod golden_plans;
 pub mod miter;
 pub mod optimize;
 pub mod options;

@@ -46,3 +46,14 @@ pub use index::{IndexId, VarOrder};
 pub use network::TensorNetwork;
 pub use plan::{ContractionPlan, PlanGraph, PlanStep, Strategy};
 pub use tensor::Tensor;
+
+/// A SplitMix64 draw below `bound`: seeded test inputs that are the
+/// same on every platform.
+#[cfg(test)]
+pub(crate) fn splitmix(state: &mut u64, bound: u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    (z ^ (z >> 31)) % bound
+}

@@ -6,10 +6,11 @@
 //! executed by either backend — dense ([`crate::TensorNetwork::contract_dense`])
 //! or decision diagrams (`qaec-tdd`).
 
-use crate::elimination::{eliminate, Heuristic, LineGraph};
+use crate::elimination::{dense_elimination_order, dense_id, Heuristic, LineGraph};
 use crate::index::IndexId;
 use crate::network::TensorNetwork;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::tensor::Tensor;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide count of top-level plan constructions
@@ -156,17 +157,11 @@ impl ContractionPlan {
     pub fn build(network: &TensorNetwork, strategy: Strategy) -> ContractionPlan {
         // ordering: Relaxed — statistics counter (see `build_count`).
         PLAN_BUILDS.fetch_add(1, Ordering::Relaxed);
-        Self::build_inner(network, strategy)
-    }
-
-    fn build_inner(network: &TensorNetwork, strategy: Strategy) -> ContractionPlan {
-        let merges = match strategy {
-            Strategy::Sequential => sequential_merges(network),
-            Strategy::GreedySize => greedy_merges(network),
-            Strategy::MinDegree => elimination_merges(network, Heuristic::MinDegree),
-            Strategy::MinFill => elimination_merges(network, Heuristic::MinFill),
-        };
-        from_merges(network, &merges)
+        let skeleton = Skeleton::of(network, network.tensors());
+        ContractionPlan {
+            free_loops: skeleton.free_loops(network),
+            ..skeleton.plan(strategy)
+        }
     }
 
     /// [`ContractionPlan::build`] with component-level parallel
@@ -188,96 +183,93 @@ impl ContractionPlan {
         strategy: Strategy,
         workers: usize,
     ) -> ContractionPlan {
-        let components = connected_components(network);
-        if components.len() <= 1 {
-            return Self::build(network, strategy);
-        }
         // ordering: Relaxed — statistics counter (see `build_count`).
         PLAN_BUILDS.fetch_add(1, Ordering::Relaxed);
-
-        // Per-component sub-networks: the component's tensors (in global
-        // slot order) with the global open marks restricted to them.
-        // Closed-but-untouched indices stay a global concern (free
-        // loops, counted below).
-        let sub_networks: Vec<TensorNetwork> = components
-            .iter()
-            .map(|slots| {
-                let mut sub = TensorNetwork::new();
-                for &slot in slots {
-                    let tensor = network.tensors()[slot].clone();
-                    for &idx in tensor.indices() {
-                        if network.is_open(idx) {
-                            sub.mark_open(idx);
-                        }
-                    }
-                    sub.add(tensor);
-                }
-                sub
-            })
-            .collect();
-
-        // Plan every component; concurrently when it pays. Results land
-        // in component order, so the stitched plan is scheduling-free.
-        let workers = workers.max(1).min(sub_networks.len());
-        let sub_plans: Vec<ContractionPlan> = if workers <= 1 {
-            sub_networks
-                .iter()
-                .map(|sub| Self::build_inner(sub, strategy))
-                .collect()
+        let whole = Skeleton::of(network, network.tensors());
+        let components = whole.components();
+        let plan = if components.len() <= 1 {
+            whole.plan(strategy)
         } else {
-            // Work-stealing off a shared cursor; each worker returns its
-            // `(component, plan)` haul and the hauls are re-assembled in
-            // component order.
-            let next = AtomicU64::new(0);
-            let mut plans: Vec<Option<ContractionPlan>> = vec![None; sub_networks.len()];
-            let hauls: Vec<Vec<(usize, ContractionPlan)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut haul = Vec::new();
-                            loop {
-                                // ordering: Relaxed — the RMW's atomicity
-                                // alone partitions the component range;
-                                // result publication happens through
-                                // scope join, not through this cursor.
-                                let k = next.fetch_add(1, Ordering::Relaxed) as usize;
-                                let Some(sub) = sub_networks.get(k) else {
-                                    break;
-                                };
-                                haul.push((k, Self::build_inner(sub, strategy)));
-                            }
-                            haul
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("planner worker panicked"))
-                    .collect()
-            });
-            for (k, plan) in hauls.into_iter().flatten() {
-                plans[k] = Some(plan);
-            }
-            plans
-                .into_iter()
-                .map(|p| p.expect("every component planned"))
-                .collect()
+            // Per-component skeletons: the component's tensors, in global
+            // slot order. Closed-but-untouched indices stay a global
+            // concern (free loops, counted from `whole`).
+            let skeletons: Vec<Skeleton> = components
+                .iter()
+                .map(|slots| Skeleton::of(network, slots.iter().map(|&s| &network.tensors()[s])))
+                .collect();
+            let sub_plans = plan_all(&skeletons, strategy, workers);
+            stitch_component_plans(network.tensors().len(), &components, sub_plans)
         };
+        ContractionPlan {
+            free_loops: whole.free_loops(network),
+            ..plan
+        }
+    }
 
-        stitch_component_plans(network, &components, sub_plans)
+    /// A stable 64-bit content hash of the plan (FNV-1a over each step's
+    /// kind, operand and result slots and `eliminate` list, then
+    /// `n_slots` and `free_loops`). Equal digests mean the same
+    /// contraction, step for step; the golden-plan tests pin them.
+    pub fn digest(&self) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut word = |w: u64| {
+            for byte in w.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for step in &self.steps {
+            let (kind, operands, eliminate, result): (u64, &[usize], _, _) = match step {
+                PlanStep::Contract {
+                    a,
+                    b,
+                    eliminate,
+                    result,
+                } => (0, &[*a, *b], eliminate, *result),
+                PlanStep::SumOut {
+                    t,
+                    eliminate,
+                    result,
+                } => (1, std::slice::from_ref(t), eliminate, *result),
+            };
+            word(kind);
+            operands.iter().for_each(|&s| word(s as u64));
+            word(result as u64);
+            word(eliminate.len() as u64);
+            eliminate.iter().for_each(|i| word(u64::from(i.0)));
+        }
+        word(self.n_slots as u64);
+        word(u64::from(self.free_loops));
+        hash
     }
 
     /// Cost estimates given the index sets of the original tensors.
     pub fn cost(&self, network: &TensorNetwork) -> PlanCost {
-        let mut sets: Vec<Option<BTreeSet<IndexId>>> = network
+        let mut cost = PlanCost::default();
+        for (step, (union, out)) in self.steps.iter().zip(self.step_ranks(network)) {
+            cost.dense_ops += (union as f64).exp2();
+            if matches!(step, PlanStep::Contract { .. }) {
+                cost.max_rank = cost.max_rank.max(out);
+            }
+        }
+        cost
+    }
+
+    /// Replays the plan over the tensors' sorted index sets: per step,
+    /// the rank of its operands' union and of its result.
+    fn step_ranks(&self, network: &TensorNetwork) -> Vec<(usize, usize)> {
+        let mut sets: Vec<Option<Vec<IndexId>>> = network
             .tensors()
             .iter()
-            .map(|t| Some(t.indices().iter().copied().collect()))
+            .map(|t| {
+                let mut set = t.indices().to_vec();
+                set.sort_unstable();
+                Some(set)
+            })
             .collect();
-        sets.resize(self.n_slots, None);
-        let mut cost = PlanCost::default();
+        sets.resize(self.n_slots.max(sets.len()), None);
+        let mut ranks = Vec::with_capacity(self.steps.len());
         for step in &self.steps {
-            match step {
+            let (union, eliminate, result) = match step {
                 PlanStep::Contract {
                     a,
                     b,
@@ -286,29 +278,25 @@ impl ContractionPlan {
                 } => {
                     let sa = sets[*a].take().expect("operand a live");
                     let sb = sets[*b].take().expect("operand b live");
-                    let union: BTreeSet<IndexId> = sa.union(&sb).copied().collect();
-                    cost.dense_ops += (union.len() as f64).exp2();
-                    let out: BTreeSet<IndexId> = union
-                        .into_iter()
-                        .filter(|i| !eliminate.contains(i))
-                        .collect();
-                    cost.max_rank = cost.max_rank.max(out.len());
-                    sets[*result] = Some(out);
+                    let mut union = Vec::with_capacity(sa.len() + sb.len());
+                    merge_walk(&sa, &sb, |i, _, _| union.push(i));
+                    (union, eliminate, *result)
                 }
                 PlanStep::SumOut {
                     t,
                     eliminate,
                     result,
-                } => {
-                    let st = sets[*t].take().expect("operand live");
-                    cost.dense_ops += (st.len() as f64).exp2();
-                    let out: BTreeSet<IndexId> =
-                        st.into_iter().filter(|i| !eliminate.contains(i)).collect();
-                    sets[*result] = Some(out);
-                }
-            }
+                } => (sets[*t].take().expect("operand live"), eliminate, *result),
+            };
+            let rank = union.len();
+            let out: Vec<IndexId> = union
+                .into_iter()
+                .filter(|i| !eliminate.contains(i))
+                .collect();
+            ranks.push((rank, out.len()));
+            sets[result] = Some(out);
         }
-        cost
+        ranks
     }
 
     /// Extracts the step dependency DAG (see [`PlanGraph`]).
@@ -353,51 +341,15 @@ impl ContractionPlan {
         }
         let indegree: Vec<usize> = operands.iter().map(Vec::len).collect();
 
-        // Per-step dense cost estimate (2^{union rank}), replayed like
-        // `cost` but kept per step for the priorities.
-        let mut sets: Vec<Option<BTreeSet<IndexId>>> = network
-            .tensors()
-            .iter()
-            .map(|t| Some(t.indices().iter().copied().collect()))
+        // Critical-path priority: own dense cost estimate (2^{union
+        // rank}) plus the heaviest dependent chain. Steps are stored in
+        // topological order (results occupy fresh, increasing slots), so
+        // one reverse pass suffices.
+        let mut priority: Vec<f64> = self
+            .step_ranks(network)
+            .into_iter()
+            .map(|(union, _)| (union as f64).exp2())
             .collect();
-        sets.resize(self.n_slots.max(n_inputs), None);
-        let mut step_cost = vec![0.0f64; n_steps];
-        for (i, step) in self.steps.iter().enumerate() {
-            match step {
-                PlanStep::Contract {
-                    a,
-                    b,
-                    eliminate,
-                    result,
-                } => {
-                    let sa = sets[*a].take().expect("operand a live");
-                    let sb = sets[*b].take().expect("operand b live");
-                    let union: BTreeSet<IndexId> = sa.union(&sb).copied().collect();
-                    step_cost[i] = (union.len() as f64).exp2();
-                    sets[*result] = Some(
-                        union
-                            .into_iter()
-                            .filter(|x| !eliminate.contains(x))
-                            .collect(),
-                    );
-                }
-                PlanStep::SumOut {
-                    t,
-                    eliminate,
-                    result,
-                } => {
-                    let st = sets[*t].take().expect("operand live");
-                    step_cost[i] = (st.len() as f64).exp2();
-                    sets[*result] =
-                        Some(st.into_iter().filter(|x| !eliminate.contains(x)).collect());
-                }
-            }
-        }
-
-        // Critical-path priority: own cost plus the heaviest dependent
-        // chain. Steps are stored in topological order (results occupy
-        // fresh, increasing slots), so one reverse pass suffices.
-        let mut priority = step_cost;
         for i in (0..n_steps).rev() {
             let above = dependents[i]
                 .iter()
@@ -423,58 +375,193 @@ impl ContractionPlan {
     }
 }
 
-/// Groups tensor slots into connected components (tensors sharing an
-/// index are connected), each sorted ascending, components ordered by
-/// their smallest slot — a deterministic decomposition.
-fn connected_components(network: &TensorNetwork) -> Vec<Vec<usize>> {
-    let n = network.tensors().len();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
+/// Walks two ascending, duplicate-free slices in step, calling
+/// `f(item, in_a, in_b)` on each item of their union in ascending order.
+fn merge_walk<T: Ord + Copy>(a: &[T], b: &[T], mut f: impl FnMut(T, bool, bool)) {
+    let (mut i, mut j) = (0, 0);
+    loop {
+        match (a.get(i), b.get(j)) {
+            (Some(&x), Some(&y)) if x == y => {
+                f(x, true, true);
+                i += 1;
+                j += 1;
+            }
+            (Some(&x), Some(&y)) if x < y => {
+                f(x, true, false);
+                i += 1;
+            }
+            (Some(&x), None) => {
+                f(x, true, false);
+                i += 1;
+            }
+            (_, Some(&y)) => {
+                f(y, false, true);
+                j += 1;
+            }
+            (None, None) => return,
         }
-        x
     }
-    let mut holder: BTreeMap<IndexId, usize> = BTreeMap::new();
-    for (slot, tensor) in network.tensors().iter().enumerate() {
-        for &idx in tensor.indices() {
-            match holder.get(&idx) {
-                Some(&first) => {
-                    let (a, b) = (find(&mut parent, first), find(&mut parent, slot));
-                    if a != b {
+}
+
+/// What planning reads of a network: each tensor's index set as sorted
+/// dense vertex ids (vertex `k` is the `k`-th smallest index id on a
+/// tensor, so dense order is id order) and which vertices are open.
+struct Skeleton {
+    /// The index id of each vertex, ascending.
+    ids: Vec<IndexId>,
+    /// Per tensor, its vertices, ascending.
+    sets: Vec<Vec<u32>>,
+    /// Per vertex, whether the index is open.
+    open: Vec<bool>,
+}
+
+impl Skeleton {
+    /// The skeleton of `tensors`, with open marks from `network`.
+    fn of<'a>(
+        network: &TensorNetwork,
+        tensors: impl IntoIterator<Item = &'a Tensor, IntoIter: Clone>,
+    ) -> Skeleton {
+        let tensors = tensors.into_iter();
+        let mut ids: Vec<IndexId> = tensors
+            .clone()
+            .flat_map(|t| t.indices().iter().copied())
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let sets = tensors
+            .map(|t| {
+                let mut set: Vec<u32> = t.indices().iter().map(|&i| dense_id(&ids, i)).collect();
+                set.sort_unstable();
+                set
+            })
+            .collect();
+        let open = ids.iter().map(|&i| network.is_open(i)).collect();
+        Skeleton { ids, sets, open }
+    }
+
+    /// Closed indices of `network` that touch no tensor of the skeleton
+    /// (bare wire loops, each a factor 2).
+    fn free_loops(&self, network: &TensorNetwork) -> u32 {
+        network
+            .closed_indices()
+            .iter()
+            .filter(|i| self.ids.binary_search(i).is_err())
+            .count() as u32
+    }
+
+    /// Plans the skeleton's tensors (`free_loops` left at 0).
+    fn plan(&self, strategy: Strategy) -> ContractionPlan {
+        let merges = match strategy {
+            Strategy::Sequential => sequential_merges(self.sets.len()),
+            Strategy::GreedySize => greedy_merges(self),
+            Strategy::MinDegree => elimination_merges(self, Heuristic::MinDegree),
+            Strategy::MinFill => elimination_merges(self, Heuristic::MinFill),
+        };
+        from_merges(self, &merges)
+    }
+
+    /// Groups tensor slots into connected components (tensors sharing an
+    /// index are connected), each sorted ascending, components ordered by
+    /// their smallest slot — a deterministic decomposition.
+    fn components(&self) -> Vec<Vec<usize>> {
+        let n = self.sets.len();
+        let mut parent: Vec<usize> = (0..n).collect();
+        // The first slot holding each vertex.
+        let mut first = vec![usize::MAX; self.ids.len()];
+        for (slot, set) in self.sets.iter().enumerate() {
+            for &v in set {
+                match first[v as usize] {
+                    usize::MAX => first[v as usize] = slot,
+                    holder => {
+                        let (a, b) = (find(&mut parent, holder), find(&mut parent, slot));
                         // Union toward the smaller root so representatives
                         // stay the component's first slot.
-                        let (lo, hi) = (a.min(b), a.max(b));
-                        parent[hi] = lo;
+                        parent[a.max(b)] = a.min(b);
                     }
-                }
-                None => {
-                    holder.insert(idx, slot);
                 }
             }
         }
+        let mut components: Vec<Vec<usize>> = Vec::new();
+        let mut component_of = vec![usize::MAX; n];
+        for slot in 0..n {
+            let root = find(&mut parent, slot);
+            if root == slot {
+                component_of[root] = components.len();
+                components.push(Vec::new());
+            }
+            components[component_of[root]].push(slot);
+        }
+        components
     }
-    let mut by_root: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for slot in 0..n {
-        let root = find(&mut parent, slot);
-        by_root.entry(root).or_default().push(slot);
+}
+
+/// The union-find root of `x`, halving paths on the way.
+fn find(parent: &mut [usize], mut x: usize) -> usize {
+    while parent[x] != x {
+        parent[x] = parent[parent[x]];
+        x = parent[x];
     }
-    by_root.into_values().collect()
+    x
+}
+
+/// Plans every skeleton, concurrently on up to `workers` threads when
+/// there is more than one; plans come back in skeleton order, so the
+/// result does not depend on scheduling.
+fn plan_all(skeletons: &[Skeleton], strategy: Strategy, workers: usize) -> Vec<ContractionPlan> {
+    let workers = workers.max(1).min(skeletons.len());
+    if workers <= 1 {
+        return skeletons.iter().map(|s| s.plan(strategy)).collect();
+    }
+    // Work-stealing off a shared cursor; each worker returns its
+    // `(component, plan)` haul and the hauls are re-assembled in
+    // component order.
+    let next = AtomicU64::new(0);
+    let mut plans: Vec<Option<ContractionPlan>> = vec![None; skeletons.len()];
+    let hauls: Vec<Vec<(usize, ContractionPlan)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut haul = Vec::new();
+                    loop {
+                        // ordering: Relaxed — the RMW's atomicity alone
+                        // partitions the component range; result
+                        // publication happens through scope join, not
+                        // through this cursor.
+                        let k = next.fetch_add(1, Ordering::Relaxed) as usize;
+                        let Some(skeleton) = skeletons.get(k) else {
+                            break;
+                        };
+                        haul.push((k, skeleton.plan(strategy)));
+                    }
+                    haul
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("planner worker panicked"))
+            .collect()
+    });
+    for (k, plan) in hauls.into_iter().flatten() {
+        plans[k] = Some(plan);
+    }
+    plans
+        .into_iter()
+        .map(|p| p.expect("every component planned"))
+        .collect()
 }
 
 /// Stitches independently-built component plans into one plan over the
-/// full network: remaps each sub-plan's slots (inputs to the component's
-/// global tensor slots, results to fresh global slots in emission
-/// order), then folds the component results pairwise. Components share
-/// no indices, so the folds eliminate nothing — for closed networks they
-/// multiply the component scalars.
+/// full network (`free_loops` left at 0): remaps each sub-plan's slots
+/// (inputs to the component's global tensor slots, results to fresh
+/// global slots in emission order), then folds the component results
+/// pairwise. Components share no indices, so the folds eliminate nothing
+/// — for closed networks they multiply the component scalars.
 fn stitch_component_plans(
-    network: &TensorNetwork,
+    n_inputs: usize,
     components: &[Vec<usize>],
     sub_plans: Vec<ContractionPlan>,
 ) -> ContractionPlan {
-    let n_inputs = network.tensors().len();
     let mut steps: Vec<PlanStep> = Vec::new();
     let mut next_slot = n_inputs;
     let mut roots: Vec<usize> = Vec::with_capacity(components.len());
@@ -535,46 +622,25 @@ fn stitch_component_plans(
         next_slot += 1;
     }
 
-    // Free loops are a whole-network property: closed indices no tensor
-    // touches (the sub-plans saw none of them).
-    let touched: BTreeSet<IndexId> = network.all_indices();
-    let free_loops = network
-        .closed_indices()
-        .iter()
-        .filter(|i| !touched.contains(i))
-        .count() as u32;
-
     ContractionPlan {
         steps,
         n_slots: next_slot,
-        free_loops,
+        free_loops: 0,
     }
 }
 
 /// Reference-counted merge lowering: turns a sequence of slot merges into
-/// concrete steps with per-step eliminations.
-fn from_merges(network: &TensorNetwork, merges: &[(usize, usize)]) -> ContractionPlan {
-    let n = network.tensors().len();
-    let mut sets: Vec<Option<BTreeSet<IndexId>>> = network
-        .tensors()
-        .iter()
-        .map(|t| Some(t.indices().iter().copied().collect()))
-        .collect();
-    // occurrence count per index over live slots
-    let mut occ: BTreeMap<IndexId, usize> = BTreeMap::new();
-    for set in sets.iter().flatten() {
-        for &i in set {
-            *occ.entry(i).or_default() += 1;
-        }
+/// concrete steps with per-step eliminations (`free_loops` left at 0).
+/// An index is summed out by the merge that consumes its last other
+/// holder, unless it is open.
+fn from_merges(skeleton: &Skeleton, merges: &[(usize, usize)]) -> ContractionPlan {
+    let n = skeleton.sets.len();
+    let mut sets: Vec<Option<Vec<u32>>> = skeleton.sets.iter().cloned().map(Some).collect();
+    // Occurrence count per vertex over live slots.
+    let mut occ = vec![0usize; skeleton.ids.len()];
+    for &v in skeleton.sets.iter().flatten() {
+        occ[v as usize] += 1;
     }
-    // Closed indices that no tensor touches: each contributes a factor 2
-    // (a bare wire loop). They are the network's closed indices minus all
-    // tensor indices.
-    let free_loops = network
-        .closed_indices()
-        .iter()
-        .filter(|i| !occ.contains_key(i))
-        .count() as u32;
 
     let mut steps = Vec::with_capacity(merges.len() + 1);
     let mut next_slot = n;
@@ -585,30 +651,26 @@ fn from_merges(network: &TensorNetwork, merges: &[(usize, usize)]) -> Contractio
         let sb = sets[b]
             .take()
             .unwrap_or_else(|| panic!("slot {b} not live"));
-        let union: BTreeSet<IndexId> = sa.union(&sb).copied().collect();
         let mut eliminate = Vec::new();
-        let mut out = BTreeSet::new();
-        for &i in &union {
-            let mut count = occ[&i];
-            count -= usize::from(sa.contains(&i));
-            count -= usize::from(sb.contains(&i));
-            if count == 0 && !network.is_open(i) {
-                eliminate.push(i);
-                occ.remove(&i);
+        let mut out = Vec::with_capacity(sa.len() + sb.len());
+        merge_walk(&sa, &sb, |v, in_a, in_b| {
+            let count = &mut occ[v as usize];
+            *count -= usize::from(in_a) + usize::from(in_b);
+            if *count == 0 && !skeleton.open[v as usize] {
+                eliminate.push(skeleton.ids[v as usize]);
             } else {
-                out.insert(i);
-                occ.insert(i, count + 1);
+                out.push(v);
+                *count += 1;
             }
-        }
-        let result = next_slot;
-        next_slot += 1;
+        });
         sets.push(Some(out));
         steps.push(PlanStep::Contract {
             a,
             b,
             eliminate,
-            result,
+            result: next_slot,
         });
+        next_slot += 1;
     }
 
     // Close the final tensor: sum out any remaining non-open indices.
@@ -617,8 +679,8 @@ fn from_merges(network: &TensorNetwork, merges: &[(usize, usize)]) -> Contractio
             .as_ref()
             .expect("live")
             .iter()
-            .copied()
-            .filter(|&i| !network.is_open(i))
+            .filter(|&&v| !skeleton.open[v as usize])
+            .map(|&v| skeleton.ids[v as usize])
             .collect();
         if !remaining.is_empty() {
             steps.push(PlanStep::SumOut {
@@ -633,72 +695,56 @@ fn from_merges(network: &TensorNetwork, merges: &[(usize, usize)]) -> Contractio
     ContractionPlan {
         steps,
         n_slots: next_slot,
-        free_loops,
+        free_loops: 0,
     }
 }
 
-/// Left-to-right fold, then fold in any disconnected leftovers (there are
-/// none for a fold, but keep the shape general).
-fn sequential_merges(network: &TensorNetwork) -> Vec<(usize, usize)> {
-    let n = network.tensors().len();
-    if n <= 1 {
-        return Vec::new();
-    }
-    let mut merges = Vec::with_capacity(n - 1);
+/// Left-to-right fold of `n` tensors.
+fn sequential_merges(n: usize) -> Vec<(usize, usize)> {
     let mut acc = 0usize;
-    for (k, t) in (1..n).enumerate() {
-        merges.push((acc, t));
-        acc = n + k;
-    }
-    merges
+    (1..n)
+        .map(|t| {
+            let merge = (acc, t);
+            acc = n + t - 1;
+            merge
+        })
+        .collect()
 }
 
 /// Greedy: repeatedly contract the pair of live, index-sharing slots whose
-/// result has minimal rank; falls back to the two smallest slots when the
-/// network is disconnected.
-fn greedy_merges(network: &TensorNetwork) -> Vec<(usize, usize)> {
-    let n = network.tensors().len();
-    if n <= 1 {
-        return Vec::new();
+/// result has minimal rank (ties to the smaller slot pair); falls back to
+/// the two smallest slots when no live slots share an index.
+fn greedy_merges(skeleton: &Skeleton) -> Vec<(usize, usize)> {
+    let n = skeleton.sets.len();
+    let mut sets: Vec<Option<Vec<u32>>> = skeleton.sets.iter().cloned().map(Some).collect();
+    let mut occ = vec![0usize; skeleton.ids.len()];
+    for &v in skeleton.sets.iter().flatten() {
+        occ[v as usize] += 1;
     }
-    let mut sets: Vec<Option<BTreeSet<IndexId>>> = network
-        .tensors()
-        .iter()
-        .map(|t| Some(t.indices().iter().copied().collect()))
-        .collect();
-    let mut occ: BTreeMap<IndexId, usize> = BTreeMap::new();
-    for set in sets.iter().flatten() {
-        for &i in set {
-            *occ.entry(i).or_default() += 1;
-        }
-    }
-    let mut merges = Vec::with_capacity(n - 1);
-    let mut live: BTreeSet<usize> = (0..n).collect();
+    let mut merges = Vec::with_capacity(n.saturating_sub(1));
+    let mut live: Vec<usize> = (0..n).collect();
+    // `(vertex, slot)` for every vertex of every live slot.
+    let mut holders: Vec<(u32, usize)> = Vec::new();
     while live.len() > 1 {
-        // Candidate pairs: slots sharing an index.
-        let mut best: Option<(usize, usize, usize)> = None; // (rank, a, b)
-        let mut index_holders: BTreeMap<IndexId, Vec<usize>> = BTreeMap::new();
+        holders.clear();
         for &s in &live {
-            for &i in sets[s].as_ref().expect("live") {
-                index_holders.entry(i).or_default().push(s);
-            }
+            holders.extend(sets[s].as_ref().expect("live").iter().map(|&v| (v, s)));
         }
-        for holders in index_holders.values() {
-            for (x, &a) in holders.iter().enumerate() {
-                for &b in &holders[x + 1..] {
-                    let sa = sets[a].as_ref().expect("live");
-                    let sb = sets[b].as_ref().expect("live");
-                    let union: BTreeSet<IndexId> = sa.union(sb).copied().collect();
-                    let out_rank = union
-                        .iter()
-                        .filter(|&&i| {
-                            let residual = occ[&i]
-                                - usize::from(sa.contains(&i))
-                                - usize::from(sb.contains(&i));
-                            residual > 0 || network.is_open(i)
-                        })
-                        .count();
-                    if best.is_none_or(|(r, ba, bb)| (out_rank, a, b) < (r, ba, bb)) {
+        holders.sort_unstable();
+        let mut best: Option<(usize, usize, usize)> = None; // (rank, a, b)
+        for group in holders.chunk_by(|x, y| x.0 == y.0) {
+            for (x, &(_, a)) in group.iter().enumerate() {
+                for &(_, b) in &group[x + 1..] {
+                    let sa = sets[a].as_deref().expect("live");
+                    let sb = sets[b].as_deref().expect("live");
+                    let mut out_rank = 0;
+                    merge_walk(sa, sb, |v, in_a, in_b| {
+                        let residual = occ[v as usize] - usize::from(in_a) - usize::from(in_b);
+                        if residual > 0 || skeleton.open[v as usize] {
+                            out_rank += 1;
+                        }
+                    });
+                    if best.is_none_or(|old| (out_rank, a, b) < old) {
                         best = Some((out_rank, a, b));
                     }
                 }
@@ -708,85 +754,94 @@ fn greedy_merges(network: &TensorNetwork) -> Vec<(usize, usize)> {
             Some((_, a, b)) => (a, b),
             None => {
                 // Disconnected: merge the two smallest-rank slots.
-                let mut by_rank: Vec<usize> = live.iter().copied().collect();
+                let mut by_rank = live.clone();
                 by_rank.sort_by_key(|&s| sets[s].as_ref().expect("live").len());
                 (by_rank[0], by_rank[1])
             }
         };
         let sa = sets[a].take().expect("live");
         let sb = sets[b].take().expect("live");
-        live.remove(&a);
-        live.remove(&b);
-        let mut out = BTreeSet::new();
-        for &i in sa.union(&sb) {
-            let count = occ[&i] - usize::from(sa.contains(&i)) - usize::from(sb.contains(&i));
-            if count == 0 && !network.is_open(i) {
-                occ.remove(&i);
-            } else {
-                out.insert(i);
-                occ.insert(i, count + 1);
+        live.retain(|&s| s != a && s != b);
+        let mut out = Vec::with_capacity(sa.len() + sb.len());
+        merge_walk(&sa, &sb, |v, in_a, in_b| {
+            let count = &mut occ[v as usize];
+            *count -= usize::from(in_a) + usize::from(in_b);
+            if *count > 0 || skeleton.open[v as usize] {
+                out.push(v);
+                *count += 1;
             }
-        }
-        let result = sets.len();
+        });
+        live.push(sets.len());
         sets.push(Some(out));
-        live.insert(result);
         merges.push((a, b));
     }
     merges
 }
 
 /// Index-elimination order from a tree decomposition of the line graph:
-/// eliminating index `v` merges all live slots containing `v`.
-fn elimination_merges(network: &TensorNetwork, heuristic: Heuristic) -> Vec<(usize, usize)> {
-    let n = network.tensors().len();
+/// eliminating index `v` merges all live slots holding `v`, in ascending
+/// slot order. A slot holds `v` when one of its tensors does, so the
+/// live slots are tracked as union-find groups of tensors and each
+/// index's holders come from its fixed list of tensors. Slots still live
+/// at the end (disconnected pieces) are merged pairwise, front to back.
+fn elimination_merges(skeleton: &Skeleton, heuristic: Heuristic) -> Vec<(usize, usize)> {
+    let n = skeleton.sets.len();
     if n <= 1 {
         return Vec::new();
     }
-    let graph = LineGraph::from_cliques(
-        network
-            .tensors()
-            .iter()
-            .map(|t| t.indices().to_vec())
-            .collect::<Vec<_>>(),
+    let graph = LineGraph::from_dense_cliques(
+        skeleton.ids.clone(),
+        skeleton.sets.iter().map(Vec::as_slice),
     );
-    let td = eliminate(&graph, heuristic);
+    let order = dense_elimination_order(&graph, heuristic);
 
-    let mut sets: Vec<Option<BTreeSet<IndexId>>> = network
-        .tensors()
-        .iter()
-        .map(|t| Some(t.indices().iter().copied().collect()))
-        .collect();
-    let mut merges = Vec::new();
-    for &v in &td.order {
-        if network.is_open(v) {
-            continue; // open indices are never eliminated
-        }
-        let holders: Vec<usize> = (0..sets.len())
-            .filter(|&s| sets[s].as_ref().is_some_and(|set| set.contains(&v)))
-            .collect();
-        if holders.len() < 2 {
-            continue;
-        }
-        let mut acc = holders[0];
-        for &next in &holders[1..] {
-            let sa = sets[acc].take().expect("live");
-            let sb = sets[next].take().expect("live");
-            let union: BTreeSet<IndexId> = sa.union(&sb).copied().collect();
-            merges.push((acc, next));
-            acc = sets.len();
-            sets.push(Some(union));
+    // The tensors holding each vertex, ascending.
+    let mut tensors_of: Vec<Vec<usize>> = vec![Vec::new(); skeleton.ids.len()];
+    for (t, set) in skeleton.sets.iter().enumerate() {
+        for &v in set {
+            tensors_of[v as usize].push(t);
         }
     }
+    // Union-find over tensors; `slot_of[root]` is the live slot holding
+    // the root's group.
+    let mut parent: Vec<usize> = (0..n).collect();
+    let mut slot_of: Vec<usize> = (0..n).collect();
+    let mut next_slot = n;
+    let mut merges = Vec::new();
+    let mut holders: Vec<(usize, usize)> = Vec::new(); // (slot, root)
+    for v in order {
+        if skeleton.open[v as usize] {
+            continue; // open indices are never eliminated
+        }
+        holders.clear();
+        for &t in &tensors_of[v as usize] {
+            let root = find(&mut parent, t);
+            holders.push((slot_of[root], root));
+        }
+        holders.sort_unstable();
+        holders.dedup();
+        let Some((&(mut acc, acc_root), rest)) = holders.split_first() else {
+            continue;
+        };
+        for &(slot, root) in rest {
+            merges.push((acc, slot));
+            parent[root] = acc_root;
+            acc = next_slot;
+            next_slot += 1;
+        }
+        slot_of[acc_root] = acc;
+    }
     // Fold any remaining live slots (disconnected pieces / leftovers).
-    let mut live: Vec<usize> = (0..sets.len()).filter(|&s| sets[s].is_some()).collect();
-    while live.len() > 1 {
-        let a = live[0];
-        let b = live[1];
-        let sa = sets[a].take().expect("live");
-        let sb = sets[b].take().expect("live");
+    let mut live: Vec<usize> = (0..n)
+        .filter(|&t| find(&mut parent, t) == t)
+        .map(|root| slot_of[root])
+        .collect();
+    live.sort_unstable();
+    let mut live: VecDeque<usize> = live.into();
+    while let (Some(a), Some(b)) = (live.pop_front(), live.pop_front()) {
         merges.push((a, b));
-        sets.push(Some(sa.union(&sb).copied().collect()));
-        live = (0..sets.len()).filter(|&s| sets[s].is_some()).collect();
+        live.push_back(next_slot);
+        next_slot += 1;
     }
     merges
 }
@@ -986,16 +1041,15 @@ mod tests {
 
     #[test]
     fn components_are_detected_deterministically() {
-        let net = disconnected_chains(3, 4);
-        let components = connected_components(&net);
-        assert_eq!(components.len(), 3);
-        assert_eq!(components[0], vec![0, 1, 2, 3]);
-        assert_eq!(components[2], vec![8, 9, 10, 11]);
+        let components = |net: &TensorNetwork| Skeleton::of(net, net.tensors()).components();
+        let chains = components(&disconnected_chains(3, 4));
+        assert_eq!(chains.len(), 3);
+        assert_eq!(chains[0], vec![0, 1, 2, 3]);
+        assert_eq!(chains[2], vec![8, 9, 10, 11]);
         // A connected chain is one component.
-        let connected = wire_chain(5);
-        assert_eq!(connected_components(&connected).len(), 1);
+        assert_eq!(components(&wire_chain(5)).len(), 1);
         // The empty network has none.
-        assert!(connected_components(&TensorNetwork::new()).is_empty());
+        assert!(components(&TensorNetwork::new()).is_empty());
     }
 
     #[test]
@@ -1065,6 +1119,176 @@ mod tests {
         // once per component would show up here as a jump of 3+.
         assert!(mid > before);
         assert!(after > mid);
+    }
+
+    /// A seeded random circuit-shaped network: gates of arity 1–3 on
+    /// `wires` wires with sparse index ids, read-only taps that put one
+    /// index on three or more tensors, scalar tensors, wires left open
+    /// or closed by a delta, and a bare closed loop. Gates only span
+    /// wires of the same group on some seeds, so those networks split
+    /// into components and `plan_parallel` stitches.
+    fn random_network(seed: u64) -> TensorNetwork {
+        let mut state = seed;
+        let mut next = move |bound: u64| crate::splitmix(&mut state, bound);
+        let wires = 3 + next(6) as usize;
+        let groups = 1 + next(3) as usize;
+        let mut id = 0u32;
+        let mut fresh = |next: &mut dyn FnMut(u64) -> u64| {
+            id += 1 + next(3) as u32;
+            IndexId(id)
+        };
+        let tensor = |indices: Vec<IndexId>| {
+            let len = 1usize << indices.len();
+            Tensor::from_flat(indices, vec![C64::ZERO; len])
+        };
+        let input: Vec<IndexId> = (0..wires).map(|_| fresh(&mut next)).collect();
+        let mut current = input.clone();
+        let mut net = TensorNetwork::new();
+        for _ in 0..10 + next(30) {
+            let first = next(wires as u64) as usize;
+            let group: Vec<usize> = (0..wires)
+                .filter(|q| q % groups == first % groups)
+                .collect();
+            let mut qubits = vec![first];
+            for _ in 0..next(3) {
+                let q = group[next(group.len() as u64) as usize];
+                if !qubits.contains(&q) {
+                    qubits.push(q);
+                }
+            }
+            match next(8) {
+                0 => {
+                    net.add(tensor(qubits.iter().map(|&q| current[q]).collect()));
+                }
+                1 => {
+                    net.add(Tensor::scalar(C64::ONE));
+                }
+                _ => {
+                    let mut indices: Vec<IndexId> = qubits.iter().map(|&q| current[q]).collect();
+                    for &q in &qubits {
+                        current[q] = fresh(&mut next);
+                        indices.push(current[q]);
+                    }
+                    net.add(tensor(indices));
+                }
+            }
+        }
+        for q in 0..wires {
+            if next(4) == 0 {
+                net.mark_open(input[q]);
+                net.mark_open(current[q]);
+            } else if current[q] == input[q] {
+                net.close_index(input[q]);
+            } else {
+                net.add(Tensor::delta(current[q], input[q]));
+            }
+        }
+        net.close_index(fresh(&mut next));
+        net
+    }
+
+    /// `(seed/strategy/method, digest)` of every plan the golden test
+    /// builds, in its order.
+    const GOLDEN: &[(&str, u64)] = &[
+        ("0/Sequential/plan", 0x548a08f2317714aa),
+        ("0/Sequential/parallel", 0xb2833ec2294c374a),
+        ("0/GreedySize/plan", 0xf91007063b68c268),
+        ("0/GreedySize/parallel", 0xc9a43b0b746ad1e8),
+        ("0/MinDegree/plan", 0x0225174402fcdda8),
+        ("0/MinDegree/parallel", 0x6622735996159528),
+        ("0/MinFill/plan", 0xba451e5be1bf0e2e),
+        ("0/MinFill/parallel", 0x4644d2307e26e22e),
+        ("1/Sequential/plan", 0x12c532a4972e5a85),
+        ("1/Sequential/parallel", 0x010345e843f85fe5),
+        ("1/GreedySize/plan", 0x08a3115eb133a4c5),
+        ("1/GreedySize/parallel", 0x62b300a813878b45),
+        ("1/MinDegree/plan", 0x082d2abb694f7281),
+        ("1/MinDegree/parallel", 0xe3cb303308f39821),
+        ("1/MinFill/plan", 0x0a4b6435b870246b),
+        ("1/MinFill/parallel", 0xf226e19834f98e0b),
+        ("2/Sequential/plan", 0x06fd1f60dfe9c898),
+        ("2/Sequential/parallel", 0x593fa322d3250cc7),
+        ("2/GreedySize/plan", 0xa7d43f8d42349058),
+        ("2/GreedySize/parallel", 0xffab24f9269e96c7),
+        ("2/MinDegree/plan", 0xa2982b95c5603e7a),
+        ("2/MinDegree/parallel", 0xeea4f8f37c339f65),
+        ("2/MinFill/plan", 0x6352188bfa52327a),
+        ("2/MinFill/parallel", 0xb6b423291f1f9365),
+        ("3/Sequential/plan", 0xbc3f6f710131c10e),
+        ("3/Sequential/parallel", 0x1531ca3dfc85168e),
+        ("3/GreedySize/plan", 0x28b2a541b46d4c0a),
+        ("3/GreedySize/parallel", 0xd6a539345899ddaa),
+        ("3/MinDegree/plan", 0xd34dff5b08ddb96e),
+        ("3/MinDegree/parallel", 0x6ae947661896e98e),
+        ("3/MinFill/plan", 0x1af55ecc845935ea),
+        ("3/MinFill/parallel", 0x109de066b1ad190a),
+        ("4/Sequential/plan", 0x1a4343417806541b),
+        ("4/Sequential/parallel", 0xbd9b2bb89130a7db),
+        ("4/GreedySize/plan", 0x085e3ace51bd591f),
+        ("4/GreedySize/parallel", 0x06d826e7820da09f),
+        ("4/MinDegree/plan", 0x7ad81dc468d90e99),
+        ("4/MinDegree/parallel", 0x07ef0361e8ab90f9),
+        ("4/MinFill/plan", 0xb95c74c939fc82bf),
+        ("4/MinFill/parallel", 0xd8a862d2aec9639f),
+        ("5/Sequential/plan", 0xf638a2a14e134b73),
+        ("5/Sequential/parallel", 0xfa286a9d0a9d7633),
+        ("5/GreedySize/plan", 0x4f1e19470f524b55),
+        ("5/GreedySize/parallel", 0x591eb3f36867d375),
+        ("5/MinDegree/plan", 0x16eb96d11905d695),
+        ("5/MinDegree/parallel", 0xb57fc4fcfed96655),
+        ("5/MinFill/plan", 0xaaf780abe75b66b5),
+        ("5/MinFill/parallel", 0xb260a58e80852f55),
+        ("6/Sequential/plan", 0xf4b071811a181397),
+        ("6/Sequential/parallel", 0x4e0c8592f792ca37),
+        ("6/GreedySize/plan", 0xbe4c75eae69fe7f7),
+        ("6/GreedySize/parallel", 0xe4bedfa8b8c34737),
+        ("6/MinDegree/plan", 0xfee6b4a1d20e0a77),
+        ("6/MinDegree/parallel", 0x18051699f7e63117),
+        ("6/MinFill/plan", 0xf8b672253aa987b5),
+        ("6/MinFill/parallel", 0x84d6f6f6ca98f3f5),
+        ("7/Sequential/plan", 0x20a2ccb1dd440979),
+        ("7/Sequential/parallel", 0x038b6d8f67b3bf99),
+        ("7/GreedySize/plan", 0x6ffd7f514590851b),
+        ("7/GreedySize/parallel", 0x91859bc5b7bb53fb),
+        ("7/MinDegree/plan", 0x43af553d297e41ff),
+        ("7/MinDegree/parallel", 0x94d8a6f28344579f),
+        ("7/MinFill/plan", 0xe8b7e6a6799c1a1f),
+        ("7/MinFill/parallel", 0x655d2f945c5d3fbf),
+    ];
+
+    #[test]
+    fn random_network_plans_match_the_golden_digests() {
+        let mut actual = Vec::new();
+        for seed in 0..8u64 {
+            let net = random_network(seed);
+            for strategy in [
+                Strategy::Sequential,
+                Strategy::GreedySize,
+                Strategy::MinDegree,
+                Strategy::MinFill,
+            ] {
+                let plain = net.plan(strategy);
+                let stitched = net.plan_parallel(strategy, 2);
+                actual.push((format!("{seed}/{strategy:?}/plan"), plain.digest()));
+                actual.push((format!("{seed}/{strategy:?}/parallel"), stitched.digest()));
+            }
+        }
+        let changed: Vec<&str> = actual
+            .iter()
+            .zip(GOLDEN)
+            .filter(|((name, digest), (golden_name, golden))| {
+                name != golden_name || digest != golden
+            })
+            .map(|((name, _), _)| name.as_str())
+            .collect();
+        let table: String = actual
+            .iter()
+            .map(|(name, digest)| format!("        (\"{name}\", 0x{digest:016x}),\n"))
+            .collect();
+        assert!(
+            changed.is_empty() && actual.len() == GOLDEN.len(),
+            "plans changed for {changed:?}; the digests now are:\n{table}"
+        );
     }
 
     #[test]
