@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks of the decision-diagram engine: tensor
-//! conversion, addition and contraction on random dense tensors.
+//! conversion, addition and contraction on random dense tensors, and
+//! the weight interning and store construction beneath them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qaec_math::C64;
-use qaec_tdd::{convert, ops, TddManager};
+use qaec_tdd::{convert, ops, SharedTddStore, TddManager, WeightTable};
 use qaec_tensornet::{IndexId, Tensor, VarOrder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -121,11 +122,62 @@ fn bench_structured_vs_random(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_intern(c: &mut Criterion) {
+    // Weight interning, which every `add`/`cont` result goes through.
+    // The values are seeded and far apart at the default tolerance, so
+    // each is a new representative on first sight.
+    let mut group = c.benchmark_group("tdd/intern");
+    group.sample_size(20);
+    let mut rng = StdRng::seed_from_u64(5);
+    let values: Vec<C64> = (0..10_000)
+        .map(|_| C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+        .collect();
+    group.bench_function("private_fresh", |b| {
+        b.iter(|| {
+            let mut table = WeightTable::new(1e-10);
+            for &z in &values {
+                std::hint::black_box(table.intern(z));
+            }
+            table
+        });
+    });
+    let mut warm = WeightTable::new(1e-10);
+    for &z in &values {
+        warm.intern(z);
+    }
+    group.bench_function("private_repeated", |b| {
+        b.iter(|| {
+            for &z in &values {
+                std::hint::black_box(warm.intern(z));
+            }
+        });
+    });
+    // A plan driver's pattern: a new weight scope per step, here every
+    // 200 values, on a fresh store (`store_new_drop` is that part alone).
+    group.bench_function("scoped_fresh_scope200", |b| {
+        b.iter(|| {
+            let store = SharedTddStore::new();
+            let mut m = TddManager::new_shared_scoped(&store);
+            for scope in values.chunks(200) {
+                m.begin_weight_scope();
+                for &z in scope {
+                    std::hint::black_box(m.intern_weight(z));
+                }
+            }
+        });
+    });
+    group.bench_function("store_new_drop", |b| {
+        b.iter(|| drop(std::hint::black_box(SharedTddStore::new())));
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_from_tensor,
     bench_add,
     bench_cont,
-    bench_structured_vs_random
+    bench_structured_vs_random,
+    bench_intern
 );
 criterion_main!(benches);

@@ -129,7 +129,7 @@ fn faulty(ideal: &Circuit, sites: usize, seed: u64) -> Circuit {
 
 /// The Table I rows (the bench harness's noise placement), then
 /// `tile(qft3 + 1 fault, 8)` and `tile(ghz4 + 1 fault, 6)`.
-fn pairs() -> Vec<(String, Circuit, Circuit)> {
+pub(crate) fn pairs() -> Vec<(String, Circuit, Circuit)> {
     let rows: Vec<(&str, Circuit, usize)> = vec![
         ("rb", randomized_benchmarking(2, 7, SEED), 6),
         ("qft2", qft(2, QftStyle::DecomposedNoSwaps), 2),

@@ -65,6 +65,8 @@ pub mod engine;
 pub mod error;
 pub mod exact;
 #[cfg(test)]
+mod golden_bits;
+#[cfg(test)]
 mod golden_plans;
 pub mod miter;
 pub mod optimize;

@@ -12,8 +12,9 @@
 
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::store::{SharedTddStore, WeightClass};
-use crate::weight::{WeightId, WeightTable};
+use crate::weight::{ToleranceIndex, WeightId, WeightTable};
 use qaec_math::C64;
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// Handle to a node in the manager's arena. `NodeId::TERMINAL` (id 0) is
@@ -231,19 +232,25 @@ pub(crate) enum SharedInterning {
     /// The exact-bits family with *scope-local* tolerance gluing: within
     /// one weight scope (one leaf conversion, one plan step — see
     /// [`TddManager::begin_weight_scope`]) the first value seen in a
-    /// tolerance neighbourhood becomes its representative, exactly like
-    /// a private [`WeightTable`]; the representative's bits intern
-    /// globally by identity. Avoids the grid's cell-straddling
-    /// fragmentation (round-off twins landing in different cells), which
-    /// is what made shared-store plan runs allocate ~3× the private
-    /// driver's weights. Results stay bit-identical across schedules
-    /// because each scope is a pure function of its operand values.
+    /// tolerance neighbourhood becomes its representative, by the same
+    /// [`ToleranceIndex`] rule as a private [`WeightTable`]; the
+    /// representative's bits intern globally by identity. Avoids the
+    /// grid's cell-straddling fragmentation (round-off twins landing in
+    /// different cells), which is what made shared-store plan runs
+    /// allocate ~3× the private driver's weights. Results stay
+    /// bit-identical across schedules because each scope is a pure
+    /// function of its operand values.
+    ///
+    /// A value resolves in three tiers: the scope memo (its exact bits
+    /// seen before in this scope), then the tolerance index (a
+    /// representative within `tol`), then — for a new representative —
+    /// the store's exact-bits map
+    /// ([`SharedTddStore::intern_weight_exact`]). The first two are
+    /// cleared at every scope boundary; the third is the store's and
+    /// never is, so equal bits get one id across scopes and managers.
     Scoped {
-        /// Cross-scope bits → global exact id (pure, never cleared).
-        lookaside: FxHashMap<(u64, u64), WeightId>,
-        /// Scope-local representatives, bucketed at 2·tol for the 3×3
-        /// neighbourhood probe. Cleared at every scope boundary.
-        glue: FxHashMap<(i64, i64), Vec<(C64, WeightId)>>,
+        /// Scope-local representatives. Cleared at every scope boundary.
+        glue: ToleranceIndex,
         /// Scope-local bits → already-glued id (probe short-circuit).
         resolved: FxHashMap<(u64, u64), WeightId>,
     },
@@ -256,10 +263,9 @@ impl SharedInterning {
         }
     }
 
-    fn scoped() -> Self {
+    fn scoped(tol: f64) -> Self {
         SharedInterning::Scoped {
-            lookaside: FxHashMap::default(),
-            glue: FxHashMap::default(),
+            glue: ToleranceIndex::new(tol),
             resolved: FxHashMap::default(),
         }
     }
@@ -292,48 +298,23 @@ fn intern_shared(store: &SharedTddStore, interning: &mut SharedInterning, z: C64
                 .entry((re, im))
                 .or_insert_with(|| store.intern_weight_cell((re, im))),
         },
-        SharedInterning::Scoped {
-            lookaside,
-            glue,
-            resolved,
-        } => {
-            let tol = store.tolerance();
-            if z.re.abs() <= tol && z.im.abs() <= tol {
+        SharedInterning::Scoped { glue, resolved } => {
+            if glue.is_zero(z) {
                 return WeightId::ZERO;
             }
-            let bits = (z.re.to_bits(), z.im.to_bits());
-            if let Some(&id) = resolved.get(&bits) {
-                return id;
-            }
-            // Glue within the scope: bucket width 2·tol, so the 3×3
-            // probe covers every representative within tol (Chebyshev).
-            // The bucket key saturates for huge values, so the probe
-            // must saturate too.
-            let w = 2.0 * tol;
-            let (kr, ki) = ((z.re / w).round() as i64, (z.im / w).round() as i64);
-            for dr in -1..=1i64 {
-                for di in -1..=1i64 {
-                    if let Some(reps) = glue.get(&(kr.saturating_add(dr), ki.saturating_add(di))) {
-                        for &(v, id) in reps {
-                            if (v.re - z.re).abs() <= tol && (v.im - z.im).abs() <= tol {
-                                resolved.insert(bits, id);
-                                return id;
-                            }
-                        }
-                    }
+            // Bits new to this scope take the id of the first
+            // representative within tol; a first sighting in its
+            // neighbourhood becomes the representative, interned globally
+            // by exact bits — so every id a scoped manager hands out is
+            // *the* global id of its stored bits, making id equality
+            // equivalent to value-bit equality (the fast paths below rely
+            // on this).
+            match resolved.entry((z.re.to_bits(), z.im.to_bits())) {
+                Entry::Occupied(seen) => *seen.get(),
+                Entry::Vacant(slot) => {
+                    *slot.insert(glue.find_or_insert_with(z, || store.intern_weight_exact(z)))
                 }
             }
-            // First sighting in this neighbourhood: `z` becomes the
-            // scope's representative, interned globally by exact bits —
-            // so every id a scoped manager hands out is *the* global id
-            // of its stored bits, making id equality equivalent to
-            // value-bit equality (the fast paths below rely on this).
-            let id = *lookaside
-                .entry(bits)
-                .or_insert_with(|| store.intern_weight_exact(z));
-            glue.entry((kr, ki)).or_default().push((z, id));
-            resolved.insert(bits, id);
-            id
         }
     }
 }
@@ -454,15 +435,19 @@ impl TddManager {
     /// entries may cache grid-family ids, which scoped scopes must never
     /// observe.
     pub fn set_scoped_interning(&mut self) {
-        if let TddStore::Shared { interning, .. } = &mut self.store {
-            *interning = SharedInterning::scoped();
+        if let TddStore::Shared {
+            store, interning, ..
+        } = &mut self.store
+        {
+            *interning = SharedInterning::scoped(store.tolerance());
             self.clear_computed_tables();
         }
     }
 
-    /// Opens a new weight scope on a scoped-interning manager: drops the
-    /// scope-local glue so the next tolerance neighbourhood elects a
-    /// fresh representative, and clears the computed tables (their
+    /// Opens a new weight scope on a scoped-interning manager: empties
+    /// the scope memo and the tolerance index in place (keeping their
+    /// capacity) so the next tolerance neighbourhood elects a fresh
+    /// representative, and clears the computed tables (their
     /// entries embed the outgoing scope's representative ids). A no-op
     /// for canonical and private managers, so generic call sites —
     /// `from_tensor`, the plan drivers — can mark scope boundaries
@@ -476,7 +461,7 @@ impl TddManager {
     /// every thread count.
     pub fn begin_weight_scope(&mut self) {
         if let TddStore::Shared {
-            interning: SharedInterning::Scoped { glue, resolved, .. },
+            interning: SharedInterning::Scoped { glue, resolved },
             ..
         } = &mut self.store
         {
@@ -875,7 +860,7 @@ impl TddManager {
 
     /// Number of distinct nodes reachable from `e`, including the terminal.
     pub fn node_count(&self, e: Edge) -> usize {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FxHashSet::default();
         let mut stack = vec![e.node];
         while let Some(n) = stack.pop() {
             if !seen.insert(n) {
@@ -927,7 +912,7 @@ impl TddManager {
              on a shared store — scoped entries embed scope-local ids"
         );
         for (&key, &result) in entries {
-            if let std::collections::hash_map::Entry::Vacant(slot) = self.cont_cache.entry(key) {
+            if let Entry::Vacant(slot) = self.cont_cache.entry(key) {
                 slot.insert(result);
                 self.cont_seeded.insert(key);
                 self.stats.seed_imports += 1;

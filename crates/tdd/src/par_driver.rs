@@ -49,7 +49,7 @@ use std::collections::BinaryHeap;
 // The pool scheduler's ready-queue uses Condvar, which has no model twin, so
 // its Mutex stays `std::sync` (see `crate::sync`); the atomics go through the
 // shim and are model-checkable.
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -230,10 +230,20 @@ impl Scheduler {
     }
 
     /// Raises the stop flag and wakes every parked worker.
+    ///
+    /// The flag is raised under the scheduler lock. A worker in
+    /// [`Self::next_step`] holds that lock from its stop check until
+    /// `wait` parks it, so it either sees the flag or is already parked
+    /// when `notify_all` runs; raised without the lock, the wakeup could
+    /// land between the check and the park and leave that worker asleep
+    /// while the pool waits to join it. A poisoned lock still serves:
+    /// the flag is all it guards here, and a worker halts as it unwinds.
     fn halt(&self) {
+        let state = self.ready.lock().unwrap_or_else(PoisonError::into_inner);
         // ordering: Release pairs with the Acquire in `next_step` (see
         // there); notify_all below handles the wakeup itself.
         self.stop.store(true, Ordering::Release);
+        drop(state);
         self.wake.notify_all();
     }
 }

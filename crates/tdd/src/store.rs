@@ -27,9 +27,11 @@
 //!   atomic slots: the dominant case — a lookup that *hits* — verifies
 //!   its candidate against the immutable arena entry and returns
 //!   without ever taking the stripe mutex, which only insertions and
-//!   probe misses touch. Managers additionally keep a private weight
-//!   lookaside keyed on the canonical grid cell, so repeated arithmetic
-//!   results skip the weight stripes entirely.
+//!   probe misses touch. Grid-family managers additionally keep a
+//!   private weight lookaside keyed on the canonical grid cell, so
+//!   repeated arithmetic results skip the weight stripes entirely;
+//!   scoped managers reach the exact-bits stripes only for a scope's
+//!   new representatives (see below).
 //! * **No global hot lines.** Each stripe owns its *own* arena shard —
 //!   an id is `(stripe, index)` packed into a `u32` — so allocation
 //!   happens under the stripe lock the inserter already holds, and
@@ -58,6 +60,11 @@
 //!      private driver's distinct weights (and nodes), while scope-local
 //!      first-seen gluing reproduces the private table's compaction and
 //!      is still a pure function of each operation's operand values.
+//!      A scoped manager resolves a value through its scope memo (exact
+//!      bits seen in this scope), then its tolerance index
+//!      (`weight::ToleranceIndex`, the private table's rule), and only a
+//!      new representative reaches this map — which is the one place an
+//!      exact-bits id is kept across scopes and managers.
 //!
 //!   Either way every arithmetic result is identical whatever the thread
 //!   interleaving, which is what makes shared-store parallel runs
@@ -605,7 +612,13 @@ impl SharedTddStore {
     /// number a peak-memory report wants, since per-store `bytes_used`
     /// steps down when a session swaps in a compact successor.
     pub fn peak_bytes_used(&self) -> usize {
-        let now = self.bytes_used();
+        self.peak_with(self.bytes_used())
+    }
+
+    /// [`Self::peak_bytes_used`] given the footprint `now` that
+    /// [`Self::bytes_used`] just returned, so a caller wanting both pays
+    /// for one pass over the stripe locks.
+    fn peak_with(&self, now: usize) -> usize {
         // ordering: Relaxed — statistics read; `max(now)` already covers
         // any concurrent update this load could miss.
         self.peak_bytes.load(Ordering::Relaxed).max(now)
@@ -629,13 +642,14 @@ impl SharedTddStore {
     /// global allocations).
     pub fn stats(&self) -> TddStats {
         let counters = self.reset_between_runs();
+        let bytes = self.bytes_used();
         TddStats {
             nodes_created: counters.nodes_created,
             unique_hits: counters.unique_hits,
             cross_unique_hits: counters.cross_unique_hits,
             peak_nodes: self.base_peak_nodes.max(self.arena_len()),
-            store_bytes: self.bytes_used() as u64,
-            peak_store_bytes: self.peak_bytes_used() as u64,
+            store_bytes: bytes as u64,
+            peak_store_bytes: self.peak_with(bytes) as u64,
             ..TddStats::default()
         }
     }
@@ -770,7 +784,9 @@ impl SharedTddStore {
     /// trivially a pure function of the value — two runs, whatever their
     /// schedules, map equal bits to one id with identical stored bits.
     /// Tolerance gluing happens *above* this, in the interning manager's
-    /// per-operation scope, never in the store.
+    /// per-operation scope, never in the store: a scoped manager calls
+    /// this once per representative its scope elects, and keeps no copy
+    /// of the map.
     pub(crate) fn intern_weight_exact(&self, z: C64) -> WeightId {
         let key = (z.re.to_bits(), z.im.to_bits());
         let shard = stripe_of(&key);

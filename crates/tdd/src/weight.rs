@@ -6,9 +6,14 @@
 //! values within `tol` (Chebyshev distance) of an already-interned value
 //! reuse its [`WeightId`]. Edges then carry a `u32` handle, making
 //! unique-table and computed-table keys exact and cheap to hash.
+//!
+//! The tolerance rule itself lives in one place, `ToleranceIndex`: the
+//! private table and the shared store's scoped glue (see
+//! `crate::manager`) both find representatives through it.
 
 use crate::fxhash::FxHashMap;
 use qaec_math::C64;
+use std::collections::hash_map::Entry;
 
 /// Handle to an interned complex weight.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -50,8 +55,7 @@ impl WeightId {
 #[derive(Clone, Debug)]
 pub struct WeightTable {
     values: Vec<C64>,
-    buckets: FxHashMap<(i64, i64), Vec<u32>>,
-    tol: f64,
+    index: ToleranceIndex,
 }
 
 impl WeightTable {
@@ -64,8 +68,7 @@ impl WeightTable {
         assert!(tol > 0.0 && tol.is_finite(), "tolerance must be positive");
         let mut table = WeightTable {
             values: Vec::new(),
-            buckets: FxHashMap::default(),
-            tol,
+            index: ToleranceIndex::new(tol),
         };
         let zero = table.intern_raw(C64::ZERO);
         let one = table.intern_raw(C64::ONE);
@@ -76,7 +79,7 @@ impl WeightTable {
 
     /// The interning tolerance.
     pub fn tolerance(&self) -> f64 {
-        self.tol
+        self.index.tolerance()
     }
 
     /// Number of distinct interned values.
@@ -95,46 +98,23 @@ impl WeightTable {
         self.values[w.0 as usize]
     }
 
-    fn bucket_key(&self, z: C64) -> (i64, i64) {
-        // Bucket width is 2·tol so a probe of the 3×3 neighbourhood covers
-        // every value within tol.
-        let w = 2.0 * self.tol;
-        ((z.re / w).round() as i64, (z.im / w).round() as i64)
-    }
-
     /// Interns a value, merging with an existing one within tolerance.
     pub fn intern(&mut self, z: C64) -> WeightId {
         debug_assert!(z.is_finite(), "non-finite weight {z}");
         // Snap near-zero to the canonical zero.
-        if z.re.abs() <= self.tol && z.im.abs() <= self.tol {
+        if self.index.is_zero(z) {
             return WeightId::ZERO;
         }
         self.intern_raw(z)
     }
 
     fn intern_raw(&mut self, z: C64) -> WeightId {
-        let (kr, ki) = self.bucket_key(z);
-        for dr in -1..=1i64 {
-            for di in -1..=1i64 {
-                // The bucket key saturates at i64::MAX/MIN for huge values
-                // (the `as i64` cast clamps), so the probe must saturate too.
-                if let Some(ids) = self
-                    .buckets
-                    .get(&(kr.saturating_add(dr), ki.saturating_add(di)))
-                {
-                    for &id in ids {
-                        let v = self.values[id as usize];
-                        if (v.re - z.re).abs() <= self.tol && (v.im - z.im).abs() <= self.tol {
-                            return WeightId(id);
-                        }
-                    }
-                }
-            }
-        }
-        let id = self.values.len() as u32;
-        self.values.push(z);
-        self.buckets.entry((kr, ki)).or_default().push(id);
-        WeightId(id)
+        let values = &mut self.values;
+        self.index.find_or_insert_with(z, || {
+            let id = WeightId(values.len() as u32);
+            values.push(z);
+            id
+        })
     }
 
     /// Interned product `a·b`.
@@ -208,18 +188,131 @@ impl WeightTable {
     }
 
     /// Bytes of backing storage the table holds: value-arena capacity
-    /// plus the bucket index (map capacity with one control byte per
-    /// bucket, the std hash-table layout, plus each bucket's id list) —
-    /// the private counterpart of the shared store's byte accounting.
+    /// plus the tolerance index — the private counterpart of the shared
+    /// store's byte accounting.
     pub fn bytes_used(&self) -> usize {
-        let entry = std::mem::size_of::<(i64, i64)>() + std::mem::size_of::<Vec<u32>>();
-        self.values.capacity() * std::mem::size_of::<C64>()
-            + self.buckets.capacity() * (entry + 1)
-            + self
-                .buckets
-                .values()
-                .map(|ids| ids.capacity() * std::mem::size_of::<u32>())
-                .sum::<usize>()
+        self.values.capacity() * std::mem::size_of::<C64>() + self.index.bytes_used()
+    }
+}
+
+/// End of a bucket's chain in [`ToleranceIndex`].
+const NIL: u32 = u32::MAX;
+
+/// One representative in a [`ToleranceIndex`]: its value, its id and
+/// the next representative of its bucket.
+#[derive(Clone, Copy, Debug)]
+struct Representative {
+    value: C64,
+    id: WeightId,
+    next: u32,
+}
+
+/// First-come tolerance lookup over complex values: the one rule by
+/// which both [`WeightTable`] and a scoped shared-store manager decide
+/// that two values are "the same" weight.
+///
+/// Values are bucketed on a grid of width `2·tol`, so the 3×3 bucket
+/// neighbourhood of a value holds every representative within `tol`
+/// (Chebyshev distance). Representatives live in one flat vector; each
+/// bucket maps to the `(first, last)` positions of a chain linked
+/// through that vector in insertion order, so electing a representative
+/// appends one entry and allocates nothing per bucket, and [`Self::clear`]
+/// frees nothing. A lookup returns the first match in row-major probe
+/// order (`re` offset −1, 0, 1, then `im` offset within it) and, within
+/// a bucket, the earliest inserted — the first-come representative.
+#[derive(Clone, Debug)]
+pub(crate) struct ToleranceIndex {
+    tol: f64,
+    buckets: FxHashMap<(i64, i64), (u32, u32)>,
+    reps: Vec<Representative>,
+}
+
+impl ToleranceIndex {
+    /// An empty index merging within `tol`.
+    pub(crate) fn new(tol: f64) -> Self {
+        ToleranceIndex {
+            tol,
+            buckets: FxHashMap::default(),
+            reps: Vec::new(),
+        }
+    }
+
+    /// The merging tolerance.
+    pub(crate) fn tolerance(&self) -> f64 {
+        self.tol
+    }
+
+    /// Whether `z` lies within tolerance of zero — the snap both
+    /// interners apply before looking a value up.
+    #[inline]
+    pub(crate) fn is_zero(&self, z: C64) -> bool {
+        z.re.abs() <= self.tol && z.im.abs() <= self.tol
+    }
+
+    /// The id of the first-come representative within tolerance of
+    /// `z`; on a miss `z` becomes a representative under the id `mint`
+    /// returns (called only then).
+    #[inline]
+    pub(crate) fn find_or_insert_with(
+        &mut self,
+        z: C64,
+        mint: impl FnOnce() -> WeightId,
+    ) -> WeightId {
+        let w = 2.0 * self.tol;
+        let (kr, ki) = ((z.re / w).round() as i64, (z.im / w).round() as i64);
+        for dr in -1..=1i64 {
+            for di in -1..=1i64 {
+                // The bucket key saturates at i64::MAX/MIN for huge values
+                // (the `as i64` cast clamps), so the probe must saturate too.
+                let key = (kr.saturating_add(dr), ki.saturating_add(di));
+                let Some(&(mut at, _)) = self.buckets.get(&key) else {
+                    continue;
+                };
+                while at != NIL {
+                    let rep = self.reps[at as usize];
+                    if (rep.value.re - z.re).abs() <= self.tol
+                        && (rep.value.im - z.im).abs() <= self.tol
+                    {
+                        return rep.id;
+                    }
+                    at = rep.next;
+                }
+            }
+        }
+        let id = mint();
+        assert!(self.reps.len() < NIL as usize, "tolerance index full");
+        let at = self.reps.len() as u32;
+        self.reps.push(Representative {
+            value: z,
+            id,
+            next: NIL,
+        });
+        match self.buckets.entry((kr, ki)) {
+            Entry::Occupied(mut chain) => {
+                let last = &mut chain.get_mut().1;
+                self.reps[*last as usize].next = at;
+                *last = at;
+            }
+            Entry::Vacant(slot) => {
+                slot.insert((at, at));
+            }
+        }
+        id
+    }
+
+    /// Forgets every representative, keeping the allocated capacity.
+    pub(crate) fn clear(&mut self) {
+        self.buckets.clear();
+        self.reps.clear();
+    }
+
+    /// Bytes of backing storage: the representative vector's capacity
+    /// plus the bucket map's (entry size and one control byte per
+    /// bucket, the std hash-table layout).
+    pub(crate) fn bytes_used(&self) -> usize {
+        let bucket = std::mem::size_of::<((i64, i64), (u32, u32))>();
+        self.reps.capacity() * std::mem::size_of::<Representative>()
+            + self.buckets.capacity() * (bucket + 1)
     }
 }
 
@@ -305,5 +398,80 @@ mod tests {
         let mut t = WeightTable::new(1e-10);
         let z = t.intern(C64::new(3.0, 4.0));
         assert!((t.magnitude(z) - 5.0).abs() < 1e-12);
+    }
+
+    /// Inserts `z` into `index` under `id` if no representative is
+    /// within tolerance, returning the id it resolves to.
+    fn resolve(index: &mut ToleranceIndex, z: (f64, f64), id: u32) -> WeightId {
+        index.find_or_insert_with(C64::new(z.0, z.1), || WeightId(id))
+    }
+
+    // With tol = 0.1 buckets are 0.2 wide: bucket (5, 0) holds
+    // re ∈ [0.9, 1.1), im ∈ [−0.1, 0.1).
+
+    #[test]
+    fn tolerance_index_prefers_the_earliest_in_a_bucket() {
+        let mut index = ToleranceIndex::new(0.1);
+        // Four pairwise-distinct representatives in bucket (5, 0).
+        let corners = [(1.09, -0.09), (0.91, -0.09), (0.91, 0.09), (1.09, 0.09)];
+        for (id, &z) in corners.iter().enumerate() {
+            assert_eq!(resolve(&mut index, z, id as u32), WeightId(id as u32));
+        }
+        // The centre is within tolerance of all four: the first wins,
+        // and a hit mints no id.
+        assert_eq!(
+            index.find_or_insert_with(C64::new(1.0, 0.0), || unreachable!("a hit mints no id")),
+            WeightId(0)
+        );
+        // Near the last corner only: the chain is walked to its tail.
+        assert_eq!(resolve(&mut index, (1.08, 0.08), 99), WeightId(3));
+        // Inserted in reverse, the last corner is the first come.
+        let mut index = ToleranceIndex::new(0.1);
+        for (id, &z) in corners.iter().enumerate().rev() {
+            resolve(&mut index, z, id as u32);
+        }
+        assert_eq!(resolve(&mut index, (1.0, 0.0), 99), WeightId(3));
+    }
+
+    #[test]
+    fn tolerance_index_follows_the_probe_order_across_buckets() {
+        let mut index = ToleranceIndex::new(0.1);
+        // q in bucket (6, 0), then p in bucket (5, 1); they are 0.18
+        // apart, so both become representatives.
+        let q = resolve(&mut index, (1.14, -0.04), 1);
+        let p = resolve(&mut index, (1.0, 0.14), 2);
+        assert_eq!((q, p), (WeightId(1), WeightId(2)));
+        // z in bucket (5, 0) is within tolerance of both. The probe
+        // visits (5, 1) before (6, 0), so p wins although q came first.
+        assert_eq!(resolve(&mut index, (1.05, 0.05), 99), p);
+        // From bucket (5, 0) the (4, ·) row comes first of all.
+        let mut index = ToleranceIndex::new(0.1);
+        let b = resolve(&mut index, (1.02, 0.0), 1);
+        let a = resolve(&mut index, (0.88, 0.0), 2);
+        assert_ne!(a, b);
+        assert_eq!(resolve(&mut index, (0.95, 0.0), 99), a);
+    }
+
+    #[test]
+    fn tolerance_index_clear_starts_a_fresh_scope() {
+        let mut index = ToleranceIndex::new(0.1);
+        assert_eq!(resolve(&mut index, (1.0, 0.0), 7), WeightId(7));
+        assert_eq!(resolve(&mut index, (1.05, 0.0), 8), WeightId(7));
+        let bytes = index.bytes_used();
+        index.clear();
+        assert_eq!(index.bytes_used(), bytes, "clear keeps the capacity");
+        // The old representative is gone: the next value elects anew,
+        // and values near it now resolve to the new one.
+        assert_eq!(resolve(&mut index, (1.05, 0.0), 9), WeightId(9));
+        assert_eq!(resolve(&mut index, (1.0, 0.0), 10), WeightId(9));
+        assert_eq!(resolve(&mut index, (1.2, 0.0), 11), WeightId(11));
+    }
+
+    #[test]
+    fn huge_values_saturate_the_probe() {
+        let mut t = WeightTable::new(1e-10);
+        let a = t.intern(C64::new(1e300, -1e300));
+        assert_eq!(t.intern(C64::new(1e300, -1e300)), a);
+        assert_ne!(t.intern(C64::new(2e300, -1e300)), a);
     }
 }
