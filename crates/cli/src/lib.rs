@@ -113,13 +113,6 @@ pub struct CliOptions {
     /// Shared-store reclamation at quiescent boundaries
     /// (`--store-reclaim`).
     pub store_reclaim: StoreReclaimMode,
-    /// `--lanes`: accepted for compatibility, no effect (see
-    /// [`CheckOptions::sweep_lanes`]).
-    pub sweep_lanes: usize,
-    /// Cross-term computed-table seeding between workers
-    /// (`--seed-cache on|off`; on by default, a no-op off the shared
-    /// store).
-    pub seed_cache: bool,
     /// MPO singular-value truncation threshold (`--svd-threshold`;
     /// Algorithm III only).
     pub svd_threshold: f64,
@@ -145,8 +138,6 @@ impl Default for CliOptions {
             threads: qaec::default_threads(),
             shared_table: qaec::default_shared_table(),
             store_reclaim: qaec::default_store_reclaim(),
-            sweep_lanes: core.sweep_lanes,
-            seed_cache: true,
             svd_threshold: core.svd_threshold,
             max_bond: core.max_bond,
             optimize: false,
@@ -164,8 +155,6 @@ impl CliOptions {
             threads: self.threads,
             shared_table: self.shared_table,
             store_reclaim: self.store_reclaim,
-            sweep_lanes: self.sweep_lanes,
-            seed_cont_cache: self.seed_cache,
             svd_threshold: self.svd_threshold,
             max_bond: self.max_bond,
             local_optimization: self.optimize,
@@ -195,10 +184,10 @@ SERVE:
     content-keyed cache of compiled sessions. Repeated pairs hit the
     cache; --cache-bytes budgets its warm-store footprint (LRU
     eviction). Wire format: docs/PROTOCOL.md. Serve takes the checker
-    OPTIONS below except --timeout, --samples/--seed and --json
-    (responses are always JSON); --threads also sets how many distinct
-    pairs a stdin batch checks concurrently. A final stats footer goes
-    to stderr.
+    OPTIONS below except --timeout, --algorithm mc, --samples/--seed
+    and --json (responses are always JSON); --threads also sets how
+    many distinct pairs a stdin batch checks concurrently. A final
+    stats footer goes to stderr.
 
 SWEEP:
     Compiles the pair once (validation, algorithm selection, variable
@@ -213,9 +202,11 @@ OPTIONS:
                                portfolio: a cheap MPO interval pass on
                                wide, weakly-coupled pairs, escalating
                                to an exact backend whenever the
-                               interval cannot decide)
-    --samples <n>              Monte Carlo samples (mc only, default 2000)
-    --seed <n>                 Monte Carlo seed (default 0)
+                               interval cannot decide; mc, the Monte
+                               Carlo estimator, is fidelity only)
+    --samples <n>              Monte Carlo samples (fidelity only,
+                               default 2000)
+    --seed <n>                 Monte Carlo seed (fidelity only, default 0)
     --strategy <sequential|greedy|min-degree|min-fill>
                                contraction order (default: min-fill)
     --timeout <seconds>        abort after this long (default: none)
@@ -247,10 +238,8 @@ OPTIONS:
                                is value-transparent, results are
                                bit-identical either way; default:
                                QAEC_STORE_RECLAIM env var, else auto)
-    --seed-cache <on|off>      seed each worker's contraction cache from
-                               the heaviest completed term (shared-table
-                               runs only; default on — profiled value-
-                               transparent; off is the escape hatch)
+    --seed-cache <on|off>      accepted, no effect (the retired
+                               cross-worker contraction-cache seeding)
     --svd-threshold <t>        MPO (algorithm mpo / the auto portfolio):
                                discard singular values below t·σ_max at
                                each truncation; every discard widens the
@@ -274,6 +263,148 @@ EXIT CODES (check):
     3 = inconclusive (--algorithm mpo only: the certified interval
         straddles 1 − ε; re-run exact or loosen --svd-threshold)
 ";
+
+/// Walks `args` as `--flag value` / `--flag=value` pairs, calling
+/// `handle(flag, inline value, value getter)` once per flag. The getter
+/// returns the inline value, else takes the next argument.
+pub(crate) fn for_each_flag<'a>(
+    args: &'a [String],
+    mut handle: impl FnMut(
+        &'a str,
+        Option<&'a str>,
+        &mut dyn FnMut() -> Result<&'a str, String>,
+    ) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut k = 0;
+    while k < args.len() {
+        let raw = args[k].as_str();
+        let (flag, inline) = match raw.split_once('=') {
+            Some((f, v)) => (f, Some(v)),
+            None => (raw, None),
+        };
+        handle(flag, inline, &mut || match inline {
+            Some(v) => Ok(v),
+            None => {
+                k += 1;
+                args.get(k)
+                    .map(String::as_str)
+                    .ok_or_else(|| format!("missing value for {flag}"))
+            }
+        })?;
+        k += 1;
+    }
+    Ok(())
+}
+
+/// `text` as the value of `flag`: a `T` that passes `valid`.
+fn flag_value<T: std::str::FromStr>(
+    flag: &str,
+    text: &str,
+    valid: fn(&T) -> bool,
+) -> Result<T, String> {
+    text.parse::<T>()
+        .ok()
+        .filter(valid)
+        .ok_or_else(|| format!("bad {flag} value"))
+}
+
+/// Boolean flags must not silently swallow an inline value
+/// (`--optimize=off` would otherwise *enable* the flag).
+fn no_value(flag: &str, inline: Option<&str>) -> Result<(), String> {
+    match inline {
+        None => Ok(()),
+        Some(v) => Err(format!("{flag} takes no value (got `{v}`)")),
+    }
+}
+
+/// Parses one of the checker flags that `fidelity`, `check`, `sweep` and
+/// `serve` share into `options`; `Ok(false)` when `flag` is none of
+/// them. `--algorithm mc`, `--samples` and `--seed` select the
+/// Monte-Carlo estimator, which only `fidelity` runs: without
+/// `monte_carlo` they are errors, not silently ignored. `--lanes` and
+/// `--seed-cache` are validated and have no effect.
+pub(crate) fn checker_flag<'a>(
+    options: &mut CliOptions,
+    flag: &str,
+    inline: Option<&str>,
+    value: &mut dyn FnMut() -> Result<&'a str, String>,
+    monte_carlo: bool,
+) -> Result<bool, String> {
+    let fidelity_only = |what: &str| {
+        if monte_carlo {
+            Ok(())
+        } else {
+            Err(format!(
+                "{what} is only accepted by `qaec fidelity` (Monte Carlo)"
+            ))
+        }
+    };
+    match flag {
+        "--algorithm" => match value()? {
+            "auto" => options.algorithm = AlgorithmChoice::Auto,
+            "1" | "I" | "i" => options.algorithm = AlgorithmChoice::AlgorithmI,
+            "2" | "II" | "ii" => options.algorithm = AlgorithmChoice::AlgorithmII,
+            "mpo" | "3" | "III" | "iii" => options.algorithm = AlgorithmChoice::Mpo,
+            "mc" => {
+                fidelity_only("--algorithm mc")?;
+                options.mc_samples = Some(options.mc_samples.unwrap_or(2000));
+            }
+            other => return Err(format!("unknown algorithm `{other}`")),
+        },
+        "--samples" => {
+            fidelity_only(flag)?;
+            options.mc_samples = Some(flag_value(flag, value()?, |_| true)?);
+        }
+        "--seed" => {
+            fidelity_only(flag)?;
+            options.mc_seed = flag_value(flag, value()?, |_| true)?;
+        }
+        "--strategy" => {
+            options.strategy = match value()? {
+                "sequential" => Strategy::Sequential,
+                "greedy" => Strategy::GreedySize,
+                "min-degree" => Strategy::MinDegree,
+                "min-fill" => Strategy::MinFill,
+                other => return Err(format!("unknown strategy `{other}`")),
+            };
+        }
+        "--threads" => options.threads = flag_value(flag, value()?, |_| true)?,
+        "--lanes" => {
+            flag_value::<usize>(flag, value()?, |&n| n >= 1)?;
+        }
+        "--shared-table" => {
+            options.shared_table = match value()? {
+                "on" => SharedTableMode::On,
+                "off" => SharedTableMode::Off,
+                "auto" => SharedTableMode::Auto,
+                other => return Err(format!("unknown shared-table mode `{other}`")),
+            };
+        }
+        "--store-reclaim" => {
+            options.store_reclaim = match value()? {
+                "on" => StoreReclaimMode::On,
+                "off" => StoreReclaimMode::Off,
+                "auto" => StoreReclaimMode::Auto,
+                other => return Err(format!("unknown store-reclaim mode `{other}`")),
+            };
+        }
+        "--seed-cache" => match value()? {
+            "on" | "off" => {}
+            other => return Err(format!("unknown seed-cache mode `{other}`")),
+        },
+        "--svd-threshold" => {
+            options.svd_threshold =
+                flag_value(flag, value()?, |t: &f64| t.is_finite() && *t >= 0.0)?;
+        }
+        "--max-bond" => options.max_bond = flag_value(flag, value()?, |&n| n >= 1)?,
+        "--optimize" => {
+            no_value(flag, inline)?;
+            options.optimize = true;
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
 
 /// Parses an argument vector (without the program name).
 ///
@@ -320,149 +451,30 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     _ => Err(format!("bad {flag} list `{text}`")),
                 }
             };
-            let rest: Vec<&String> = it.collect();
-            let mut k = 0;
-            while k < rest.len() {
-                // `--flag value` and `--flag=value` are both accepted.
-                let raw = rest[k].as_str();
-                let (flag, inline) = match raw.split_once('=') {
-                    Some((f, v)) => (f, Some(v)),
-                    None => (raw, None),
-                };
-                let value = |k: &mut usize| -> Result<&str, String> {
-                    if let Some(v) = inline {
-                        return Ok(v);
-                    }
-                    *k += 1;
-                    rest.get(*k)
-                        .map(|s| s.as_str())
-                        .ok_or_else(|| format!("missing value for {flag}"))
-                };
-                // Boolean flags must not silently swallow an inline
-                // value (`--seed-cache=false` would otherwise *enable*
-                // the flag).
-                let boolean = |inline: Option<&str>| -> Result<(), String> {
-                    match inline {
-                        None => Ok(()),
-                        Some(v) => Err(format!("{flag} takes no value (got `{v}`)")),
-                    }
-                };
+            for_each_flag(it.as_slice(), |flag, inline, value| {
+                if checker_flag(&mut options, flag, inline, value, sub == "fidelity")? {
+                    return Ok(());
+                }
                 match flag {
-                    "--epsilon" => {
-                        epsilon = Some(
-                            value(&mut k)?
-                                .parse::<f64>()
-                                .map_err(|_| "bad --epsilon value".to_string())?,
-                        );
-                    }
-                    "--algorithm" => {
-                        match value(&mut k)? {
-                            "auto" => options.algorithm = AlgorithmChoice::Auto,
-                            "1" | "I" | "i" => options.algorithm = AlgorithmChoice::AlgorithmI,
-                            "2" | "II" | "ii" => options.algorithm = AlgorithmChoice::AlgorithmII,
-                            "mpo" | "3" | "III" | "iii" => options.algorithm = AlgorithmChoice::Mpo,
-                            "mc" => options.mc_samples = Some(options.mc_samples.unwrap_or(2000)),
-                            other => return Err(format!("unknown algorithm `{other}`")),
-                        };
-                    }
-                    "--samples" => {
-                        options.mc_samples = Some(
-                            value(&mut k)?
-                                .parse::<usize>()
-                                .map_err(|_| "bad --samples value".to_string())?,
-                        );
-                    }
-                    "--seed" => {
-                        options.mc_seed = value(&mut k)?
-                            .parse::<u64>()
-                            .map_err(|_| "bad --seed value".to_string())?;
-                    }
-                    "--strategy" => {
-                        options.strategy = match value(&mut k)? {
-                            "sequential" => Strategy::Sequential,
-                            "greedy" => Strategy::GreedySize,
-                            "min-degree" => Strategy::MinDegree,
-                            "min-fill" => Strategy::MinFill,
-                            other => return Err(format!("unknown strategy `{other}`")),
-                        };
-                    }
+                    "--epsilon" => epsilon = Some(flag_value(flag, value()?, |_| true)?),
                     "--timeout" => {
-                        let secs = value(&mut k)?
-                            .parse::<u64>()
-                            .map_err(|_| "bad --timeout value".to_string())?;
+                        let secs = flag_value(flag, value()?, |_| true)?;
                         options.timeout = Some(Duration::from_secs(secs));
                     }
-                    "--threads" => {
-                        options.threads = value(&mut k)?
-                            .parse::<usize>()
-                            .map_err(|_| "bad --threads value".to_string())?;
-                    }
-                    "--lanes" => {
-                        options.sweep_lanes = value(&mut k)?
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n >= 1)
-                            .ok_or_else(|| "bad --lanes value".to_string())?;
-                    }
-                    "--shared-table" => {
-                        options.shared_table = match value(&mut k)? {
-                            "on" => SharedTableMode::On,
-                            "off" => SharedTableMode::Off,
-                            "auto" => SharedTableMode::Auto,
-                            other => return Err(format!("unknown shared-table mode `{other}`")),
-                        };
-                    }
-                    "--store-reclaim" => {
-                        options.store_reclaim = match value(&mut k)? {
-                            "on" => StoreReclaimMode::On,
-                            "off" => StoreReclaimMode::Off,
-                            "auto" => StoreReclaimMode::Auto,
-                            other => return Err(format!("unknown store-reclaim mode `{other}`")),
-                        };
-                    }
-                    "--seed-cache" => {
-                        options.seed_cache = match value(&mut k)? {
-                            "on" => true,
-                            "off" => false,
-                            other => return Err(format!("unknown seed-cache mode `{other}`")),
-                        };
-                    }
-                    "--svd-threshold" => {
-                        options.svd_threshold = value(&mut k)?
-                            .parse::<f64>()
-                            .ok()
-                            .filter(|t| t.is_finite() && *t >= 0.0)
-                            .ok_or_else(|| "bad --svd-threshold value".to_string())?;
-                    }
-                    "--max-bond" => {
-                        options.max_bond = value(&mut k)?
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n >= 1)
-                            .ok_or_else(|| "bad --max-bond value".to_string())?;
-                    }
-                    "--noise" => {
-                        noise = Some(parse_list("--noise", value(&mut k)?)?);
-                    }
-                    "--epsilons" => {
-                        epsilons = Some(parse_list("--epsilons", value(&mut k)?)?);
-                    }
+                    "--noise" => noise = Some(parse_list("--noise", value()?)?),
+                    "--epsilons" => epsilons = Some(parse_list("--epsilons", value()?)?),
                     "--json" => {
-                        boolean(inline)?;
+                        no_value(flag, inline)?;
                         options.json = true;
                     }
-                    "--optimize" => {
-                        boolean(inline)?;
-                        options.optimize = true;
-                    }
                     "--verbose" => {
-                        boolean(inline)?;
+                        no_value(flag, inline)?;
                         options.verbose = true;
                     }
                     other => return Err(format!("unknown flag `{other}`")),
                 }
-                k += 1;
-            }
+                Ok(())
+            })?;
             match sub {
                 "check" => {
                     let epsilon =
@@ -972,12 +984,15 @@ mod tests {
                 "{bad} must be rejected"
             );
         }
+        // `--seed-cache` and `--lanes` are validated, then ignored.
         match parse_args(&strings(&[
             "check",
             "i.qasm",
             "n.qasm",
             "--epsilon=0.25",
             "--seed-cache=off",
+            "--lanes",
+            "4",
         ]))
         .unwrap()
         {
@@ -985,32 +1000,49 @@ mod tests {
                 epsilon, options, ..
             } => {
                 assert!((epsilon - 0.25).abs() < 1e-12, "inline --epsilon=v works");
-                assert!(!options.seed_cache, "--seed-cache=off is the escape hatch");
+                assert_eq!(options, CliOptions::default(), "no-op flags change nothing");
             }
             other => panic!("wrong command {other:?}"),
         }
-        // Seeding defaults on; both flag styles parse; garbage rejected.
-        assert!(CliOptions::default().seed_cache);
+        for bad in [["--seed-cache", "maybe"], ["--lanes", "0"]] {
+            let mut full = vec!["fidelity", "i.qasm", "n.qasm"];
+            full.extend(bad);
+            assert!(parse_args(&strings(&full)).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn monte_carlo_flags_are_rejected_outside_fidelity() {
+        for sub in [
+            vec!["check", "i.qasm", "n.qasm", "--epsilon", "0.05"],
+            vec!["sweep", "i.qasm", "n.qasm", "--epsilons", "0.1,0.01"],
+        ] {
+            for flags in [
+                vec!["--algorithm", "mc"],
+                vec!["--algorithm=mc"],
+                vec!["--samples", "500"],
+                vec!["--seed", "7"],
+            ] {
+                let mut full = sub.clone();
+                full.extend(&flags);
+                let err = parse_args(&strings(&full)).unwrap_err();
+                assert!(err.contains("`qaec fidelity`"), "{full:?}: {err}");
+            }
+        }
         match parse_args(&strings(&[
             "fidelity",
             "i.qasm",
             "n.qasm",
-            "--seed-cache",
-            "on",
+            "--algorithm=mc",
+            "--seed=3",
         ]))
         .unwrap()
         {
-            Command::Fidelity { options, .. } => assert!(options.seed_cache),
+            Command::Fidelity { options, .. } => {
+                assert_eq!((options.mc_samples, options.mc_seed), (Some(2000), 3));
+            }
             other => panic!("wrong command {other:?}"),
         }
-        assert!(parse_args(&strings(&[
-            "fidelity",
-            "i.qasm",
-            "n.qasm",
-            "--seed-cache",
-            "maybe"
-        ]))
-        .is_err());
     }
 
     #[test]

@@ -32,16 +32,17 @@
 //! line (say 400k `[`) gets a structured error instead of overflowing
 //! the stack.
 
-use crate::{check_json, epsilon_point_json, load, noise_point_json, CliOptions};
+use crate::{
+    check_json, checker_flag, epsilon_point_json, for_each_flag, load, noise_point_json, CliOptions,
+};
 use qaec::{
     AlgorithmChoice, Service, ServiceConfig, ServiceQuery, ServiceReply, ServiceRequest,
-    ServiceResponse, ServiceStats, SharedTableMode, StoreReclaimMode,
+    ServiceResponse, ServiceStats,
 };
 use qaec_bench::json;
 use qaec_circuit::qasm;
-use qaec_tensornet::Strategy;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
 /// Parsed `qaec serve` arguments.
@@ -80,10 +81,10 @@ pub fn parse_byte_size(text: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("byte size `{text}` overflows"))
 }
 
-/// Parses the arguments after `qaec serve`. Accepts the shared checker
-/// options (minus `--timeout`, `--samples`/`--seed` and `--json`, which
-/// have no serving meaning) plus the serve-specific
-/// `--cache-bytes`/`--listen`/`--unix`.
+/// Parses the arguments after `qaec serve`. Accepts the checker flags
+/// every frontend shares (minus the Monte-Carlo ones) plus the
+/// serve-specific `--cache-bytes`/`--listen`/`--unix`; `--timeout` and
+/// `--json` have no serving meaning and are rejected.
 ///
 /// # Errors
 ///
@@ -95,101 +96,18 @@ pub fn parse_serve_args(rest: &[String]) -> Result<ServeArgs, String> {
         listen: None,
         unix: None,
     };
-    let mut k = 0;
-    while k < rest.len() {
-        let raw = rest[k].as_str();
-        let (flag, inline) = match raw.split_once('=') {
-            Some((f, v)) => (f, Some(v)),
-            None => (raw, None),
-        };
-        let value = |k: &mut usize| -> Result<&str, String> {
-            if let Some(v) = inline {
-                return Ok(v);
-            }
-            *k += 1;
-            rest.get(*k)
-                .map(|s| s.as_str())
-                .ok_or_else(|| format!("missing value for {flag}"))
-        };
+    for_each_flag(rest, |flag, inline, value| {
+        if checker_flag(&mut args.options, flag, inline, value, false)? {
+            return Ok(());
+        }
         match flag {
-            "--cache-bytes" => args.cache_bytes = Some(parse_byte_size(value(&mut k)?)?),
-            "--listen" => args.listen = Some(value(&mut k)?.to_string()),
-            "--unix" => args.unix = Some(value(&mut k)?.to_string()),
-            "--algorithm" => {
-                args.options.algorithm = match value(&mut k)? {
-                    "auto" => AlgorithmChoice::Auto,
-                    "1" | "I" | "i" => AlgorithmChoice::AlgorithmI,
-                    "2" | "II" | "ii" => AlgorithmChoice::AlgorithmII,
-                    "mpo" | "3" | "III" | "iii" => AlgorithmChoice::Mpo,
-                    other => return Err(format!("serve: unknown algorithm `{other}`")),
-                };
-            }
-            "--svd-threshold" => {
-                args.options.svd_threshold = value(&mut k)?
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|t| t.is_finite() && *t >= 0.0)
-                    .ok_or_else(|| "bad --svd-threshold value".to_string())?;
-            }
-            "--max-bond" => {
-                args.options.max_bond = value(&mut k)?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| "bad --max-bond value".to_string())?;
-            }
-            "--strategy" => {
-                args.options.strategy = match value(&mut k)? {
-                    "sequential" => Strategy::Sequential,
-                    "greedy" => Strategy::GreedySize,
-                    "min-degree" => Strategy::MinDegree,
-                    "min-fill" => Strategy::MinFill,
-                    other => return Err(format!("serve: unknown strategy `{other}`")),
-                };
-            }
-            "--threads" => {
-                args.options.threads = value(&mut k)?
-                    .parse::<usize>()
-                    .map_err(|_| "bad --threads value".to_string())?;
-            }
-            "--lanes" => {
-                args.options.sweep_lanes = value(&mut k)?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| "bad --lanes value".to_string())?;
-            }
-            "--shared-table" => {
-                args.options.shared_table = match value(&mut k)? {
-                    "on" => SharedTableMode::On,
-                    "off" => SharedTableMode::Off,
-                    "auto" => SharedTableMode::Auto,
-                    other => return Err(format!("serve: unknown shared-table mode `{other}`")),
-                };
-            }
-            "--store-reclaim" => {
-                args.options.store_reclaim = match value(&mut k)? {
-                    "on" => StoreReclaimMode::On,
-                    "off" => StoreReclaimMode::Off,
-                    "auto" => StoreReclaimMode::Auto,
-                    other => return Err(format!("serve: unknown store-reclaim mode `{other}`")),
-                };
-            }
-            "--seed-cache" => {
-                args.options.seed_cache = match value(&mut k)? {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("serve: unknown seed-cache mode `{other}`")),
-                };
-            }
-            "--optimize" => match inline {
-                None => args.options.optimize = true,
-                Some(v) => return Err(format!("--optimize takes no value (got `{v}`)")),
-            },
+            "--cache-bytes" => args.cache_bytes = Some(parse_byte_size(value()?)?),
+            "--listen" => args.listen = Some(value()?.to_string()),
+            "--unix" => args.unix = Some(value()?.to_string()),
             other => return Err(format!("serve: unknown flag `{other}`")),
         }
-        k += 1;
-    }
+        Ok(())
+    })?;
     if args.listen.is_some() && args.unix.is_some() {
         return Err("serve: --listen and --unix are exclusive".to_string());
     }
@@ -860,10 +778,33 @@ fn serve_connection(service: &Service, mut input: impl BufRead, mut out: impl Wr
     }
 }
 
-/// Accept loop for the TCP transport: one thread per connection, all
+/// The socket transports' accept loop: one thread per connection, all
 /// connections sharing one [`Service`] (and therefore one session
 /// cache). `max_connections` bounds the loop for tests; pass `None` to
 /// serve forever.
+fn accept_loop<S: Read + Write + Send + 'static>(
+    service: Arc<Service>,
+    incoming: impl Iterator<Item = std::io::Result<S>>,
+    try_clone: fn(&S) -> std::io::Result<S>,
+    max_connections: Option<usize>,
+) -> Result<(), String> {
+    for (accepted, stream) in incoming.enumerate() {
+        let stream = stream.map_err(|e| format!("accept: {e}"))?;
+        let service = Arc::clone(&service);
+        let reader = try_clone(&stream).map_err(|e| format!("connection: {e}"))?;
+        std::thread::spawn(move || {
+            serve_connection(&service, BufReader::new(reader), stream);
+        });
+        if max_connections.is_some_and(|max| accepted + 1 >= max) {
+            return Ok(());
+        }
+    }
+    Ok(())
+}
+
+/// Accept loop for the TCP transport: one thread per connection, all
+/// connections sharing one [`Service`]. `max_connections` bounds the
+/// loop for tests; pass `None` to serve forever.
 ///
 /// # Errors
 ///
@@ -873,18 +814,12 @@ pub fn serve_tcp(
     listener: TcpListener,
     max_connections: Option<usize>,
 ) -> Result<(), String> {
-    for (accepted, stream) in listener.incoming().enumerate() {
-        let stream = stream.map_err(|e| format!("accept: {e}"))?;
-        let service = Arc::clone(&service);
-        let reader = stream.try_clone().map_err(|e| format!("connection: {e}"))?;
-        std::thread::spawn(move || {
-            serve_connection(&service, BufReader::new(reader), stream);
-        });
-        if max_connections.is_some_and(|max| accepted + 1 >= max) {
-            return Ok(());
-        }
-    }
-    Ok(())
+    accept_loop(
+        service,
+        listener.incoming(),
+        TcpStream::try_clone,
+        max_connections,
+    )
 }
 
 /// Accept loop for the unix-socket transport — same per-connection
@@ -899,18 +834,12 @@ pub fn serve_unix(
     listener: std::os::unix::net::UnixListener,
     max_connections: Option<usize>,
 ) -> Result<(), String> {
-    for (accepted, stream) in listener.incoming().enumerate() {
-        let stream = stream.map_err(|e| format!("accept: {e}"))?;
-        let service = Arc::clone(&service);
-        let reader = stream.try_clone().map_err(|e| format!("connection: {e}"))?;
-        std::thread::spawn(move || {
-            serve_connection(&service, BufReader::new(reader), stream);
-        });
-        if max_connections.is_some_and(|max| accepted + 1 >= max) {
-            return Ok(());
-        }
-    }
-    Ok(())
+    accept_loop(
+        service,
+        listener.incoming(),
+        std::os::unix::net::UnixStream::try_clone,
+        max_connections,
+    )
 }
 
 /// Runs the `serve` subcommand: builds the [`Service`] from the parsed
@@ -961,6 +890,7 @@ pub fn run_serve(args: &ServeArgs, out: &mut impl Write) -> Result<i32, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qaec::SharedTableMode;
     use std::io::{BufRead, BufReader, Write};
 
     const IDEAL: &str = "OPENQASM 2.0;\\nqreg q[2];\\nh q[0];\\ncx q[0], q[1];\\n";
@@ -1102,6 +1032,8 @@ mod tests {
                 "{bad} must be rejected"
             );
         }
+        let err = parse_serve_args(&["--algorithm".into(), "mc".into()]).unwrap_err();
+        assert!(err.contains("`qaec fidelity`"), "{err}");
         assert!(parse_serve_args(&[
             "--listen".into(),
             "127.0.0.1:0".into(),
@@ -1109,6 +1041,20 @@ mod tests {
             "/tmp/x".into()
         ])
         .is_err());
+    }
+
+    #[test]
+    fn perfbench_serve_flags_parse() {
+        // `perfbench/src/layers.rs::SERVE_FLAGS`, verbatim.
+        let flags = "--algorithm auto --strategy min-fill --threads 1 --shared-table auto \
+                     --seed-cache on --lanes 8 --store-reclaim auto --svd-threshold 1e-8 \
+                     --max-bond 16";
+        let args: Vec<String> = flags.split_whitespace().map(str::to_string).collect();
+        let parsed = parse_serve_args(&args).expect("the benchmark's serve flags parse");
+        assert_eq!(parsed.options.algorithm, AlgorithmChoice::Auto);
+        assert_eq!(parsed.options.threads, 1);
+        assert_eq!(parsed.options.svd_threshold, 1e-8);
+        assert_eq!(parsed.options.max_bond, 16);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   for a bit-comparable sequential reference; the `Auto` default
 //!   keeps the private fast path there).
 
-use crate::engine::TermEngine;
+use crate::engine::{Jobs, TermEngine};
 use crate::error::QaecError;
 use crate::miter::{identity_map, Alg1Template};
 use crate::optimize::{cancel_inverse_pairs, eliminate_swaps};
@@ -176,16 +176,9 @@ impl Alg1Artifacts {
     ) -> Result<Alg1Report, QaecError> {
         let start = Instant::now();
         let total_terms = template.total_terms();
-        let engine = TermEngine {
-            template,
-            final_map: &self.final_map,
-            plan: &self.plan,
-            order: &self.order,
-            options,
-            d2: self.d2,
-            warm_store,
-        };
-        let outcome = engine.run(epsilon, total_terms)?;
+        let outcome = self
+            .engine(template, options, warm_store)
+            .run(epsilon, Jobs::Enumerate)?;
 
         Ok(Alg1Report {
             fidelity_lower: outcome.lower.min(1.0 + 1e-9),
@@ -197,6 +190,25 @@ impl Alg1Artifacts {
             verdict: outcome.verdict,
             stats: outcome.stats,
         })
+    }
+
+    /// The term engine over `template` (the compiled one or a noise-sweep
+    /// re-instantiation) with this compilation's plan and order.
+    pub(crate) fn engine<'a>(
+        &'a self,
+        template: &'a Alg1Template,
+        options: &'a CheckOptions,
+        warm_store: Option<&'a Arc<SharedTddStore>>,
+    ) -> TermEngine<'a> {
+        TermEngine {
+            template,
+            final_map: &self.final_map,
+            plan: &self.plan,
+            order: &self.order,
+            options,
+            d2: self.d2,
+            warm_store,
+        }
     }
 
     /// Worker count a run over `total_terms` terms would use (bounds the

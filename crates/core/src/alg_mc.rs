@@ -19,11 +19,15 @@
 //! This gives a third evaluation path between Algorithm I (exact,
 //! exponential in noise sites) and Algorithm II (exact, doubled network):
 //! approximate, with a reported standard error, at near-constant cost.
+//!
+//! It is Algorithm I with a different job list: the pair compiles
+//! exactly as for Algorithm I (`Alg1Artifacts::compile`: template,
+//! §IV-C passes, plan), and the distinct strings run on Algorithm I's
+//! term engine as a fixed job list ([`crate::engine`]).
 
-use crate::engine::TermEngine;
+use crate::alg1::Alg1Artifacts;
+use crate::engine::Jobs;
 use crate::error::QaecError;
-use crate::miter::{build_trace_network, identity_map, Alg1Template};
-use crate::optimize::{cancel_inverse_pairs, eliminate_swaps};
 use crate::options::CheckOptions;
 use crate::validate;
 use qaec_circuit::Circuit;
@@ -70,8 +74,6 @@ pub struct McReport {
 /// each private manager snaps weights along its own interning history
 /// (tolerance ≈1e-10) and multi-worker estimates are reproducible only
 /// to that tolerance.
-/// Shares the miter machinery (and therefore the §IV-C optimisations
-/// and contraction options) with Algorithm I.
 ///
 /// # Errors
 ///
@@ -102,34 +104,11 @@ pub fn fidelity_monte_carlo(
     validate(ideal, noisy, None)?;
     let start = Instant::now();
 
-    let mut template = Alg1Template::build(ideal, noisy);
-    let n_wires = template.n_wires;
-    let final_map = if options.swap_elimination {
-        eliminate_swaps(&mut template.elements, n_wires)
-    } else {
-        identity_map(n_wires)
-    };
-    if options.local_optimization {
-        cancel_inverse_pairs(&mut template.elements, n_wires);
-    }
-
-    let d = (noisy.n_qubits() as f64).exp2();
-    let d2 = d * d;
-
-    // Shared plan/order across instantiations (identical structure).
-    let zero_choice = vec![0usize; template.sites.len()];
-    let first = {
-        let elements = template.instantiate(&zero_choice);
-        build_trace_network(&elements, n_wires, &final_map, options.var_order)
-    };
-    let plan = first
-        .network
-        .plan_parallel(options.strategy, options.threads.max(1));
-    let order = first.order;
+    let artifacts = Alg1Artifacts::compile(ideal, noisy, options);
+    let sites = &artifacts.template.sites;
 
     // Per-site cumulative mass tables for sampling.
-    let cumulative: Vec<Vec<f64>> = template
-        .sites
+    let cumulative: Vec<Vec<f64>> = sites
         .iter()
         .map(|site| {
             let mut acc = 0.0;
@@ -149,13 +128,12 @@ pub fn fidelity_monte_carlo(
     // Draw the whole sample stream first: the RNG sequence (and thus the
     // estimate) is fixed by `seed` alone, independent of thread count.
     let mut drawn: Vec<usize> = Vec::with_capacity(samples); // index into `distinct`
-    let mut distinct: Vec<Vec<usize>> = Vec::new();
-    let mut probabilities: Vec<f64> = Vec::new();
+    let mut distinct: Vec<(Vec<usize>, f64)> = Vec::new(); // (string, probability)
     let mut memo: HashMap<Vec<usize>, usize> = HashMap::new();
     for _ in 0..samples {
-        let mut choice = Vec::with_capacity(template.sites.len());
+        let mut choice = Vec::with_capacity(sites.len());
         let mut probability = 1.0f64;
-        for (site, cum) in template.sites.iter().zip(&cumulative) {
+        for (site, cum) in sites.iter().zip(&cumulative) {
             let total = *cum.last().unwrap_or(&1.0);
             let u: f64 = rng.gen_range(0.0..total);
             let idx = cum.partition_point(|&c| c <= u).min(site.masses.len() - 1);
@@ -163,8 +141,7 @@ pub fn fidelity_monte_carlo(
             choice.push(idx);
         }
         let slot = *memo.entry(choice.clone()).or_insert_with(|| {
-            distinct.push(choice);
-            probabilities.push(probability);
+            distinct.push((choice, probability));
             distinct.len() - 1
         });
         drawn.push(slot);
@@ -172,21 +149,14 @@ pub fn fidelity_monte_carlo(
 
     // Contract each distinct string once, work-stolen across
     // `options.threads` workers.
-    let engine = TermEngine {
-        template: &template,
-        final_map: &final_map,
-        plan: &plan,
-        order: &order,
-        options,
-        d2,
-        warm_store: None,
-    };
-    let outcome = engine.run_fixed(&distinct)?;
+    let outcome = artifacts
+        .engine(&artifacts.template, options, None)
+        .run(None, Jobs::Fixed(&distinct))?;
     let ratios: Vec<f64> = outcome
-        .terms
+        .values
         .iter()
-        .zip(&probabilities)
-        .map(|(&term, &p)| if p > 0.0 { term / p } else { 0.0 })
+        .zip(&distinct)
+        .map(|(&term, &(_, p))| if p > 0.0 { term / p } else { 0.0 })
         .collect();
 
     // Welford online mean/variance, replayed in draw order.

@@ -3,7 +3,10 @@
 //! Algorithm I and the Monte-Carlo estimator both reduce to "contract
 //! many instantiations of one miter template". This module runs those
 //! contractions on a pool of workers that *pull* work from a shared
-//! source instead of being handed fixed chunks, so that:
+//! source instead of being handed fixed chunks. The source is either
+//! every Kraus selection of the template (Algorithm I) or a fixed job
+//! list (the Monte-Carlo estimator's distinct strings); one worker loop
+//! serves both, so that:
 //!
 //! * ε-decisions compose with `threads > 1`: every worker folds its
 //!   terms into a shared ordered reducer and broadcasts a stop signal
@@ -16,9 +19,11 @@
 //! * with the **shared TDD store** (`options.shared_table`, on by
 //!   default for `threads > 1`) all workers hash-cons nodes and intern
 //!   weights into one [`SharedTddStore`], recovering cross-thread
-//!   structure sharing; each worker keeps only its computed tables
-//!   thread-local. With `SharedTableMode::Off` every worker keeps a
-//!   fully private [`TddManager`] instead (the pre-shared behaviour).
+//!   structure sharing; each worker keeps its computed tables
+//!   thread-local and reuses them across every term it contracts (the
+//!   paper's Table II "Opt." configuration). With
+//!   `SharedTableMode::Off` every worker keeps a fully private
+//!   [`TddManager`] instead.
 //!
 //! ## Bit-identical parallel results
 //!
@@ -33,7 +38,9 @@
 //!    ε-decision point, the verdict, the reported bounds and the
 //!    reported term count — are those of the sequential prefix. Terms
 //!    completed beyond the frontier when a decision lands are simply
-//!    discarded from the report (work wasted, semantics unchanged).
+//!    discarded from the report (work wasted, semantics unchanged). A
+//!    fixed-job run keeps each folded value too, so its per-job values
+//!    come back in job order.
 //!
 //! With private per-worker stores the reducer still guarantees
 //! sequential *decision semantics*, but values drift by the interning
@@ -44,16 +51,14 @@ use crate::error::QaecError;
 use crate::miter::{build_trace_network, Alg1Template, BuiltNetwork};
 use crate::options::{CheckOptions, TermOrder};
 use crate::report::Verdict;
-use qaec_tdd::fxhash::FxHashMap;
 use qaec_tdd::{
-    contract_network_opts, run_on_workers, ContCacheKey, DriverOptions, Edge, SharedTddStore,
-    TddManager, TddStats,
+    contract_network_opts, run_on_workers, DriverOptions, SharedTddStore, TddManager, TddStats,
 };
 use qaec_tensornet::{ContractionPlan, VarOrder};
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 
-use qaec_tdd::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use qaec_tdd::sync::atomic::{AtomicBool, Ordering};
 use qaec_tdd::sync::Mutex;
 use std::time::Instant;
 
@@ -78,7 +83,17 @@ pub(crate) struct TermEngine<'a> {
     pub warm_store: Option<&'a Arc<SharedTddStore>>,
 }
 
-/// What an ε-aware engine run produced.
+/// The terms an engine run contracts.
+#[derive(Clone, Copy)]
+pub(crate) enum Jobs<'j> {
+    /// Every Kraus selection of the template, in `options.term_order`,
+    /// capped at `options.max_terms`.
+    Enumerate,
+    /// These `(Kraus selection, mass)` jobs, in list order, uncapped.
+    Fixed(&'j [(Vec<usize>, f64)]),
+}
+
+/// What an engine run produced.
 pub(crate) struct EngineOutcome {
     /// Sum of folded terms (proven fidelity lower bound).
     pub lower: f64,
@@ -94,49 +109,30 @@ pub(crate) struct EngineOutcome {
     /// Decision-diagram statistics: every worker's local counters plus
     /// the shared store's allocation counters (merged exactly once).
     pub stats: TddStats,
+    /// Per-job term values `|tr(U†E_choice)|²/d²` in job order
+    /// ([`Jobs::Fixed`] runs only; empty otherwise).
+    pub values: Vec<f64>,
 }
 
-/// What a fixed-job engine run produced (Monte-Carlo path).
-pub(crate) struct FixedOutcome {
-    /// Per-job term values `|tr(U†E_choice)|²/d²`, in job order.
-    pub terms: Vec<f64>,
-    /// Largest intermediate diagram across all workers.
-    pub max_nodes: usize,
-    /// Merged decision-diagram statistics (workers + shared store).
-    pub stats: TddStats,
-}
+/// One pulled term: `(sequence, (Kraus selection, mass))`. The sequence
+/// is the fold position the [`Reducer`] will give the term, identical in
+/// every scheduling.
+type Term = (usize, (Vec<usize>, f64));
 
-/// One fixed-mode worker's haul: `(job index, term value)` pairs, its
-/// largest intermediate diagram, and its manager statistics.
-type FixedWorkerHaul = (Vec<(usize, f64)>, usize, TddStats);
+/// The mutex-guarded work source, capped before numbering so a cap
+/// limits *pulled* work exactly.
+struct TermQueue<'j>(Box<dyn Iterator<Item = Term> + Send + 'j>);
 
-/// The mutex-guarded work source: the enumerator plus the count of terms
-/// already handed out, so `max_terms` caps *pulled* work exactly. Each
-/// pulled term carries its sequence number — the fold position the
-/// [`Reducer`] will give it, identical in every scheduling.
-struct TermQueue {
-    enumerator: TermEnumerator,
-    pulled: usize,
-    cap: Option<usize>,
-}
+impl<'j> TermQueue<'j> {
+    fn new(terms: impl Iterator<Item = (Vec<usize>, f64)> + Send + 'j, cap: Option<usize>) -> Self {
+        TermQueue(Box::new(terms.take(cap.unwrap_or(usize::MAX)).enumerate()))
+    }
 
-impl TermQueue {
     /// Pulls up to `max` terms into `out` (cleared first). An empty
     /// result means the source is exhausted or capped.
-    fn pull(&mut self, max: usize, out: &mut Vec<(usize, Vec<usize>, f64)>) {
+    fn pull(&mut self, max: usize, out: &mut Vec<Term>) {
         out.clear();
-        while out.len() < max {
-            if self.cap.is_some_and(|cap| self.pulled >= cap) {
-                return;
-            }
-            match self.enumerator.next_term() {
-                Some((choice, mass)) => {
-                    out.push((self.pulled, choice, mass));
-                    self.pulled += 1;
-                }
-                None => return,
-            }
-        }
+        out.extend(self.0.by_ref().take(max));
     }
 }
 
@@ -156,6 +152,8 @@ struct Decision {
 /// sequential run.
 struct Reducer {
     epsilon: Option<f64>,
+    /// Every folded value in fold order, when the run keeps them.
+    values: Option<Vec<f64>>,
     /// Completed terms waiting for the frontier: `seq → (value, mass)`.
     /// Bounded by [`PENDING_LIMIT`] plus one in-flight batch per worker
     /// — workers stop pulling new batches while the frontier lags (see
@@ -177,9 +175,10 @@ struct Reducer {
 const PENDING_LIMIT: usize = 4096;
 
 impl Reducer {
-    fn new(epsilon: Option<f64>) -> Self {
+    fn new(epsilon: Option<f64>, keep_values: bool) -> Self {
         Reducer {
             epsilon,
+            values: keep_values.then(Vec::new),
             pending: HashMap::new(),
             folded: 0,
             lower: 0.0,
@@ -205,6 +204,9 @@ impl Reducer {
             self.folded += 1;
             self.lower += value;
             self.mass_done += mass;
+            if let Some(values) = &mut self.values {
+                values.push(value);
+            }
             if let Some(eps) = self.epsilon {
                 let remaining = self.remaining();
                 // The one boundary-pinning comparison (`Verdict::decide`)
@@ -227,21 +229,11 @@ impl Reducer {
     }
 }
 
-/// The heaviest completed term's contraction-cache snapshot, shipped to
-/// workers that pull a new batch (`options.seed_cont_cache`).
-struct SeedSlot {
-    /// Mass of the term whose cache is stored (`-∞` until first publish).
-    mass: f64,
-    entries: Arc<FxHashMap<ContCacheKey, Edge>>,
-}
-
-/// Cross-worker shared state for an ε-aware run.
-struct SharedState {
-    queue: Mutex<TermQueue>,
+/// Cross-worker shared state for an engine run.
+struct SharedState<'j> {
+    queue: Mutex<TermQueue<'j>>,
     reducer: Mutex<Reducer>,
     stop: AtomicBool,
-    /// `Some` only for shared-store runs with cache seeding enabled.
-    seed: Option<Mutex<SeedSlot>>,
 }
 
 /// A worker's private contraction context: its thread-local manager (or
@@ -359,9 +351,9 @@ impl TermEngine<'_> {
             })
     }
 
-    /// Runs the full ε-aware accumulation over every Kraus selection of
-    /// the template (`options.term_order`, `options.max_terms`,
-    /// `options.deadline` and `options.threads` all respected).
+    /// Runs the ε-aware accumulation over `jobs` (`options.deadline`
+    /// and `options.threads` respected; `options.term_order` and
+    /// `options.max_terms` shape [`Jobs::Enumerate`]).
     ///
     /// Bounds, verdicts and term counts always follow sequential-prefix
     /// semantics (see the module docs); with the shared store they are
@@ -369,8 +361,18 @@ impl TermEngine<'_> {
     pub(crate) fn run(
         &self,
         epsilon: Option<f64>,
-        total_terms: usize,
+        jobs: Jobs<'_>,
     ) -> Result<EngineOutcome, QaecError> {
+        let (queue, total_terms) = match jobs {
+            Jobs::Enumerate => (
+                TermQueue::new(
+                    TermEnumerator::new(self.template, self.options.term_order),
+                    self.options.max_terms,
+                ),
+                self.template.total_terms(),
+            ),
+            Jobs::Fixed(list) => (TermQueue::new(list.iter().cloned(), None), list.len()),
+        };
         let workers = self.worker_count(total_terms);
         let store = self.shared_store(workers);
         // Statistics fence: on a warm (session-reused) store this run
@@ -385,19 +387,9 @@ impl TermEngine<'_> {
             (total_terms / (workers * 4)).clamp(1, 32)
         };
         let shared = SharedState {
-            queue: Mutex::new(TermQueue {
-                enumerator: TermEnumerator::new(self.template, self.options.term_order),
-                pulled: 0,
-                cap: self.options.max_terms,
-            }),
-            reducer: Mutex::new(Reducer::new(epsilon)),
+            queue: Mutex::new(queue),
+            reducer: Mutex::new(Reducer::new(epsilon, matches!(jobs, Jobs::Fixed(_)))),
             stop: AtomicBool::new(false),
-            seed: (self.options.seed_cont_cache && store.is_some()).then(|| {
-                Mutex::new(SeedSlot {
-                    mass: f64::NEG_INFINITY,
-                    entries: Arc::new(FxHashMap::default()),
-                })
-            }),
         };
 
         let folded = run_on_workers(workers, |_| {
@@ -452,6 +444,7 @@ impl TermEngine<'_> {
             max_nodes,
             verdict,
             stats,
+            values: reducer.values.unwrap_or_default(),
         })
     }
 
@@ -465,7 +458,6 @@ impl TermEngine<'_> {
     ) -> Result<(usize, TddStats), QaecError> {
         let mut ctx = WorkerCtx::new(self, store.cloned());
         let mut batch = Vec::with_capacity(batch_size);
-        let mut imported_mass = f64::NEG_INFINITY;
         'steal: loop {
             // ordering: SeqCst — stop is a control-flow flag only (result
             // data travels through the reducer mutex); SeqCst everywhere
@@ -499,21 +491,7 @@ impl TermEngine<'_> {
             if batch.is_empty() {
                 break;
             }
-            // Seed this batch from the heaviest completed term's cache,
-            // if a heavier snapshot appeared since the last import.
-            if let Some(slot) = &shared.seed {
-                let snapshot = {
-                    let slot = slot.lock().expect("seed slot poisoned");
-                    (slot.mass > imported_mass && !slot.entries.is_empty()).then(|| {
-                        imported_mass = slot.mass;
-                        Arc::clone(&slot.entries)
-                    })
-                };
-                if let (Some(entries), Some(m)) = (snapshot, ctx.manager.as_mut()) {
-                    m.seed_cont_cache(&entries);
-                }
-            }
-            for (seq, choice, mass) in batch.drain(..) {
+            for (seq, (choice, mass)) in batch.drain(..) {
                 // ordering: SeqCst — control-flow flag (see loop head).
                 if shared.stop.load(Ordering::SeqCst) {
                     break 'steal;
@@ -533,22 +511,6 @@ impl TermEngine<'_> {
                         return Err(e);
                     }
                 };
-                // Publish the worker's accumulated cache when this term
-                // is the heaviest so far. The O(cache) clone happens
-                // *outside* the slot lock (every worker takes it per
-                // batch), with a re-check before installing in case a
-                // heavier term won the race meanwhile.
-                if let (Some(slot), Some(m)) = (&shared.seed, ctx.manager.as_ref()) {
-                    let heaviest = mass > slot.lock().expect("seed slot poisoned").mass;
-                    if heaviest {
-                        let entries = Arc::new(m.snapshot_cont_cache());
-                        let mut slot = slot.lock().expect("seed slot poisoned");
-                        if mass > slot.mass {
-                            slot.mass = mass;
-                            slot.entries = entries;
-                        }
-                    }
-                }
                 let decided = shared
                     .reducer
                     .lock()
@@ -563,79 +525,6 @@ impl TermEngine<'_> {
             }
         }
         Ok(ctx.into_stats())
-    }
-
-    /// Contracts a fixed list of Kraus selections (work-stolen in batches
-    /// off a shared cursor), returning each term value in job order. Used
-    /// by the Monte-Carlo estimator for parallel trajectory evaluation.
-    pub(crate) fn run_fixed(&self, jobs: &[Vec<usize>]) -> Result<FixedOutcome, QaecError> {
-        let workers = self.worker_count(jobs.len());
-        let store = self.shared_store(workers);
-        let epoch = store.as_ref().map(|s| s.reset_between_runs());
-        let batch_size = (jobs.len() / (workers * 4)).clamp(1, 32);
-        let cursor = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-
-        let fold_worker = || -> Result<FixedWorkerHaul, QaecError> {
-            let mut ctx = WorkerCtx::new(self, store.clone());
-            let mut values = Vec::new();
-            loop {
-                // ordering: SeqCst — control-flow stop flag, as in
-                // `epsilon_worker`; term values travel through each
-                // worker's local vec and the join, not this flag.
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                // ordering: SeqCst — the RMW's atomicity alone partitions
-                // the job range; SeqCst (over Relaxed) keeps every engine
-                // control atomic in one total order for free off the hot
-                // path.
-                let lo = cursor.fetch_add(batch_size, Ordering::SeqCst);
-                if lo >= jobs.len() {
-                    break;
-                }
-                let hi = (lo + batch_size).min(jobs.len());
-                for (index, choice) in jobs.iter().enumerate().take(hi).skip(lo) {
-                    if self.deadline_expired() {
-                        // ordering: SeqCst — control-flow flag (loop head).
-                        stop.store(true, Ordering::SeqCst);
-                        return Err(QaecError::Timeout);
-                    }
-                    match ctx.contract(choice) {
-                        Ok(term) => values.push((index, term)),
-                        Err(e) => {
-                            // ordering: SeqCst — control-flow flag (above).
-                            stop.store(true, Ordering::SeqCst);
-                            return Err(e);
-                        }
-                    }
-                }
-            }
-            let (nodes, stats) = ctx.into_stats();
-            Ok((values, nodes, stats))
-        };
-
-        let folded = run_on_workers(workers, |_| fold_worker());
-
-        let mut terms = vec![0.0f64; jobs.len()];
-        let mut max_nodes = 0usize;
-        let mut stats = TddStats::default();
-        for outcome in folded {
-            let (values, nodes, worker_stats) = outcome?;
-            for (index, value) in values {
-                terms[index] = value;
-            }
-            max_nodes = max_nodes.max(nodes);
-            stats.merge(&worker_stats);
-        }
-        if let Some(store) = &store {
-            stats.merge(&store.stats_since(epoch.expect("epoch taken with the store")));
-        }
-        Ok(FixedOutcome {
-            terms,
-            max_nodes,
-            stats,
-        })
     }
 }
 
@@ -727,8 +616,20 @@ impl TermEnumerator {
             .product()
     }
 
+    fn to_raw(&self, positions: &[usize]) -> Vec<usize> {
+        positions
+            .iter()
+            .enumerate()
+            .map(|(site, &p)| self.sorted_maps[site][p])
+            .collect()
+    }
+}
+
+impl Iterator for TermEnumerator {
+    type Item = (Vec<usize>, f64);
+
     /// Yields `(raw Kraus choice, mass)` or `None` when exhausted.
-    pub(crate) fn next_term(&mut self) -> Option<(Vec<usize>, f64)> {
+    fn next(&mut self) -> Option<(Vec<usize>, f64)> {
         match self.mode {
             TermOrder::Lexicographic => {
                 let current = self.next_lex.take()?;
@@ -771,14 +672,6 @@ impl TermEnumerator {
             }
         }
     }
-
-    fn to_raw(&self, positions: &[usize]) -> Vec<usize> {
-        positions
-            .iter()
-            .enumerate()
-            .map(|(site, &p)| self.sorted_maps[site][p])
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -801,10 +694,9 @@ mod tests {
             NoiseChannel::Depolarizing { p: 0.9 },
             NoiseChannel::BitFlip { p: 0.8 },
         ]);
-        let mut e = TermEnumerator::new(&template, TermOrder::Lexicographic);
         let mut seen = HashSet::new();
         let mut total_mass = 0.0;
-        while let Some((choice, mass)) = e.next_term() {
+        for (choice, mass) in TermEnumerator::new(&template, TermOrder::Lexicographic) {
             assert!(seen.insert(choice.clone()), "duplicate {choice:?}");
             assert!(choice[0] < 4 && choice[1] < 2);
             total_mass += mass;
@@ -824,10 +716,9 @@ mod tests {
                 pz: 0.05,
             },
         ]);
-        let mut e = TermEnumerator::new(&template, TermOrder::BestFirst);
         let mut seen = HashSet::new();
         let mut last = f64::INFINITY;
-        while let Some((choice, mass)) = e.next_term() {
+        for (choice, mass) in TermEnumerator::new(&template, TermOrder::BestFirst) {
             assert!(mass <= last + 1e-12, "mass not descending: {mass} > {last}");
             last = mass;
             assert!(seen.insert(choice));
@@ -835,7 +726,7 @@ mod tests {
         assert_eq!(seen.len(), 16);
         // The first term must be the heaviest: 0.7 · 0.6.
         let mut e = TermEnumerator::new(&template, TermOrder::BestFirst);
-        let (_, first_mass) = e.next_term().expect("non-empty");
+        let (_, first_mass) = e.next().expect("non-empty");
         assert!((first_mass - 0.42).abs() < 1e-12);
     }
 
@@ -845,11 +736,11 @@ mod tests {
         // large gamma: K1 (decay) can outweigh K0.
         let template = template_with(&[NoiseChannel::AmplitudeDamping { gamma: 0.9 }]);
         let mut e = TermEnumerator::new(&template, TermOrder::BestFirst);
-        let (first, first_mass) = e.next_term().expect("some");
+        let (first, first_mass) = e.next().expect("some");
         // masses: K0 = (1 + (1−γ))/2 = 0.55, K1 = γ/2 = 0.45 → K0 first.
         assert_eq!(first, vec![0]);
         assert!((first_mass - 0.55).abs() < 1e-12);
-        let (second, second_mass) = e.next_term().expect("some");
+        let (second, second_mass) = e.next().expect("some");
         assert_eq!(second, vec![1]);
         assert!((second_mass - 0.45).abs() < 1e-12);
     }
@@ -859,21 +750,20 @@ mod tests {
         let template = template_with(&[]);
         for order in [TermOrder::Lexicographic, TermOrder::BestFirst] {
             let mut e = TermEnumerator::new(&template, order);
-            let (choice, mass) = e.next_term().expect("one term");
+            let (choice, mass) = e.next().expect("one term");
             assert!(choice.is_empty());
             assert!((mass - 1.0).abs() < 1e-12);
-            assert!(e.next_term().is_none(), "{order:?} must be exhausted");
+            assert!(e.next().is_none(), "{order:?} must be exhausted");
         }
     }
 
     #[test]
     fn term_queue_respects_cap_across_pulls() {
         let template = template_with(&[NoiseChannel::Depolarizing { p: 0.9 }]);
-        let mut queue = TermQueue {
-            enumerator: TermEnumerator::new(&template, TermOrder::Lexicographic),
-            pulled: 0,
-            cap: Some(3),
-        };
+        let mut queue = TermQueue::new(
+            TermEnumerator::new(&template, TermOrder::Lexicographic),
+            Some(3),
+        );
         let mut out = Vec::new();
         queue.pull(2, &mut out);
         assert_eq!(out.len(), 2);
@@ -887,7 +777,7 @@ mod tests {
 
     #[test]
     fn reducer_folds_out_of_order_terms_in_sequence_order() {
-        let mut r = Reducer::new(None);
+        let mut r = Reducer::new(None, false);
         // Terms 1 and 2 land before 0: nothing folds until the gap fills.
         assert!(!r.submit(1, 0.25, 0.3));
         assert!(!r.submit(2, 0.125, 0.2));
@@ -903,7 +793,7 @@ mod tests {
     fn reducer_decides_at_the_sequential_prefix_point() {
         // ε = 0.2: the decision must land exactly when the *prefix* sum
         // crosses 0.8, no matter that a later term arrived first.
-        let mut r = Reducer::new(Some(0.2));
+        let mut r = Reducer::new(Some(0.2), false);
         assert!(!r.submit(2, 0.05, 0.06), "gap: nothing folds, no decision");
         assert!(!r.submit(0, 0.5, 0.52));
         let decided = r.submit(1, 0.35, 0.36);
@@ -918,7 +808,7 @@ mod tests {
 
     #[test]
     fn reducer_rejects_when_upper_bound_collapses() {
-        let mut r = Reducer::new(Some(0.05));
+        let mut r = Reducer::new(Some(0.05), false);
         // One heavy term with almost no fidelity: upper bound crashes.
         assert!(r.submit(0, 0.01, 0.9));
         let d = r.decision.expect("decision");

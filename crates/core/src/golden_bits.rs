@@ -10,11 +10,18 @@
 //! [`CheckOptions::default`] cannot move a number. A change to weight
 //! interning, node construction or the recursions that alters a single
 //! fidelity bit or a single unit of work fails here.
+//!
+//! The term engine has its own tables: Algorithm I on the shared store
+//! at one and four threads (both term orders, and an ε early exit), and
+//! the Monte-Carlo estimator on a private thread and on four shared
+//! ones. Work counters are pinned only at one thread; with four, how
+//! the workers split the terms decides them.
 
 use crate::golden_plans::pairs;
-use crate::options::{AlgorithmChoice, CheckOptions, SharedTableMode, StoreReclaimMode};
+use crate::options::{AlgorithmChoice, CheckOptions, SharedTableMode, StoreReclaimMode, TermOrder};
+use crate::report::Verdict;
 use crate::session::Checker;
-use crate::{fidelity_alg1, fidelity_alg2};
+use crate::{fidelity_alg1, fidelity_alg2, fidelity_monte_carlo, Alg1Report};
 use qaec_tdd::TddStats;
 
 /// `(fidelity bits, max_nodes, cont_calls, add_calls, nodes_created)`.
@@ -93,6 +100,59 @@ const GOLDEN_SWEEP: &[(&str, Bits)] = &[
     ("qv_n5d5@0.8", (0x3fe08170d68ae7dd, 256, 9815, 8782, 4321)),
 ];
 
+/// Rows for the term engine tables: 64 Algorithm I terms each.
+const TERM_ROWS: &[&str] = &["7x1mod15", "qft5"];
+
+/// The early-exit threshold: 1 − ε lies between the rows' fidelity
+/// (≈0.99701) and the upper bound after the heaviest term (≈1), so the
+/// upper bound must fall through it one light term at a time.
+const EARLY_EPSILON: f64 = 0.0015;
+
+/// Monte-Carlo sample count and seed.
+const MC_SAMPLES: usize = 20_000;
+const MC_SEED: u64 = 7;
+
+/// `(lower bits, upper bits, terms_computed, verdict, max_nodes,
+/// (cont_calls, add_calls, nodes_created))`; the counters are `None` at
+/// four threads.
+type TermBits = (
+    u64,
+    u64,
+    usize,
+    Option<Verdict>,
+    usize,
+    Option<(u64, u64, u64)>,
+);
+
+/// `(estimate bits, std_error bits, distinct_strings)`.
+type McBits = (u64, u64, usize);
+
+/// [`TERM_ROWS`] × (best-first exact, lexicographic exact, ε early
+/// exit) × threads 1 and 4, on the shared store.
+#[rustfmt::skip]
+const GOLDEN_SHARED_ALG1: &[(&str, TermBits)] = &[
+    ("7x1mod15/best_first/t1", (0x3fefe773881e2bb6, 0x3fefe773881e2bb6, 64, None, 23, Some((4720, 752, 921)))),
+    ("7x1mod15/best_first/t4", (0x3fefe773881e2bb6, 0x3fefe773881e2bb6, 64, None, 23, None)),
+    ("7x1mod15/lexicographic/t1", (0x3fefe773881e2bb6, 0x3fefe773881e2bb6, 64, None, 23, Some((4720, 752, 921)))),
+    ("7x1mod15/lexicographic/t4", (0x3fefe773881e2bb6, 0x3fefe773881e2bb6, 64, None, 23, None)),
+    ("7x1mod15/early_exit/t1", (0x3fefe772d556ffc0, 0x3feff25fbbd251f6, 6, Some(Verdict::NotEquivalent), 23, Some((1926, 492, 719)))),
+    ("7x1mod15/early_exit/t4", (0x3fefe772d556ffc0, 0x3feff25fbbd251f6, 6, Some(Verdict::NotEquivalent), 23, None)),
+    ("qft5/best_first/t1", (0x3fefe772d5443c9b, 0x3fefe772d5443c9b, 64, None, 27, Some((12278, 1898, 1938)))),
+    ("qft5/best_first/t4", (0x3fefe772d5443c9b, 0x3fefe772d5443c9b, 64, None, 27, None)),
+    ("qft5/lexicographic/t1", (0x3fefe772d5443c9b, 0x3fefe772d5443c9b, 64, None, 27, Some((12278, 1898, 1938)))),
+    ("qft5/lexicographic/t4", (0x3fefe772d5443c9b, 0x3fefe772d5443c9b, 64, None, 27, None)),
+    ("qft5/early_exit/t1", (0x3fefe772d5443c9b, 0x3feff25fbbbf8ed1, 6, Some(Verdict::NotEquivalent), 27, Some((4582, 1467, 1705)))),
+    ("qft5/early_exit/t4", (0x3fefe772d5443c9b, 0x3feff25fbbbf8ed1, 6, Some(Verdict::NotEquivalent), 27, None)),
+];
+/// [`TERM_ROWS`] × (one private thread, four shared threads).
+#[rustfmt::skip]
+const GOLDEN_MC: &[(&str, McBits)] = &[
+    ("7x1mod15/private_t1", (0x3fefe56041893743, 0x3f3a604823920cb8, 10)),
+    ("7x1mod15/shared_t4", (0x3fefe56041893597, 0x3f3a604823920b54, 10)),
+    ("qft5/private_t1", (0x3fefe56041893745, 0x3f3a604823920cb9, 10)),
+    ("qft5/shared_t4", (0x3fefe560417673dd, 0x3f3a604823828867, 10)),
+];
+
 fn options(algorithm: AlgorithmChoice, shared_table: SharedTableMode) -> CheckOptions {
     CheckOptions {
         algorithm,
@@ -113,9 +173,26 @@ fn bits(fidelity: f64, max_nodes: usize, stats: &TddStats) -> Bits {
     )
 }
 
+fn render_bits((f, m, c, a, n): &Bits) -> String {
+    format!("(0x{f:016x}, {m}, {c}, {a}, {n})")
+}
+
+fn render_term_bits((lower, upper, terms, verdict, max_nodes, counters): &TermBits) -> String {
+    let verdict = verdict.map_or("None".to_string(), |v| format!("Some(Verdict::{v:?})"));
+    format!("(0x{lower:016x}, 0x{upper:016x}, {terms}, {verdict}, {max_nodes}, {counters:?})")
+}
+
+fn render_mc_bits((estimate, std_error, distinct): &McBits) -> String {
+    format!("(0x{estimate:016x}, 0x{std_error:016x}, {distinct})")
+}
+
 /// Fails listing every label whose bits moved, with the whole table as
 /// it is now.
-fn assert_golden(actual: &[(String, Bits)], golden: &[(&str, Bits)]) {
+fn assert_golden<T: PartialEq>(
+    actual: &[(String, T)],
+    golden: &[(&str, T)],
+    render: fn(&T) -> String,
+) {
     let changed: Vec<&str> = actual
         .iter()
         .zip(golden)
@@ -124,9 +201,7 @@ fn assert_golden(actual: &[(String, Bits)], golden: &[(&str, Bits)]) {
         .collect();
     let table: String = actual
         .iter()
-        .map(|(name, (f, m, c, a, n))| {
-            format!("    (\"{name}\", (0x{f:016x}, {m}, {c}, {a}, {n})),\n")
-        })
+        .map(|(name, bits)| format!("    (\"{name}\", {}),\n", render(bits)))
         .collect();
     assert!(
         changed.is_empty() && actual.len() == golden.len(),
@@ -159,7 +234,7 @@ fn algorithm_one_private_bits_match_golden() {
             (name, bits(r.fidelity_lower, r.max_nodes, &r.stats))
         })
         .collect();
-    assert_golden(&actual, GOLDEN_ALG1);
+    assert_golden(&actual, GOLDEN_ALG1, render_bits);
 }
 
 #[test]
@@ -172,7 +247,7 @@ fn algorithm_two_scoped_bits_match_golden() {
             (name, bits(r.fidelity, r.max_nodes, &r.stats))
         })
         .collect();
-    assert_golden(&actual, GOLDEN_ALG2);
+    assert_golden(&actual, GOLDEN_ALG2, render_bits);
 }
 
 #[test]
@@ -195,5 +270,66 @@ fn folded_sweep_bits_match_golden() {
             )
         })
         .collect();
-    assert_golden(&actual, GOLDEN_SWEEP);
+    assert_golden(&actual, GOLDEN_SWEEP, render_bits);
+}
+
+fn term_bits(r: &Alg1Report, threads: usize) -> TermBits {
+    (
+        r.fidelity_lower.to_bits(),
+        r.fidelity_upper.to_bits(),
+        r.terms_computed,
+        r.verdict,
+        r.max_nodes,
+        (threads == 1).then_some((r.stats.cont_calls, r.stats.add_calls, r.stats.nodes_created)),
+    )
+}
+
+#[test]
+fn shared_algorithm_one_bits_match_golden_at_one_and_four_threads() {
+    let mut actual = Vec::new();
+    for (name, ideal, noisy) in rows(TERM_ROWS) {
+        for (mode, term_order, epsilon) in [
+            ("best_first", TermOrder::BestFirst, None),
+            ("lexicographic", TermOrder::Lexicographic, None),
+            ("early_exit", TermOrder::BestFirst, Some(EARLY_EPSILON)),
+        ] {
+            for threads in [1, 4] {
+                let options = CheckOptions {
+                    threads,
+                    term_order,
+                    ..options(AlgorithmChoice::AlgorithmI, SharedTableMode::On)
+                };
+                let r = fidelity_alg1(&ideal, &noisy, epsilon, &options).expect("alg1 runs");
+                actual.push((format!("{name}/{mode}/t{threads}"), term_bits(&r, threads)));
+            }
+        }
+    }
+    assert_golden(&actual, GOLDEN_SHARED_ALG1, render_term_bits);
+}
+
+#[test]
+fn monte_carlo_bits_match_golden() {
+    let mut actual = Vec::new();
+    for (name, ideal, noisy) in rows(TERM_ROWS) {
+        for (label, threads, shared_table) in [
+            ("private_t1", 1, SharedTableMode::Off),
+            ("shared_t4", 4, SharedTableMode::On),
+        ] {
+            let options = CheckOptions {
+                threads,
+                ..options(AlgorithmChoice::AlgorithmI, shared_table)
+            };
+            let r = fidelity_monte_carlo(&ideal, &noisy, MC_SAMPLES, MC_SEED, &options)
+                .expect("monte carlo runs");
+            actual.push((
+                format!("{name}/{label}"),
+                (
+                    r.estimate.to_bits(),
+                    r.std_error.to_bits(),
+                    r.distinct_strings,
+                ),
+            ));
+        }
+    }
+    assert_golden(&actual, GOLDEN_MC, render_mc_bits);
 }

@@ -195,15 +195,9 @@ pub struct CheckOptions {
     /// (default: [`SharedTableMode::Auto`] — on whenever `threads > 1` —
     /// overridable via the `QAEC_SHARED_TABLE` environment variable).
     pub shared_table: SharedTableMode,
-    /// Seed each worker's contraction computed table from the heaviest
-    /// completed term's cache before every new batch (shared-store runs
-    /// only — cache entries hold store handles that are not portable
-    /// between private managers, so the flag is a no-op elsewhere). On
-    /// by default since profiling on the bench smoke preset showed it
-    /// value-transparent and mildly faster on term-heavy parallel runs;
-    /// `--seed-cache off` is the escape hatch.
-    /// [`qaec_tdd::TddStats::seed_imports`] / `seed_hits` report the
-    /// traffic and its payoff.
+    /// Has no effect. Kept so that struct literals and `--seed-cache`
+    /// flags written for the retired cross-worker contraction-cache
+    /// seeding stay valid. Default: `true`.
     pub seed_cont_cache: bool,
     /// Has no effect. Kept so that struct literals and `--lanes` flags
     /// written for the multi-lane noise-sweep engine, which this crate
@@ -336,8 +330,7 @@ mod tests {
             _ => SharedTableMode::Auto,
         };
         assert_eq!(CheckOptions::default().shared_table, expected);
-        // Cache seeding defaults on (shared-store runs only; a no-op —
-        // and value-transparent — everywhere else).
+        // The no-op `seed_cont_cache` keeps its old default.
         assert!(CheckOptions::default().seed_cont_cache);
     }
 

@@ -78,7 +78,7 @@ mod model_tests;
 pub use driver::{
     contract_network, contract_network_opts, ContractionResult, DriverOptions, DriverTimeout,
 };
-pub use manager::{ContCacheKey, Edge, NodeId, TddManager, TddStats, DEADLINE_PROBE_INTERVAL};
+pub use manager::{Edge, NodeId, TddManager, TddStats, DEADLINE_PROBE_INTERVAL};
 pub use par_driver::{
     contract_network_parallel, contract_steps_parallel, run_on_workers, scale_free_loops,
     ParallelOptions, ParallelOutcome, StepOutcome, StepRun,

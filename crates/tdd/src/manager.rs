@@ -76,10 +76,8 @@ pub(crate) const TERMINAL_VAR: u32 = u32::MAX;
 
 /// Key of one `cont` computed-table entry: the two (unit-weight) operand
 /// nodes, the interned elimination-set id and the position already
-/// consumed within it. With a shared store all four components are
-/// globally consistent, which is what lets entries travel between the
-/// workers of one run (see [`TddManager::seed_cont_cache`]).
-pub type ContCacheKey = (NodeId, NodeId, u32, u32);
+/// consumed within it.
+pub(crate) type ContCacheKey = (NodeId, NodeId, u32, u32);
 
 /// Operation counters and size statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -104,11 +102,6 @@ pub struct TddStats {
     pub cont_calls: u64,
     /// `cont` computed-table hits.
     pub cont_hits: u64,
-    /// `cont` cache entries imported from another worker's snapshot
-    /// ([`TddManager::seed_cont_cache`]).
-    pub seed_imports: u64,
-    /// `cont` computed-table hits served by an imported (seeded) entry.
-    pub seed_hits: u64,
     /// Garbage collections performed.
     pub gc_runs: u64,
     /// Largest arena size observed (live + dead nodes, excluding terminal).
@@ -152,8 +145,6 @@ impl TddStats {
         self.add_hits += other.add_hits;
         self.cont_calls += other.cont_calls;
         self.cont_hits += other.cont_hits;
-        self.seed_imports += other.seed_imports;
-        self.seed_hits += other.seed_hits;
         self.gc_runs += other.gc_runs;
         self.peak_nodes = self.peak_nodes.max(other.peak_nodes);
         // A footprint, not a counter: every worker of a run reports the
@@ -174,7 +165,7 @@ impl std::fmt::Display for TddStats {
         };
         write!(
             f,
-            "nodes created {} (peak {}), unique hits {} ({} cross-thread), add {} ({:.0}% hit), cont {} ({:.0}% hit), seeded {} (hits {}), gc runs {}, store {} B (peak {} B)",
+            "nodes created {} (peak {}), unique hits {} ({} cross-thread), add {} ({:.0}% hit), cont {} ({:.0}% hit), gc runs {}, store {} B (peak {} B)",
             self.nodes_created,
             self.peak_nodes,
             self.unique_hits,
@@ -183,8 +174,6 @@ impl std::fmt::Display for TddStats {
             100.0 * rate(self.add_hits, self.add_calls),
             self.cont_calls,
             100.0 * rate(self.cont_hits, self.cont_calls),
-            self.seed_imports,
-            self.seed_hits,
             self.gc_runs,
             self.store_bytes,
             self.peak_store_bytes,
@@ -222,8 +211,9 @@ impl PrivateStore {
 pub(crate) enum SharedInterning {
     /// The grid family: snap to the canonical `tol/32` cell, globally.
     /// Every manager on the store maps equal values to one id *and one
-    /// stored value*, which is what makes memo-table entries portable
-    /// across workers and trace terms (Algorithm I's seeding).
+    /// stored value*, which is what lets one worker's memo tables serve
+    /// every trace term it contracts, bit-identically at any thread
+    /// count (Algorithm I's term engine).
     Canonical {
         /// Write-combining lookaside: grid cell → interned id. Only the
         /// first sighting of a cell takes the store's stripe lock.
@@ -342,8 +332,6 @@ pub struct TddManager {
     pub(crate) store: TddStore,
     pub(crate) add_cache: FxHashMap<(Edge, Edge), Edge>,
     pub(crate) cont_cache: FxHashMap<ContCacheKey, Edge>,
-    /// Keys of `cont_cache` entries imported from another worker.
-    pub(crate) cont_seeded: FxHashSet<ContCacheKey>,
     /// Private-mode elimination sets (shared mode interns store-side).
     elim_sets: Vec<Vec<u32>>,
     elim_set_ids: FxHashMap<Vec<u32>, u32>,
@@ -478,7 +466,6 @@ impl TddManager {
             store,
             add_cache: FxHashMap::default(),
             cont_cache: FxHashMap::default(),
-            cont_seeded: FxHashSet::default(),
             elim_sets: Vec::new(),
             elim_set_ids: FxHashMap::default(),
             deadline: None,
@@ -553,7 +540,7 @@ impl TddManager {
     }
 
     /// Operation statistics so far. For shared-store managers this holds
-    /// only the manager-local counters (computed tables, seeding);
+    /// only the manager-local counters (computed tables);
     /// allocation counters and store footprint live in
     /// [`crate::SharedTddStore::stats`]. Private-store managers report
     /// their own arena/table footprint here, so shared-vs-private
@@ -881,43 +868,6 @@ impl TddManager {
     pub fn clear_computed_tables(&mut self) {
         self.add_cache.clear();
         self.cont_cache.clear();
-        self.cont_seeded.clear();
-    }
-
-    /// A copy of this manager's `cont` computed table, for shipping to
-    /// another worker on the *same shared store* (handles are not
-    /// portable between private stores).
-    pub fn snapshot_cont_cache(&self) -> FxHashMap<ContCacheKey, Edge> {
-        self.cont_cache.clone()
-    }
-
-    /// Imports another worker's computed-table snapshot: entries whose
-    /// key this manager has not computed itself are inserted and marked,
-    /// so [`TddStats::seed_imports`] counts what arrived and
-    /// [`TddStats::seed_hits`] later proves which imports paid off.
-    ///
-    /// Only meaningful between managers attached to the same
-    /// [`SharedTddStore`] — node, weight and elimination-set handles in
-    /// the entries must be valid here.
-    pub fn seed_cont_cache(&mut self, entries: &FxHashMap<ContCacheKey, Edge>) {
-        debug_assert!(
-            matches!(
-                &self.store,
-                TddStore::Shared {
-                    interning: SharedInterning::Canonical { .. },
-                    ..
-                }
-            ),
-            "cont-cache seeding requires globally-pure (canonical) interning \
-             on a shared store — scoped entries embed scope-local ids"
-        );
-        for (&key, &result) in entries {
-            if let Entry::Vacant(slot) = self.cont_cache.entry(key) {
-                slot.insert(result);
-                self.cont_seeded.insert(key);
-                self.stats.seed_imports += 1;
-            }
-        }
     }
 
     /// Interns an elimination set (sorted variable levels) for contraction
@@ -1098,8 +1048,6 @@ mod tests {
             add_hits: 1,
             cont_calls: 4,
             cont_hits: 3,
-            seed_imports: 2,
-            seed_hits: 1,
             gc_runs: 1,
             peak_nodes: 100,
             store_bytes: 4096,
@@ -1113,8 +1061,6 @@ mod tests {
             add_hits: 2,
             cont_calls: 6,
             cont_hits: 1,
-            seed_imports: 1,
-            seed_hits: 2,
             gc_runs: 0,
             peak_nodes: 40,
             store_bytes: 9000,
@@ -1128,8 +1074,6 @@ mod tests {
         assert_eq!(a.add_hits, 3);
         assert_eq!(a.cont_calls, 10);
         assert_eq!(a.cont_hits, 4);
-        assert_eq!(a.seed_imports, 3);
-        assert_eq!(a.seed_hits, 3);
         assert_eq!(a.gc_runs, 1);
         assert_eq!(a.peak_nodes, 100, "peak takes the max, not the sum");
         assert_eq!(a.store_bytes, 9000, "footprint takes the max, not the sum");
@@ -1177,30 +1121,5 @@ mod tests {
         let n = m.node(e.node);
         assert_eq!(n.high.weight, WeightId::ONE);
         assert!((m.weight_value(n.low.weight) - C64::real(-0.5)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn seeded_cont_entries_are_imported_once_and_marked() {
-        let store = SharedTddStore::new();
-        let mut a = TddManager::new_shared(&store);
-        let mut b = TddManager::new_shared(&store);
-        let l = a.terminal(C64::real(1.0));
-        let h = a.terminal(C64::real(2.0));
-        let e = a.make_node(0, l, h);
-        let set = a.intern_elim_set(vec![0]);
-        let key: ContCacheKey = (e.node, NodeId::TERMINAL, set, 0);
-        a.cont_cache.insert(key, Edge::ONE);
-
-        let snapshot = a.snapshot_cont_cache();
-        b.seed_cont_cache(&snapshot);
-        assert_eq!(b.stats().seed_imports, 1);
-        assert!(b.cont_seeded.contains(&key));
-        // Re-seeding the same snapshot imports nothing new.
-        b.seed_cont_cache(&snapshot);
-        assert_eq!(b.stats().seed_imports, 1);
-        // Clearing computed tables drops the seeded markers too.
-        b.clear_computed_tables();
-        assert!(b.cont_cache.is_empty());
-        assert!(b.cont_seeded.is_empty());
     }
 }

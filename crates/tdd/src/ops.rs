@@ -202,9 +202,6 @@ fn cont_rec(
     let key = (na, nb, set_id, k as u32);
     if let Some(&hit) = m.cont_cache.get(&key) {
         m.stats.cont_hits += 1;
-        if !m.cont_seeded.is_empty() && m.cont_seeded.contains(&key) {
-            m.stats.seed_hits += 1;
-        }
         return Ok(Edge {
             node: hit.node,
             weight: m.wmul(hit.weight, w),

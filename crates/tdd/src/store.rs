@@ -49,8 +49,8 @@
 //!   1. **Canonical grid snapping** (`SharedTddStore::intern_weight`): every
 //!      value rounds to the centre of a fine sub-tolerance grid cell, a
 //!      pure function of the value alone, *globally* — which is what
-//!      lets Algorithm I's term engine share computed-table entries (and
-//!      cont-cache seeds) across trace terms and worker threads.
+//!      lets Algorithm I's term engine share computed-table entries
+//!      across trace terms, bit-identically at any thread count.
 //!   2. **Exact-bits interning** (`SharedTddStore::intern_weight_exact`): the
 //!      bit pattern is the key and the stored value. Gluing of
 //!      almost-equal values is layered on top by the *managers*, inside

@@ -443,64 +443,3 @@ fn fresh_per_term_managers_keep_one_worker_identity() {
         "a single worker can never hit across threads"
     );
 }
-
-/// Cross-term computed-table seeding: with the flag on, workers import
-/// the heaviest completed term's contraction cache before each new
-/// batch, the imports land (seed_imports) and pay off (seed_hits), and —
-/// because seeded entries are value-identical to recomputation on the
-/// canonical shared store — the result stays bit-identical.
-#[test]
-fn cont_cache_seeding_imports_pay_off_and_preserve_results() {
-    let ideal = qft(3, QftStyle::DecomposedNoSwaps);
-    let noisy = insert_random_noise(&ideal, &NoiseChannel::Depolarizing { p: 0.999 }, 4, 6);
-    let unseeded = fidelity_alg1(
-        &ideal,
-        &noisy,
-        None,
-        &with_backend(1, TermOrder::BestFirst, SharedTableMode::On),
-    )
-    .expect("unseeded sequential shared");
-    let seeded = fidelity_alg1(
-        &ideal,
-        &noisy,
-        None,
-        &CheckOptions {
-            seed_cont_cache: true,
-            ..with_backend(4, TermOrder::BestFirst, SharedTableMode::On)
-        },
-    )
-    .expect("seeded parallel shared");
-    assert!(
-        seeded.stats.seed_imports > 0,
-        "4 workers over 256 terms must import at least one snapshot entry"
-    );
-    assert!(
-        seeded.stats.seed_hits > 0,
-        "imported cont-cache entries must serve at least one hit"
-    );
-    assert_eq!(
-        seeded.fidelity_lower.to_bits(),
-        unseeded.fidelity_lower.to_bits(),
-        "seeding may only transplant work, never change values"
-    );
-    // Seeding defaults on for shared-store runs; `seed_cont_cache:
-    // false` is the escape hatch and must silence all traffic.
-    let plain = fidelity_alg1(
-        &ideal,
-        &noisy,
-        None,
-        &CheckOptions {
-            seed_cont_cache: false,
-            ..with_backend(4, TermOrder::BestFirst, SharedTableMode::On)
-        },
-    )
-    .expect("plain parallel shared");
-    assert_eq!(plain.stats.seed_imports, 0);
-    assert_eq!(plain.stats.seed_hits, 0);
-    // And the default-on path is value-transparent too.
-    assert_eq!(
-        plain.fidelity_lower.to_bits(),
-        seeded.fidelity_lower.to_bits(),
-        "disabling seeding may not change values either"
-    );
-}
