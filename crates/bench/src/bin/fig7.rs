@@ -16,8 +16,10 @@ use qaec_circuit::generators::{bernstein_vazirani_all_ones, qft, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
 use qaec_circuit::{Circuit, NoiseChannel};
 
+const USAGE: &str = "fig7 [--max-noises K] [--timeout SECS] [--json PATH]";
+
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(USAGE);
     let families: Vec<(String, Circuit)> = vec![
         ("bv3".into(), bernstein_vazirani_all_ones(3)),
         ("bv4".into(), bernstein_vazirani_all_ones(4)),

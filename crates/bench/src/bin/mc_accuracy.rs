@@ -11,17 +11,26 @@
 //! Kraus strings actually contracted (the memo makes light-noise runs
 //! nearly free).
 
-use qaec::{fidelity_alg2, fidelity_monte_carlo, CheckOptions};
+use qaec::{fidelity_alg2, fidelity_monte_carlo, CheckOptions, QaecError};
 use qaec_bench::{HarnessArgs, NOISE_SEED};
 use qaec_circuit::generators::{bernstein_vazirani_all_ones, qft, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
 use qaec_circuit::NoiseChannel;
 use std::time::Instant;
 
+const USAGE: &str = "mc_accuracy [--timeout SECS]";
+
 fn main() {
-    let _args = HarnessArgs::parse();
-    let opts = CheckOptions::default();
-    println!("# Monte Carlo estimator vs exact fidelity (extension)\n");
+    let args = HarnessArgs::parse(USAGE);
+    // Each run gets its own deadline, like the other binaries' cells.
+    let opts = || CheckOptions {
+        deadline: Some(Instant::now() + args.timeout),
+        ..CheckOptions::default()
+    };
+    println!(
+        "# Monte Carlo estimator vs exact fidelity (extension, timeout {}s)\n",
+        args.timeout.as_secs()
+    );
     println!(
         "{:<8} {:>3} {:>12} {:>8} {:>12} {:>10} {:>8} {:>8} {:>9}",
         "circuit", "k", "exact F", "N", "estimate", "std err", "err/se", "strings", "time"
@@ -40,10 +49,24 @@ fn main() {
             k,
             NOISE_SEED + k as u64,
         );
-        let exact = fidelity_alg2(&ideal, &noisy, &opts).expect("alg2").fidelity;
+        let exact = match fidelity_alg2(&ideal, &noisy, &opts()) {
+            Ok(report) => report.fidelity,
+            Err(QaecError::Timeout) => {
+                println!("{name:<8} {k:>3} {:>12}", "TO");
+                continue;
+            }
+            Err(e) => panic!("{name}: Algorithm II failed: {e}"),
+        };
         for samples in [200usize, 1000, 5000] {
             let start = Instant::now();
-            let mc = fidelity_monte_carlo(&ideal, &noisy, samples, 0xE57, &opts).expect("mc");
+            let mc = match fidelity_monte_carlo(&ideal, &noisy, samples, 0xE57, &opts()) {
+                Ok(mc) => mc,
+                Err(QaecError::Timeout) => {
+                    println!("{name:<8} {k:>3} {exact:>12.8} {samples:>8} {:>12}", "TO");
+                    continue;
+                }
+                Err(e) => panic!("{name}: Monte Carlo failed: {e}"),
+            };
             let sigmas = if mc.std_error > 0.0 {
                 (mc.estimate - exact) / mc.std_error
             } else {

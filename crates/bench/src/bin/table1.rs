@@ -5,7 +5,7 @@
 //! cargo run -p qaec-bench --release --bin table1 [--timeout SECS] [--only rb,qft2] [--skip-baseline] [--json PATH]
 //! ```
 //!
-//! Differences from the paper's setup (documented in EXPERIMENTS.md): the
+//! Differences from the paper's setup: the
 //! default per-run timeout is 120 s instead of 3600 s (pass `--timeout
 //! 3600` for the faithful bound), the baseline is our dense superoperator
 //! substitute for Qiskit under the same 8 GB accounting, and absolute
@@ -14,8 +14,10 @@
 
 use qaec_bench::{run_alg1, run_alg2, run_baseline, table1_suite, HarnessArgs, RunRecord};
 
+const USAGE: &str = "table1 [--timeout SECS] [--only rb,qft2] [--skip-baseline] [--json PATH]";
+
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(USAGE);
     let mut records: Vec<RunRecord> = Vec::new();
     println!(
         "# Table I — baseline vs Alg. II vs Alg. I (timeout {}s, memory bound 8 GB)\n",

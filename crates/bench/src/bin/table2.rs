@@ -15,8 +15,10 @@ use qaec_circuit::generators::bernstein_vazirani_all_ones;
 use qaec_circuit::noise_insertion::insert_random_noise;
 use qaec_circuit::NoiseChannel;
 
+const USAGE: &str = "table2 [--max-noises K] [--timeout SECS] [--json PATH]";
+
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(USAGE);
     let circuits = [3usize, 4, 5].map(|n| (format!("bv{n}"), bernstein_vazirani_all_ones(n)));
 
     println!(

@@ -472,3 +472,35 @@ fn parallel(options: &CheckOptions) -> ParallelOptions {
         deadline: options.deadline,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qaec_circuit::generators::{quantum_volume, tile};
+    use qaec_circuit::noise_insertion::insert_random_noise;
+
+    /// The tiled qv6x4_k8 workload (four 6-qubit QV blocks, 8
+    /// depolarizing sites, Table I seed) leaves 4 workers room to run:
+    /// its plan's total step cost is at least 4 times its critical path,
+    /// both in the dense `2^rank` estimate the scheduler ranks by.
+    #[test]
+    fn tiled_plan_has_work_for_four_workers() {
+        const NOISE_SEED: u64 = 0xDAC2021;
+        let ideal = tile(&quantum_volume(6, 5, NOISE_SEED), 4);
+        let noisy = insert_random_noise(
+            &ideal,
+            &NoiseChannel::Depolarizing { p: 0.999 },
+            8,
+            NOISE_SEED + 8,
+        );
+        let options = CheckOptions {
+            threads: 1,
+            ..CheckOptions::default()
+        };
+        let artifacts = Alg2Artifacts::compile(&ideal, &noisy, &options);
+        let graph = artifacts.plan.graph(&artifacts.built.network);
+        let critical_path = graph.priority.iter().copied().fold(0.0, f64::max);
+        let parallelism = artifacts.plan_cost.dense_ops / critical_path;
+        assert!(parallelism >= 4.0, "total / critical path = {parallelism}");
+    }
+}

@@ -21,14 +21,13 @@ use qaec::{
     check_equivalence, jamiolkowski_fidelity, mpo_favored, AlgorithmChoice, AlgorithmUsed,
     CheckOptions, Checker, Verdict, MPO_WIDTH_THRESHOLD,
 };
-use qaec_circuit::generators::{grover_dac21, qft, quantum_volume, tile, QftStyle};
+use qaec_circuit::generators::{ghz, grover_dac21, qft, quantum_volume, tile, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
 use qaec_circuit::{Circuit, NoiseChannel};
 
 const SEED: u64 = 0xDAC21;
 
-/// The bench-smoke circuit family: named ideal circuits small enough
-/// for the exact backends to answer quickly.
+/// Small named ideal circuits that the exact backends answer quickly.
 fn scenarios() -> Vec<(&'static str, Circuit)> {
     vec![
         ("qft3", qft(3, QftStyle::DecomposedNoSwaps)),
@@ -193,6 +192,71 @@ fn auto_portfolio_answers_from_mpo_when_decidable() {
     )
     .expect("exact comparator");
     assert_eq!(report.verdict, exact.verdict);
+}
+
+/// The Table I seed: noise placement of the wide24 and ghz8 pairs.
+const NOISE_SEED: u64 = 0xDAC2021;
+
+/// `wide24`: `tile(qft3, 8)`, each block with one depolarizing site
+/// (p = 0.998), checked at ε = 0.2.
+fn wide24() -> (Circuit, Circuit) {
+    let block = qft(3, QftStyle::DecomposedNoSwaps);
+    let noisy_block = insert_random_noise(
+        &block,
+        &NoiseChannel::Depolarizing { p: 0.998 },
+        1,
+        NOISE_SEED + 24,
+    );
+    (tile(&block, 8), tile(&noisy_block, 8))
+}
+
+/// On wide24 the MPO interval decides with Algorithm II's verdict,
+/// holds the exact fidelity and stays on bonds of at most 4; `Auto`
+/// answers from that MPO pass. ghz8, whose one interaction component
+/// spans the register, goes to an exact backend.
+#[test]
+fn wide24_decides_on_mpo_and_ghz8_routes_to_an_exact_backend() {
+    let epsilon = 0.2;
+    let (ideal, noisy) = wide24();
+    let exact_options = CheckOptions {
+        algorithm: AlgorithmChoice::AlgorithmII,
+        ..CheckOptions::default()
+    };
+    let exact = check_equivalence(&ideal, &noisy, epsilon, &exact_options).expect("exact");
+    let mpo = mpo_check(&ideal, &noisy, epsilon, 1e-8, 16);
+    assert_eq!(mpo.algorithm, AlgorithmUsed::Mpo);
+    assert_ne!(mpo.verdict, Verdict::Inconclusive);
+    assert_eq!(mpo.verdict, exact.verdict);
+    let (lo, hi) = mpo.fidelity_bounds;
+    let f = exact.fidelity_bounds.0;
+    assert!(
+        lo - 1e-12 <= f && f <= hi + 1e-12,
+        "exact {f} outside certified [{lo}, {hi}]"
+    );
+    let bond = mpo.bond_max.expect("mpo reports bond_max");
+    assert!(bond <= 4, "bond_max {bond}");
+
+    let auto = |ideal: &Circuit, noisy: &Circuit| {
+        let mut compiled = Checker::new(ideal, noisy)
+            .options(CheckOptions::default())
+            .compile()
+            .expect("auto compile");
+        compiled.check(epsilon).expect("auto check")
+    };
+    assert!(mpo_favored(&noisy));
+    let report = auto(&ideal, &noisy);
+    assert_eq!(report.algorithm, AlgorithmUsed::Mpo);
+    assert_eq!(report.verdict, exact.verdict);
+
+    let ghz8 = ghz(8);
+    let ghz8_noisy = insert_random_noise(
+        &ghz8,
+        &NoiseChannel::Depolarizing { p: 0.999 },
+        2,
+        NOISE_SEED + 25,
+    );
+    assert!(!mpo_favored(&ghz8_noisy));
+    assert_ne!(auto(&ghz8, &ghz8_noisy).algorithm, AlgorithmUsed::Mpo);
 }
 
 /// When the certified interval straddles 1 − ε, `Auto` escalates to an

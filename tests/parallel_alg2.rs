@@ -8,9 +8,9 @@
 
 use qaec::{
     check_equivalence, fidelity_alg1, fidelity_alg2, AlgorithmChoice, CheckOptions,
-    SharedTableMode, TermOrder,
+    SharedTableMode, StoreReclaimMode, TermOrder,
 };
-use qaec_circuit::generators::{grover_dac21, qft, tile, QftStyle};
+use qaec_circuit::generators::{grover_dac21, qft, quantum_volume, tile, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
 use qaec_circuit::{Circuit, NoiseChannel};
 use std::time::{Duration, Instant};
@@ -157,6 +157,73 @@ fn tiled_circuits_stay_bit_identical_and_factor() {
     assert_eq!(seq.fidelity.to_bits(), par.fidelity.to_bits());
     assert_eq!(seq.max_nodes, par.max_nodes);
     assert!(seq.fidelity > 0.9 && seq.fidelity < 1.0, "noise must bite");
+}
+
+/// The Table I seed: generator instances and noise placement.
+const NOISE_SEED: u64 = 0xDAC2021;
+
+/// `qv6x4_k8`: four disjoint 6-qubit QV blocks with 8 depolarizing
+/// sites. Its doubled network splits into four independent branches.
+fn qv6x4_k8() -> (Circuit, Circuit) {
+    let ideal = tile(&quantum_volume(6, 5, NOISE_SEED), 4);
+    let noisy = insert_random_noise(
+        &ideal,
+        &NoiseChannel::Depolarizing { p: 0.999 },
+        8,
+        NOISE_SEED + 8,
+    );
+    (ideal, noisy)
+}
+
+/// On the tiled qv6x4_k8 workload, 1 and 4 workers report the same
+/// fidelity bits and `max_nodes`, and the shared store does the private
+/// driver's work: equal `cont_calls` and `add_calls`, `nodes_created`
+/// within 1%. Both shared runs account a store footprint whose peak is
+/// at least what is still held.
+#[test]
+fn qv6x4_shared_store_matches_private_work_at_any_thread_count() {
+    let (ideal, noisy) = qv6x4_k8();
+    let run = |threads: usize, shared_table: SharedTableMode| {
+        let options = CheckOptions {
+            store_reclaim: StoreReclaimMode::Off,
+            ..alg2_options(threads, shared_table)
+        };
+        fidelity_alg2(&ideal, &noisy, &options).expect("qv6x4_k8")
+    };
+    // The three runs are independent (a store each), so they run side
+    // by side.
+    let [t1, t4, private] = std::thread::scope(|scope| {
+        let run = &run;
+        [
+            (1, SharedTableMode::On),
+            (4, SharedTableMode::On),
+            (1, SharedTableMode::Off),
+        ]
+        .map(|(threads, shared_table)| scope.spawn(move || run(threads, shared_table)))
+        .map(|handle| handle.join().expect("qv6x4_k8 run thread"))
+    });
+    assert_eq!(t1.fidelity.to_bits(), t4.fidelity.to_bits());
+    assert_eq!((t1.max_nodes, t4.max_nodes), (448, 448));
+    for shared in [&t1, &t4] {
+        let stats = &shared.stats;
+        assert!(stats.store_bytes > 0, "{stats:?}");
+        assert!(stats.peak_store_bytes >= stats.store_bytes, "{stats:?}");
+    }
+    assert!(
+        (t1.fidelity - private.fidelity).abs() < 1e-9,
+        "shared {} vs private {}",
+        t1.fidelity,
+        private.fidelity
+    );
+    let (shared, private) = (&t1.stats, &private.stats);
+    assert_eq!(shared.cont_calls, private.cont_calls);
+    assert_eq!(shared.add_calls, private.add_calls);
+    assert!(
+        shared.nodes_created.abs_diff(private.nodes_created) * 100 <= private.nodes_created,
+        "nodes created: shared {} vs private {}",
+        shared.nodes_created,
+        private.nodes_created
+    );
 }
 
 /// Deadlines abort the parallel driver on every worker count, including

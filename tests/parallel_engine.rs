@@ -406,6 +406,14 @@ fn shared_store_reduces_aggregate_allocations() {
         shared.stats.cross_unique_hits > 0,
         "4 workers on 256 terms must share structure across threads"
     );
+    // The shared store accounts its footprint, and its high-water mark
+    // never reads below what it still holds.
+    assert!(shared.stats.store_bytes > 0, "{:?}", shared.stats);
+    assert!(
+        shared.stats.peak_store_bytes >= shared.stats.store_bytes,
+        "{:?}",
+        shared.stats
+    );
     // Store-aware attribution: the shared total is one global count, in
     // the same ballpark as the sequential build — not workers × that.
     assert!(

@@ -8,8 +8,8 @@
 //! error — never a crash.
 //!
 //! Plan-build counting (`qaec_tensornet::plan::build_count`) is
-//! process-global and therefore asserted only in the single-flow
-//! `bench_smoke` harness, never here where tests run concurrently.
+//! process-global and therefore asserted only in `tests/plan_builds.rs`,
+//! a binary with a single test, never here where tests run concurrently.
 
 use qaec::{
     check_equivalence, AlgorithmChoice, CacheOutcome, CheckOptions, Checker, QaecError, Service,

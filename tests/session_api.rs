@@ -207,9 +207,9 @@ fn noise_sweep_matches_cold_checks_bitwise() {
                 .compile()
                 .expect("compile");
             // (The "plan built exactly once per compile" counter is
-            // asserted in the single-flow bench_smoke harness —
-            // `qaec_tensornet::plan::build_count()` is process-global and
-            // this test binary runs tests concurrently.)
+            // asserted in `tests/plan_builds.rs`, a binary with a single
+            // test — `qaec_tensornet::plan::build_count()` is
+            // process-global and this binary runs tests concurrently.)
             let points = compiled.sweep_noise(eps, &strengths).expect("sweep");
             assert_eq!(points.len(), strengths.len());
             for (point, &p) in points.iter().zip(&strengths) {

@@ -13,10 +13,10 @@
 //! variables, and these tests pin exact configurations).
 
 use qaec::{
-    check_equivalence, AlgorithmChoice, CheckOptions, Checker, CompiledCheck, SharedTableMode,
-    StoreReclaimMode, SweepPoint,
+    check_equivalence, AlgorithmChoice, CheckOptions, Checker, CompiledCheck, EquivalenceReport,
+    SharedTableMode, StoreReclaimMode, SweepPoint,
 };
-use qaec_circuit::generators::{qft, QftStyle};
+use qaec_circuit::generators::{qft, quantum_volume, tile, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
 use qaec_circuit::{Circuit, NoiseChannel, Operation};
 use qaec_math::{Matrix, C64};
@@ -160,6 +160,92 @@ fn repeated_sweep_does_fewer_cont_calls() {
         assert_eq!(a.fidelity.to_bits(), b.fidelity.to_bits());
         assert_eq!(a.max_nodes, b.max_nodes);
     }
+}
+
+/// The fold's and reclamation's payoff on 8-point sweeps of the tiled
+/// qv6x4_k8 workload (four 6-qubit QV blocks, 8 depolarizing sites,
+/// Table I seed). A reclaim-off session's first sweep builds the fold;
+/// its repeated sweep does at most 0.35× the `cont_calls` of 8 cold
+/// one-shot checks, and every point equals its cold check bit for bit.
+/// A reclaim-on session answers the same bits with a peak footprint at
+/// most 1/1.5 of the reclaim-off one.
+#[test]
+fn qv6x4_sweeps_fold_to_0_35x_the_cold_work_and_reclaim_1_5x_of_the_peak() {
+    const NOISE_SEED: u64 = 0xDAC2021;
+    let ideal = tile(&quantum_volume(6, 5, NOISE_SEED), 4);
+    let noisy = insert_random_noise(
+        &ideal,
+        &NoiseChannel::Depolarizing { p: 0.999 },
+        8,
+        NOISE_SEED + 8,
+    );
+    let strengths = [0.999, 0.998, 0.997, 0.996, 0.995, 0.99, 0.98, 0.97];
+    let epsilon = 1e-3;
+    let opts = |reclaim| options(1, SharedTableMode::On, reclaim);
+    // A session's sweep, with its store's peak and current footprint.
+    let sweep = |session: &CompiledCheck| {
+        let points = session.sweep_noise(epsilon, &strengths).expect("sweep");
+        let (bytes, peak) = (session.warm_store_bytes(), session.warm_store_peak_bytes());
+        assert!(bytes > 0 && peak >= bytes, "{bytes} B, peak {peak} B");
+        (points, peak)
+    };
+    // The cold checks and the reclaim-on session run on threads of their
+    // own. Each has its own store and one worker, so no counter depends
+    // on another.
+    let (off, repeated, on, cold) = std::thread::scope(|scope| {
+        let (ideal, noisy, opts, sweep) = (&ideal, &noisy, &opts, &sweep);
+        let halves: Vec<_> = strengths
+            .chunks(4)
+            .map(|half| {
+                scope.spawn(move || {
+                    half.iter()
+                        .map(|&p| {
+                            let cold_opts = opts(StoreReclaimMode::Off);
+                            check_equivalence(ideal, &with_strength(noisy, p), epsilon, &cold_opts)
+                        })
+                        .collect::<Result<Vec<EquivalenceReport>, _>>()
+                })
+            })
+            .collect();
+        let on = scope.spawn(move || sweep(&compile(ideal, noisy, &opts(StoreReclaimMode::On))));
+        let session = compile(ideal, noisy, &opts(StoreReclaimMode::Off));
+        let off = sweep(&session);
+        let (repeated, _) = sweep(&session);
+        let cold: Vec<EquivalenceReport> = halves
+            .into_iter()
+            .flat_map(|half| half.join().expect("cold check thread").expect("cold check"))
+            .collect();
+        (
+            off,
+            repeated,
+            on.join().expect("reclaim-on sweep thread"),
+            cold,
+        )
+    });
+    for (k, (point, cold)) in repeated.iter().zip(&cold).enumerate() {
+        assert_eq!(
+            point.fidelity.to_bits(),
+            cold.fidelity_bounds.0.to_bits(),
+            "point {k}"
+        );
+        assert_eq!(point.verdict, cold.verdict, "point {k}");
+        assert_eq!(point.max_nodes, cold.max_nodes, "point {k}");
+    }
+    let repeated_calls: u64 = repeated.iter().map(|p| p.stats.cont_calls).sum();
+    let cold_calls: u64 = cold.iter().map(|r| r.stats.cont_calls).sum();
+    assert!(
+        repeated_calls as f64 <= 0.35 * cold_calls as f64,
+        "repeated sweep {repeated_calls} cont_calls vs cold {cold_calls}"
+    );
+    let ((off_points, peak_off), (on_points, peak_on)) = (off, on);
+    for (k, (a, b)) in off_points.iter().zip(&on_points).enumerate() {
+        assert_eq!(a.fidelity.to_bits(), b.fidelity.to_bits(), "point {k}");
+        assert_eq!(a.verdict, b.verdict, "point {k}");
+    }
+    assert!(
+        peak_off as f64 >= 1.5 * peak_on as f64,
+        "reclaim-off peak {peak_off} B vs reclaim-on {peak_on} B"
+    );
 }
 
 /// A private-store session (`--shared-table off`) keeps the per-point
