@@ -157,7 +157,7 @@ fn bench_intern(c: &mut Criterion) {
     group.bench_function("scoped_fresh_scope200", |b| {
         b.iter(|| {
             let store = SharedTddStore::new();
-            let mut m = TddManager::new_shared_scoped(&store);
+            let mut m = TddManager::new_shared(&store);
             for scope in values.chunks(200) {
                 m.begin_weight_scope();
                 for &z in scope {

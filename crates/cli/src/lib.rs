@@ -213,19 +213,24 @@ OPTIONS:
     --threads <n>              worker threads: Algorithm I / MC steal
                                trace terms (composes with --epsilon
                                early termination), Algorithm II runs
-                               independent contraction-plan steps —
-                               bit-identical results at any count
-                               (default: QAEC_THREADS env var, else 1)
+                               independent contraction-plan steps.
+                               Algorithm II results are bit-identical
+                               at any count; Algorithm I / MC results
+                               agree within the interning tolerance
+                               (~1e-9), bit-identical under
+                               --shared-table on (default: QAEC_THREADS
+                               env var, else 1)
     --shared-table <on|off|auto>
                                share one concurrent TDD store across the
-                               workers (auto = on when --threads > 1 for
-                               Algorithm I / MC, and always for
-                               Algorithm II; default: QAEC_SHARED_TABLE
-                               env var, else auto). Shared runs
-                               hash-cons sub-diagrams across threads and
-                               are bit-reproducible for every thread
-                               count; off restores the fastest private
-                               sequential Algorithm II driver
+                               workers (auto = always for Algorithm II,
+                               never for Algorithm I / MC, whose
+                               workers keep private managers; default:
+                               QAEC_SHARED_TABLE env var, else auto).
+                               Shared runs hash-cons sub-diagrams across
+                               threads and are bit-identical at every
+                               thread count, max_nodes included; off
+                               restores the fastest private sequential
+                               Algorithm II driver
     --lanes <n>                accepted, no effect (the retired
                                multi-lane sweep width)
     --store-reclaim <on|off|auto>

@@ -14,13 +14,12 @@
 //! * independent terms parallelize across threads (`threads > 1`) through
 //!   the work-stealing [`crate::engine`], which composes with `epsilon`,
 //!   `term_order`, `max_terms` and `deadline`;
-//! * parallel workers share one concurrent decision-diagram store by
-//!   default (`options.shared_table`), hash-consing sub-diagrams across
-//!   threads — so parallel runs keep Table II's "Opt." structure sharing
-//!   *and* every shared-store run returns bit-identical bounds/verdicts
-//!   whatever the thread count (force the store on at `threads == 1`
-//!   for a bit-comparable sequential reference; the `Auto` default
-//!   keeps the private fast path there).
+//! * every worker contracts on its own private manager by default, so
+//!   runs at different thread counts agree within the interning
+//!   tolerance (≲1e-9); `options.shared_table = On` puts the workers on
+//!   one concurrent decision-diagram store instead, where bounds,
+//!   verdicts and `max_nodes` are bit-identical whatever the thread
+//!   count.
 
 use crate::engine::{Jobs, TermEngine};
 use crate::error::QaecError;
@@ -209,15 +208,6 @@ impl Alg1Artifacts {
             d2: self.d2,
             warm_store,
         }
-    }
-
-    /// Worker count a run over `total_terms` terms would use (bounds the
-    /// shared-store resolution the session makes at compile time).
-    pub(crate) fn workers(&self, options: &CheckOptions) -> usize {
-        options
-            .threads
-            .max(1)
-            .min(self.template.total_terms().max(1))
     }
 }
 

@@ -10,10 +10,11 @@
 //! There are no independent trace terms to steal here, so `threads > 1`
 //! parallelises *inside* the contraction: the plan's step DAG is
 //! dispatched critical-path-first to a worker pool over one
-//! [`SharedTddStore`] ([`qaec_tdd::par_driver`]). Because the shared
-//! store's canonical interning makes every step's result a pure function
-//! of its operands, the fidelity and `max_nodes` are **bit-identical for
-//! every thread count** — which is why Algorithm II resolves
+//! [`SharedTddStore`] ([`qaec_tdd::par_driver`]). Because each step is
+//! one weight scope — exact-bits interning, glued only within the
+//! step — every step's result is a pure function of its operands, and
+//! the fidelity and `max_nodes` are **bit-identical for every thread
+//! count** — which is why Algorithm II resolves
 //! [`SharedTableMode::Auto`] to the shared store even at one worker
 //! (`--threads` stays a pure performance knob). `SharedTableMode::Off`
 //! keeps the original private sequential driver, including its
@@ -400,10 +401,10 @@ impl Alg2Artifacts {
     ) -> Result<Alg2Report, QaecError> {
         let start = Instant::now();
         // `Auto` resolves ON at every thread count here (unlike
-        // Algorithm I, whose terms are value-independent): the plan
-        // scheduler needs the shared substrate, and contracting over the
-        // canonical store at one worker too keeps `--threads` a pure
-        // performance knob — the fidelity and `max_nodes` are
+        // Algorithm I, whose workers stay private under `Auto`): the
+        // plan scheduler needs the shared substrate, and contracting
+        // over the shared store at one worker too keeps `--threads` a
+        // pure performance knob — the fidelity and `max_nodes` are
         // bit-identical whatever the count.
         let (max_nodes, trace, stats) = if options.shared_table != SharedTableMode::Off {
             let store = match warm_store {

@@ -62,18 +62,15 @@ pub struct McReport {
 /// The sample stream is drawn up front (deterministic in `seed` alone,
 /// whatever `options.threads` is), the distinct strings are contracted
 /// on the shared work-stealing [`crate::engine`], and the estimator is
-/// then replayed over the sample sequence in draw order. With the
-/// shared TDD store (`options.shared_table`, on by default for
-/// `threads > 1`) every string's trace is a pure function of the string
-/// — the store's canonical weight interning is scheduling-independent —
-/// so the estimate is **bit-reproducible in `(seed, threads)`** and in
-/// fact bit-identical across every *shared-store* run (under the `Auto`
-/// default, `threads == 1` uses the private store instead; force
-/// [`crate::options::SharedTableMode::On`] for a bit-comparable
-/// sequential reference). With [`crate::options::SharedTableMode::Off`]
-/// each private manager snaps weights along its own interning history
-/// (tolerance ≈1e-10) and multi-worker estimates are reproducible only
-/// to that tolerance.
+/// then replayed over the sample sequence in draw order. By default
+/// (`options.shared_table` `Auto` or `Off`) every worker contracts on a
+/// private manager, which glues weights along its own interning history
+/// (tolerance ≈1e-10), so estimates at different thread counts agree
+/// within that tolerance. Under [`crate::options::SharedTableMode::On`]
+/// every string's trace is a pure function of the string — the shared
+/// store's exact-bits interning, glued only within each scope, is
+/// scheduling-independent — so the estimate is bit-identical across
+/// every thread count.
 ///
 /// # Errors
 ///

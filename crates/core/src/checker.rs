@@ -184,9 +184,8 @@ mod tests {
         // algorithms over the private store (exact weight arithmetic),
         // so ε = 0 puts every path exactly on the boundary. The store is
         // pinned to the private backend because landing *on* the
-        // boundary needs bit-exact values — the canonical shared store
-        // deliberately snaps weights to a grid (±ulp-level), which moves
-        // F off the boundary; the comparison under regression here,
+        // boundary needs bit-exact values, which it gives on every
+        // algorithm here; the comparison under regression,
         // `Verdict::decide`, is the single one every backend shares.
         let mut ideal = Circuit::new(2);
         ideal.h(0).cx(0, 1);

@@ -16,22 +16,22 @@
 //! * slow terms don't stall the run: a worker that finishes its batch
 //!   steals the next one from the shared enumerator, so load balances
 //!   even when term costs vary by orders of magnitude;
-//! * with the **shared TDD store** (`options.shared_table`, on by
-//!   default for `threads > 1`) all workers hash-cons nodes and intern
-//!   weights into one [`SharedTddStore`], recovering cross-thread
-//!   structure sharing; each worker keeps its computed tables
-//!   thread-local and reuses them across every term it contracts (the
-//!   paper's Table II "Opt." configuration). With
-//!   `SharedTableMode::Off` every worker keeps a fully private
-//!   [`TddManager`] instead.
+//! * every worker keeps a private [`TddManager`] and reuses its computed
+//!   tables across every term it contracts (the paper's Table II "Opt."
+//!   configuration) — the default at every thread count. Under
+//!   `SharedTableMode::On` all workers hash-cons nodes and intern
+//!   weights into one [`SharedTddStore`] instead, with one weight scope
+//!   per leaf conversion and per plan step, each clearing the worker's
+//!   computed tables.
 //!
 //! ## Bit-identical parallel results
 //!
 //! Two mechanisms make a shared-store run reproduce the sequential
 //! result *bit for bit*, whatever the thread count or scheduling:
 //!
-//! 1. The store's canonical weight interning makes every term's value a
-//!    pure function of the term alone (see [`qaec_tdd::store`]).
+//! 1. The store's exact-bits interning, glued only within each scope,
+//!    makes every term's value a pure function of the term alone (see
+//!    [`qaec_tdd::store`]).
 //! 2. The ordered reducer folds completed terms strictly in enumeration
 //!    order: workers deposit `(sequence, value, mass)` and the reducer
 //!    advances a gapless frontier, so partial sums — and therefore the
@@ -44,7 +44,7 @@
 //!
 //! With private per-worker stores the reducer still guarantees
 //! sequential *decision semantics*, but values drift by the interning
-//! tolerance (≈1e-10) because each manager snaps weights along its own
+//! tolerance (≈1e-10) because each manager glues weights along its own
 //! history.
 
 use crate::error::QaecError;
@@ -78,8 +78,8 @@ pub(crate) struct TermEngine<'a> {
     pub d2: f64,
     /// A warm shared store to reuse instead of allocating a fresh one
     /// (compile-once sessions sweeping many queries over one store).
-    /// Only consulted when `options.shared_table` resolves on; per-run
-    /// statistics are epoch-fenced so each run reports its own delta.
+    /// Only consulted under `SharedTableMode::On`; per-run statistics
+    /// are epoch-fenced so each run reports its own delta.
     pub warm_store: Option<&'a Arc<SharedTddStore>>,
 }
 
@@ -337,14 +337,14 @@ impl TermEngine<'_> {
         self.options.threads.max(1).min(jobs.max(1))
     }
 
-    /// The run's shared store, when `options.shared_table` resolves on
-    /// for this worker count: the session's warm store when one was
-    /// supplied (value-transparent — canonical interning makes reuse
+    /// The run's shared store, under `SharedTableMode::On`: the
+    /// session's warm store when one was supplied (value-transparent —
+    /// exact-bits interning with scope-local glue makes reuse
     /// bit-identical to a fresh store), else a fresh one.
-    fn shared_store(&self, workers: usize) -> Option<Arc<SharedTddStore>> {
+    fn shared_store(&self) -> Option<Arc<SharedTddStore>> {
         self.options
             .shared_table
-            .enabled_for(workers)
+            .enabled_for()
             .then(|| match self.warm_store {
                 Some(store) => Arc::clone(store),
                 None => SharedTddStore::new(),
@@ -374,7 +374,7 @@ impl TermEngine<'_> {
             Jobs::Fixed(list) => (TermQueue::new(list.iter().cloned(), None), list.len()),
         };
         let workers = self.worker_count(total_terms);
-        let store = self.shared_store(workers);
+        let store = self.shared_store();
         // Statistics fence: on a warm (session-reused) store this run
         // reports only its own allocation delta; on a fresh store the
         // epoch is zero and the delta equals the totals.

@@ -36,42 +36,40 @@ pub enum VarOrderStyle {
     TimeMajor,
 }
 
-/// Whether Algorithm I / Monte-Carlo workers share one concurrent TDD
-/// store (lock-striped unique table + sharded canonical weight
-/// interning) or each keep a fully private manager.
+/// Whether the workers of a check share one concurrent TDD store
+/// (lock-striped unique table, exact-bits weight interning glued within
+/// one scope per leaf conversion and per plan step) or each keep a
+/// fully private manager.
 ///
-/// With the shared store, common sub-diagrams are hash-consed *across*
-/// worker threads — recovering Table II's "Opt." sharing in parallel
-/// runs — and results are **bit-identical** whatever the thread count,
-/// because the store's canonical interning makes every weight a pure
-/// function of its value. The private backend remains the unchanged
-/// sequential fast path.
+/// On the shared store every scope is a pure function of its operand
+/// values, so results — `max_nodes` included — are **bit-identical**
+/// whatever the thread count. Algorithm I and the Monte-Carlo estimator
+/// share only under `On`: their private per-worker managers are faster,
+/// keep their garbage collection, and agree across thread counts within
+/// the interning tolerance (≲1e-9). Algorithm II shares unless the mode
+/// is `Off` (see [`crate::fidelity_alg2`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SharedTableMode {
-    /// Share exactly when more than one worker runs (the default): the
-    /// single-threaded path keeps its lock-free private store.
-    /// Algorithm II is the exception — its plan scheduler contracts
-    /// over the canonical shared store at *every* thread count under
-    /// `Auto`, so `threads` is a pure performance knob there (see
-    /// [`crate::fidelity_alg2`]).
+    /// The default: Algorithm I and Monte Carlo run on private
+    /// per-worker managers at every thread count; Algorithm II's plan
+    /// scheduler contracts over the shared store at every thread count,
+    /// so `threads` is a pure performance knob there.
     #[default]
     Auto,
-    /// Always share, even with one worker — useful to get shared-store
-    /// numerics (and bit-comparability with parallel runs) sequentially.
+    /// Always share, Algorithm I and Monte Carlo included, at any thread
+    /// count: the mode whose results are bit-identical across thread
+    /// counts.
     On,
-    /// Never share: every worker keeps a private manager (the pre-shared
-    /// behaviour; cross-thread results agree only to ≈1e-9).
+    /// Never share: every worker keeps a private manager, and
+    /// Algorithm II runs the sequential private driver.
     Off,
 }
 
 impl SharedTableMode {
-    /// Resolves the mode for an actual worker count.
-    pub fn enabled_for(self, workers: usize) -> bool {
-        match self {
-            SharedTableMode::Auto => workers > 1,
-            SharedTableMode::On => true,
-            SharedTableMode::Off => false,
-        }
+    /// Whether Algorithm I and Monte-Carlo workers share one store: only
+    /// under `On`, at any worker count.
+    pub fn enabled_for(self) -> bool {
+        self == SharedTableMode::On
     }
 }
 
@@ -88,8 +86,8 @@ impl SharedTableMode {
 /// peak high-water marks carry over.
 ///
 /// Reclamation is value-transparent: interning is a pure function of
-/// the value (canonical grid) or of the scope's input values (scoped
-/// exact-bits), and no engine value ever depends on an id, so every
+/// each scope's input values (exact bits, glued within the scope), and
+/// no engine value ever depends on an id, so every
 /// fidelity and verdict is bit-identical whichever mode runs. `Off`
 /// remains the escape hatch that additionally keeps warm-store *reuse*
 /// unconditional.
@@ -180,9 +178,11 @@ pub struct CheckOptions {
     /// Worker threads. Algorithm I and the Monte-Carlo estimator steal
     /// independent trace terms (the paper notes they parallelize
     /// trivially), composing with `epsilon`, `term_order`, `max_terms`
-    /// and `deadline`; Algorithm II dispatches independent contraction
-    /// *plan steps* to the pool instead (there is only one term), with
-    /// bit-identical results at every thread count. Plan *construction*
+    /// and `deadline`, with results that agree across thread counts
+    /// within the interning tolerance (bit-identical under
+    /// [`SharedTableMode::On`]); Algorithm II dispatches independent
+    /// contraction *plan steps* to the pool instead (there is only one
+    /// term), with bit-identical results at every thread count. Plan *construction*
     /// (one-shot calls and [`crate::Checker::compile`]) also plans
     /// disconnected network components concurrently on this many
     /// workers — the emitted plan is worker-count independent, so this
@@ -191,9 +191,10 @@ pub struct CheckOptions {
     /// Cap on Algorithm I terms (None = all); bounds stay correct, they
     /// just stop tightening.
     pub max_terms: Option<usize>,
-    /// Whether parallel workers share one concurrent TDD store
-    /// (default: [`SharedTableMode::Auto`] — on whenever `threads > 1` —
-    /// overridable via the `QAEC_SHARED_TABLE` environment variable).
+    /// Whether workers share one concurrent TDD store (default:
+    /// [`SharedTableMode::Auto`] — on for Algorithm II, off for
+    /// Algorithm I and Monte Carlo — overridable via the
+    /// `QAEC_SHARED_TABLE` environment variable).
     pub shared_table: SharedTableMode,
     /// Has no effect. Kept so that struct literals and `--seed-cache`
     /// flags written for the retired cross-worker contraction-cache
@@ -317,11 +318,10 @@ mod tests {
 
     #[test]
     fn shared_table_resolution() {
-        assert!(!SharedTableMode::Auto.enabled_for(1));
-        assert!(SharedTableMode::Auto.enabled_for(2));
-        assert!(SharedTableMode::On.enabled_for(1));
-        assert!(SharedTableMode::On.enabled_for(8));
-        assert!(!SharedTableMode::Off.enabled_for(8));
+        // Only `On` puts Algorithm I and Monte Carlo on the shared store.
+        assert!(!SharedTableMode::Auto.enabled_for());
+        assert!(SharedTableMode::On.enabled_for());
+        assert!(!SharedTableMode::Off.enabled_for());
         // Unless the env override is active, the default is Auto; with
         // it, CI forces one backend for the whole suite.
         let expected = match std::env::var("QAEC_SHARED_TABLE").as_deref() {

@@ -226,7 +226,8 @@ pub struct ServiceStats {
     /// deduplicated a concurrent cold herd (then it is the number of
     /// distinct pairs, not of requests).
     pub compiles: u64,
-    /// Sessions evicted to fit [`ServiceConfig::cache_bytes`].
+    /// Sessions evicted to fit [`ServiceConfig::cache_bytes`], plus
+    /// sessions dropped because a request panicked while it held them.
     pub evictions: u64,
     /// Sessions currently cached.
     pub sessions: usize,
@@ -342,6 +343,11 @@ impl Service {
     /// Safe to call from many threads at once; queries for the *same*
     /// pair serialise on that pair's session, distinct pairs proceed in
     /// parallel.
+    ///
+    /// A session whose lock a panicking request poisoned may be
+    /// half-updated, so the next request for the pair treats it as a
+    /// cache miss: it drops the session (counted as an eviction) and
+    /// compiles afresh, once.
     pub fn handle(&self, request: &ServiceRequest) -> ServiceResponse {
         let key = pair_hash(&request.ideal, &request.noisy) ^ algorithm_tag(request.algorithm);
         if let Err(error) = validate(&request.ideal, &request.noisy, None) {
@@ -351,7 +357,36 @@ impl Service {
                 result: Err(error),
             };
         }
-        let (slot, cache) = self.lookup(key);
+        let (slot, cache) = self.lookup(key, None);
+        let (cache, result) = match self.query(&slot, request) {
+            Some(result) => (cache, result),
+            None => {
+                let (fresh, cache) = self.lookup(key, Some(&slot));
+                let result = self
+                    .query(&fresh, request)
+                    .expect("fresh session lock poisoned");
+                (cache, result)
+            }
+        };
+        let counter = match cache {
+            CacheOutcome::Hit => &self.hits,
+            CacheOutcome::Miss => &self.misses,
+        };
+        // ordering: Relaxed — statistics counter; the cache lock orders
+        // the cache state itself.
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.enforce_budget(key);
+        ServiceResponse { key, cache, result }
+    }
+
+    /// Runs `request`'s query on `slot`'s session, compiling it first if
+    /// no request has (single-flight). `None` if the session's lock is
+    /// poisoned.
+    fn query(
+        &self,
+        slot: &Slot,
+        request: &ServiceRequest,
+    ) -> Option<Result<ServiceReply, QaecError>> {
         let cell = slot.cell.get_or_init(|| {
             // ordering: Relaxed — statistics counter; the OnceLock is what
             // synchronises the compiled session itself.
@@ -368,20 +403,16 @@ impl Service {
                 store,
             }
         });
-        let result = {
-            let mut session = cell.session.lock().expect("session lock poisoned");
-            match &request.query {
-                ServiceQuery::Check { epsilon } => session.check(*epsilon).map(ServiceReply::Check),
-                ServiceQuery::SweepEpsilon { epsilons } => session
-                    .sweep_epsilon(epsilons)
-                    .map(ServiceReply::SweepEpsilon),
-                ServiceQuery::SweepNoise { epsilon, strengths } => session
-                    .sweep_noise(*epsilon, strengths)
-                    .map(ServiceReply::SweepNoise),
-            }
-        };
-        self.enforce_budget(key);
-        ServiceResponse { key, cache, result }
+        let mut session = cell.session.lock().ok()?;
+        Some(match &request.query {
+            ServiceQuery::Check { epsilon } => session.check(*epsilon).map(ServiceReply::Check),
+            ServiceQuery::SweepEpsilon { epsilons } => session
+                .sweep_epsilon(epsilons)
+                .map(ServiceReply::SweepEpsilon),
+            ServiceQuery::SweepNoise { epsilon, strengths } => session
+                .sweep_noise(*epsilon, strengths)
+                .map(ServiceReply::SweepNoise),
+        })
     }
 
     /// Handles a request stream: requests are grouped by pair, distinct
@@ -447,20 +478,31 @@ impl Service {
         }
     }
 
-    /// Finds or creates the slot for `key`, counting the hit/miss and
-    /// stamping recency. The entry is inserted *before* compilation so
-    /// concurrent requests for the same pair converge on one slot —
-    /// the slot's `OnceLock` then makes the compile single-flight.
-    fn lookup(&self, key: u64) -> (Arc<Slot>, CacheOutcome) {
+    /// Finds or creates the slot for `key`, stamping recency. The entry
+    /// is inserted *before* compilation so concurrent requests for the
+    /// same pair converge on one slot — the slot's `OnceLock` then makes
+    /// the compile single-flight. A `poisoned` slot still cached under
+    /// `key` is dropped first and counted as an eviction; a concurrent
+    /// request may already have replaced it.
+    fn lookup(&self, key: u64, poisoned: Option<&Arc<Slot>>) -> (Arc<Slot>, CacheOutcome) {
         let mut cache = self.cache.lock().expect("cache lock poisoned");
+        if let Some(poisoned) = poisoned {
+            if cache
+                .entries
+                .get(&key)
+                .is_some_and(|entry| Arc::ptr_eq(&entry.slot, poisoned))
+            {
+                cache.entries.remove(&key);
+                // ordering: Relaxed — statistics counter under the cache
+                // lock; the lock orders the cache state itself.
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+            }
+        }
         cache.tick += 1;
         let tick = cache.tick;
         match cache.entries.entry(key) {
             MapEntry::Occupied(mut entry) => {
                 entry.get_mut().last_used = tick;
-                // ordering: Relaxed — statistics counter under the cache
-                // lock; the lock orders the cache state itself.
-                self.hits.fetch_add(1, Ordering::Relaxed);
                 (Arc::clone(&entry.get().slot), CacheOutcome::Hit)
             }
             MapEntry::Vacant(entry) => {
@@ -471,8 +513,6 @@ impl Service {
                     slot: Arc::clone(&slot),
                     last_used: tick,
                 });
-                // ordering: Relaxed — statistics counter (see `hits`).
-                self.misses.fetch_add(1, Ordering::Relaxed);
                 (slot, CacheOutcome::Miss)
             }
         }
@@ -505,7 +545,7 @@ impl Service {
                 Some(key) => {
                     cache.entries.remove(&key);
                     // ordering: Relaxed — statistics counter under the
-                    // cache lock (see `hits`).
+                    // cache lock (see `lookup`).
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
                 None => return,
@@ -517,5 +557,58 @@ impl Service {
 impl fmt::Debug for Service {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Service({})", self.stats())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qaec_circuit::NoiseChannel;
+
+    /// A panic while a request holds a cached session's lock poisons
+    /// that mutex. The next request for the pair must drop the session
+    /// and compile afresh, instead of panicking on it for the life of
+    /// the process.
+    #[test]
+    fn poisoned_session_is_dropped_and_compiled_afresh() {
+        let mut noisy = Circuit::new(2);
+        noisy
+            .h(0)
+            .cx(0, 1)
+            .noise(NoiseChannel::Depolarizing { p: 0.999 }, &[1]);
+        let request = ServiceRequest {
+            ideal: noisy.ideal(),
+            noisy,
+            query: ServiceQuery::Check { epsilon: 0.05 },
+            algorithm: None,
+        };
+        let service = Service::new(ServiceConfig::default());
+        let cold = service.handle(&request);
+        let slot = Arc::clone(&service.cache.lock().expect("cache lock").entries[&cold.key].slot);
+        std::thread::scope(|scope| {
+            let panicked = scope
+                .spawn(|| {
+                    let cell = slot.cell.get().expect("compiled");
+                    let _session = cell.session.lock().expect("not yet poisoned");
+                    panic!("a query panics while it holds the session");
+                })
+                .join();
+            assert!(panicked.is_err());
+        });
+
+        let fresh = service.handle(&request);
+        assert_eq!(fresh.cache, CacheOutcome::Miss);
+        let stats = service.stats();
+        assert_eq!((stats.compiles, stats.evictions), (2, 1), "{stats}");
+        match (cold.result.expect("cold"), fresh.result.expect("fresh")) {
+            (ServiceReply::Check(a), ServiceReply::Check(b)) => {
+                assert_eq!(a.verdict, b.verdict);
+                assert_eq!(a.fidelity_bounds.0.to_bits(), b.fidelity_bounds.0.to_bits());
+                assert_eq!(a.fidelity_bounds.1.to_bits(), b.fidelity_bounds.1.to_bits());
+            }
+            other => panic!("expected two check replies, got {other:?}"),
+        }
+        // The fresh session is cached and serves the next repeat.
+        assert_eq!(service.handle(&request).cache, CacheOutcome::Hit);
     }
 }

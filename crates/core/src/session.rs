@@ -414,7 +414,7 @@ pub struct CompiledCheck {
     algorithm: AlgorithmUsed,
     backend: Backend,
     /// The session's warm shared store, when the configured store mode
-    /// resolves on for this algorithm and worker count. Reused across
+    /// resolves on for this algorithm. Reused across
     /// every query and sweep point: later queries hash-cons against
     /// everything earlier ones interned (value-transparent — interning
     /// keeps results bit-identical to fresh-store runs). Held through a
@@ -446,10 +446,9 @@ impl CompiledCheck {
         let (backend, store) = match algorithm {
             AlgorithmUsed::AlgorithmI => {
                 let artifacts = Alg1Artifacts::compile(ideal, noisy, &options);
-                let workers = artifacts.workers(&options);
                 let store = options
                     .shared_table
-                    .enabled_for(workers)
+                    .enabled_for()
                     .then(|| StoreCell::new(SharedTddStore::new()));
                 (Backend::Alg1(artifacts), store)
             }
@@ -517,7 +516,7 @@ impl CompiledCheck {
     /// Bytes of backing storage held by the session's warm store
     /// ([`SharedTddStore::bytes_used`]) — the footprint a byte-budgeted
     /// session cache accounts against. 0 for private-store sessions
-    /// (Algorithm I at one worker under [`crate::SharedTableMode::Auto`]),
+    /// (Algorithm I under [`crate::SharedTableMode::Auto`] or `Off`),
     /// whose per-query arenas die with each query.
     ///
     /// Steps down when `options.store_reclaim` retires the store for a

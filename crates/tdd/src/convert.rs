@@ -30,10 +30,10 @@ use std::collections::BTreeSet;
 /// assert_eq!(m.eval(e, &[0, 1]), C64::ZERO);
 /// ```
 pub fn from_tensor(m: &mut TddManager, tensor: &Tensor, order: &VarOrder) -> Edge {
-    // One tensor = one weight scope: under scoped shared-store interning
-    // (see [`TddManager::begin_weight_scope`]) the conversion becomes a
-    // pure function of the tensor's entries, whichever worker runs it.
-    // A no-op for private and canonical managers.
+    // One tensor = one weight scope: on a shared store (see
+    // [`TddManager::begin_weight_scope`]) the conversion becomes a pure
+    // function of the tensor's entries, whichever worker runs it. A
+    // no-op for private managers.
     m.begin_weight_scope();
     let sorted = tensor.sorted_by(order);
     let levels: Vec<u32> = sorted.indices().iter().map(|&i| order.level(i)).collect();

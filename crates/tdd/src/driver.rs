@@ -110,8 +110,8 @@ fn drive(
                 let mut levels: Vec<u32> = eliminate.iter().map(|&i| order.level(i)).collect();
                 levels.sort_unstable();
                 let set = m.intern_elim_set(levels);
-                // One plan step = one weight scope (no-op unless the
-                // manager uses scoped shared-store interning).
+                // One plan step = one weight scope (a no-op on a private
+                // manager).
                 m.begin_weight_scope();
                 let e = ops::try_cont(m, ea, eb, set)?;
                 slots[*result] = Some(e);

@@ -12,12 +12,15 @@
 //! The engine lives in [`TddManager`]:
 //!
 //! * [`weight`] — tolerance-canonical interning of complex edge weights,
-//!   so that edges are two `u32`s and table lookups are exact;
+//!   so that edges are two `u32`s and table lookups are exact, and the
+//!   one first-come tolerance rule every interner uses;
 //! * [`manager`] — normalization rules and the `TddStore` storage
 //!   abstraction: a private per-manager arena + unique table (the
-//!   sequential fast path) or a handle onto a shared concurrent store;
+//!   sequential fast path) or a handle onto a shared concurrent store,
+//!   whose managers glue weights within one scope per leaf conversion
+//!   and per plan step;
 //! * [`store`] — the [`SharedTddStore`]: a lock-striped unique table and
-//!   sharded canonical weight interning over append-only arenas, so the
+//!   sharded exact-bits weight interning over append-only arenas, so the
 //!   worker managers of a parallel run hash-cons sub-diagrams *across*
 //!   threads and produce bit-identical results whatever the scheduling;
 //! * [`ops`] — pointwise addition and contraction (multiply + sum out a

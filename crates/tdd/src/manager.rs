@@ -8,10 +8,13 @@
 //! worker thread — can attach to so sub-diagrams hash-cons *across*
 //! threads. Computed tables (`add`/`cont` memoization) always stay
 //! per-manager; only `make_node`, weight interning/arithmetic and
-//! elimination-set interning route through the store.
+//! elimination-set interning route through the store. A shared-store
+//! manager glues almost-equal weights within one weight scope (see
+//! [`TddManager::begin_weight_scope`]) and interns each scope's
+//! representatives by exact bits.
 
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::store::{SharedTddStore, WeightClass};
+use crate::store::SharedTddStore;
 use crate::weight::{ToleranceIndex, WeightId, WeightTable};
 use qaec_math::C64;
 use std::collections::hash_map::Entry;
@@ -205,62 +208,6 @@ impl PrivateStore {
     }
 }
 
-/// How a shared-store manager maps arithmetic results to [`WeightId`]s —
-/// the choice of interning family (see `crate::store`'s module docs).
-#[derive(Debug)]
-pub(crate) enum SharedInterning {
-    /// The grid family: snap to the canonical `tol/32` cell, globally.
-    /// Every manager on the store maps equal values to one id *and one
-    /// stored value*, which is what lets one worker's memo tables serve
-    /// every trace term it contracts, bit-identically at any thread
-    /// count (Algorithm I's term engine).
-    Canonical {
-        /// Write-combining lookaside: grid cell → interned id. Only the
-        /// first sighting of a cell takes the store's stripe lock.
-        weight_cache: FxHashMap<(i64, i64), WeightId>,
-    },
-    /// The exact-bits family with *scope-local* tolerance gluing: within
-    /// one weight scope (one leaf conversion, one plan step — see
-    /// [`TddManager::begin_weight_scope`]) the first value seen in a
-    /// tolerance neighbourhood becomes its representative, by the same
-    /// [`ToleranceIndex`] rule as a private [`WeightTable`]; the
-    /// representative's bits intern globally by identity. Avoids the
-    /// grid's cell-straddling fragmentation (round-off twins landing in
-    /// different cells), which is what made shared-store plan runs
-    /// allocate ~3× the private driver's weights. Results stay
-    /// bit-identical across schedules because each scope is a pure
-    /// function of its operand values.
-    ///
-    /// A value resolves in three tiers: the scope memo (its exact bits
-    /// seen before in this scope), then the tolerance index (a
-    /// representative within `tol`), then — for a new representative —
-    /// the store's exact-bits map
-    /// ([`SharedTddStore::intern_weight_exact`]). The first two are
-    /// cleared at every scope boundary; the third is the store's and
-    /// never is, so equal bits get one id across scopes and managers.
-    Scoped {
-        /// Scope-local representatives. Cleared at every scope boundary.
-        glue: ToleranceIndex,
-        /// Scope-local bits → already-glued id (probe short-circuit).
-        resolved: FxHashMap<(u64, u64), WeightId>,
-    },
-}
-
-impl SharedInterning {
-    fn canonical() -> Self {
-        SharedInterning::Canonical {
-            weight_cache: FxHashMap::default(),
-        }
-    }
-
-    fn scoped(tol: f64) -> Self {
-        SharedInterning::Scoped {
-            glue: ToleranceIndex::new(tol),
-            resolved: FxHashMap::default(),
-        }
-    }
-}
-
 /// Where a manager keeps its nodes and weights: its own [`PrivateStore`]
 /// or a handle onto a cross-thread [`SharedTddStore`].
 #[derive(Debug)]
@@ -268,45 +215,28 @@ pub(crate) enum TddStore {
     /// Exclusive storage owned by this manager.
     Private(PrivateStore),
     /// A worker handle onto storage shared with other managers.
+    ///
+    /// Within one weight scope (one leaf conversion, one plan step — see
+    /// [`TddManager::begin_weight_scope`]) the first value seen in a
+    /// tolerance neighbourhood becomes its representative, by the same
+    /// [`ToleranceIndex`] rule as a private [`WeightTable`]; the
+    /// representative's bits intern globally by identity
+    /// ([`SharedTddStore::intern_weight_exact`]). A value resolves in
+    /// three tiers: the scope memo (its exact bits seen before in this
+    /// scope), then the tolerance index, then — for a new representative
+    /// — the store's exact-bits map. The first two are cleared at every
+    /// scope boundary; the third is the store's and never is, so equal
+    /// bits get one id across scopes and managers. Results stay
+    /// bit-identical across schedules because each scope is a pure
+    /// function of its operand values.
     Shared {
         store: Arc<SharedTddStore>,
         worker: u32,
-        /// Which interning family this manager routes weights through.
-        interning: SharedInterning,
+        /// Scope-local representatives. Cleared at every scope boundary.
+        glue: ToleranceIndex,
+        /// Scope-local bits → already-glued id (probe short-circuit).
+        resolved: FxHashMap<(u64, u64), WeightId>,
     },
-}
-
-/// Shared-store interning through the manager's chosen family.
-#[inline]
-fn intern_shared(store: &SharedTddStore, interning: &mut SharedInterning, z: C64) -> WeightId {
-    debug_assert!(z.is_finite(), "non-finite weight {z}");
-    match interning {
-        SharedInterning::Canonical { weight_cache } => match store.classify(z) {
-            WeightClass::Zero => WeightId::ZERO,
-            WeightClass::Huge => store.intern_weight_huge(z),
-            WeightClass::Grid(re, im) => *weight_cache
-                .entry((re, im))
-                .or_insert_with(|| store.intern_weight_cell((re, im))),
-        },
-        SharedInterning::Scoped { glue, resolved } => {
-            if glue.is_zero(z) {
-                return WeightId::ZERO;
-            }
-            // Bits new to this scope take the id of the first
-            // representative within tol; a first sighting in its
-            // neighbourhood becomes the representative, interned globally
-            // by exact bits — so every id a scoped manager hands out is
-            // *the* global id of its stored bits, making id equality
-            // equivalent to value-bit equality (the fast paths below rely
-            // on this).
-            match resolved.entry((z.re.to_bits(), z.im.to_bits())) {
-                Entry::Occupied(seen) => *seen.get(),
-                Entry::Vacant(slot) => {
-                    *slot.insert(glue.find_or_insert_with(z, || store.intern_weight_exact(z)))
-                }
-            }
-        }
-    }
 }
 
 /// The decision-diagram engine: arena, unique table, computed tables and
@@ -386,6 +316,12 @@ impl TddManager {
     /// and elimination sets go through the shared concurrent tables,
     /// while computed tables stay local to this manager. Handles minted
     /// here are valid in every other manager attached to `store`.
+    ///
+    /// Weights glue within [`Self::begin_weight_scope`] windows and
+    /// intern by exact bits. Callers own the scope boundaries: open one
+    /// per leaf conversion and per plan step (the drivers and
+    /// [`crate::convert::from_tensor`] do), and results are
+    /// bit-identical whatever the schedule or thread count.
     pub fn new_shared(store: &Arc<SharedTddStore>) -> Self {
         Self::new_shared_with_id(store, store.register_worker())
     }
@@ -400,59 +336,27 @@ impl TddManager {
         Self::with_store(TddStore::Shared {
             store: Arc::clone(store),
             worker,
-            interning: SharedInterning::canonical(),
+            glue: ToleranceIndex::new(store.tolerance()),
+            resolved: FxHashMap::default(),
         })
     }
 
-    /// [`Self::new_shared`] with **scope-local** weight interning: the
-    /// manager glues within [`Self::begin_weight_scope`] windows and
-    /// interns representatives by exact bits, instead of snapping to the
-    /// store's global grid. This is the plan drivers' mode — it keeps a
-    /// shared-store contraction as compact as the private driver's.
-    /// Callers own the scope boundaries: open one per leaf conversion
-    /// and per plan step, and results are bit-identical whatever the
-    /// schedule or thread count.
-    pub fn new_shared_scoped(store: &Arc<SharedTddStore>) -> Self {
-        let mut m = Self::new_shared(store);
-        m.set_scoped_interning();
-        m
-    }
-
-    /// Switches this shared-store manager to the scoped interning family
-    /// (no-op on private stores). Computed tables are cleared: their
-    /// entries may cache grid-family ids, which scoped scopes must never
-    /// observe.
-    pub fn set_scoped_interning(&mut self) {
-        if let TddStore::Shared {
-            store, interning, ..
-        } = &mut self.store
-        {
-            *interning = SharedInterning::scoped(store.tolerance());
-            self.clear_computed_tables();
-        }
-    }
-
-    /// Opens a new weight scope on a scoped-interning manager: empties
-    /// the scope memo and the tolerance index in place (keeping their
+    /// Opens a new weight scope on a shared-store manager: empties the
+    /// scope memo and the tolerance index in place (keeping their
     /// capacity) so the next tolerance neighbourhood elects a fresh
-    /// representative, and clears the computed tables (their
-    /// entries embed the outgoing scope's representative ids). A no-op
-    /// for canonical and private managers, so generic call sites —
-    /// `from_tensor`, the plan drivers — can mark scope boundaries
-    /// unconditionally.
+    /// representative, and clears the computed tables (their entries
+    /// embed the outgoing scope's representative ids). A no-op for
+    /// private managers, so generic call sites — `from_tensor`, the plan
+    /// drivers — can mark scope boundaries unconditionally.
     ///
     /// Each scope is a pure function of its operand *values*: within a
     /// scope, representative election follows the deterministic
     /// recursion order, and across scopes only exact bits persist (via
-    /// the global exact-interning family). That is the determinism
-    /// invariant that keeps scoped shared-store runs bit-identical for
-    /// every thread count.
+    /// the store's exact-bits interning). That is the determinism
+    /// invariant that keeps shared-store runs bit-identical for every
+    /// thread count.
     pub fn begin_weight_scope(&mut self) {
-        if let TddStore::Shared {
-            interning: SharedInterning::Scoped { glue, resolved },
-            ..
-        } = &mut self.store
-        {
+        if let TddStore::Shared { glue, resolved, .. } = &mut self.store {
             glue.clear();
             resolved.clear();
         } else {
@@ -583,12 +487,35 @@ impl TddManager {
     }
 
     /// Interns a complex value as an edge weight.
+    #[inline]
     pub fn intern_weight(&mut self, z: C64) -> WeightId {
         match &mut self.store {
             TddStore::Private(p) => p.weights.intern(z),
             TddStore::Shared {
-                store, interning, ..
-            } => intern_shared(store, interning, z),
+                store,
+                glue,
+                resolved,
+                ..
+            } => {
+                debug_assert!(z.is_finite(), "non-finite weight {z}");
+                if glue.is_zero(z) {
+                    return WeightId::ZERO;
+                }
+                // Bits new to this scope take the id of the first
+                // representative within tol; a first sighting in its
+                // neighbourhood becomes the representative, interned
+                // globally by exact bits — so every id a shared-store
+                // manager hands out is *the* global id of its stored bits,
+                // making id equality equivalent to value-bit equality (the
+                // id-equality fast paths of `wdiv` and `make_node` rely on
+                // this).
+                match resolved.entry((z.re.to_bits(), z.im.to_bits())) {
+                    Entry::Occupied(seen) => *seen.get(),
+                    Entry::Vacant(slot) => {
+                        *slot.insert(glue.find_or_insert_with(z, || store.intern_weight_exact(z)))
+                    }
+                }
+            }
         }
     }
 
@@ -603,47 +530,31 @@ impl TddManager {
 
     /// Interned product `a·b`.
     pub(crate) fn wmul(&mut self, a: WeightId, b: WeightId) -> WeightId {
-        match &mut self.store {
-            TddStore::Private(p) => p.weights.mul(a, b),
-            TddStore::Shared {
-                store, interning, ..
-            } => {
-                if a.is_zero() || b.is_zero() {
-                    WeightId::ZERO
-                } else if a.is_one() {
-                    b
-                } else if b.is_one() {
-                    a
-                } else {
-                    intern_shared(
-                        store,
-                        interning,
-                        store.weight_value(a) * store.weight_value(b),
-                    )
-                }
-            }
+        if let TddStore::Private(p) = &mut self.store {
+            return p.weights.mul(a, b);
+        }
+        if a.is_zero() || b.is_zero() {
+            WeightId::ZERO
+        } else if a.is_one() {
+            b
+        } else if b.is_one() {
+            a
+        } else {
+            self.intern_weight(self.weight_value(a) * self.weight_value(b))
         }
     }
 
     /// Interned sum `a + b`.
     pub(crate) fn wadd(&mut self, a: WeightId, b: WeightId) -> WeightId {
-        match &mut self.store {
-            TddStore::Private(p) => p.weights.add(a, b),
-            TddStore::Shared {
-                store, interning, ..
-            } => {
-                if a.is_zero() {
-                    b
-                } else if b.is_zero() {
-                    a
-                } else {
-                    intern_shared(
-                        store,
-                        interning,
-                        store.weight_value(a) + store.weight_value(b),
-                    )
-                }
-            }
+        if let TddStore::Private(p) = &mut self.store {
+            return p.weights.add(a, b);
+        }
+        if a.is_zero() {
+            b
+        } else if b.is_zero() {
+            a
+        } else {
+            self.intern_weight(self.weight_value(a) + self.weight_value(b))
         }
     }
 
@@ -653,46 +564,32 @@ impl TddManager {
     ///
     /// Panics if `b` is the zero weight.
     pub(crate) fn wdiv(&mut self, a: WeightId, b: WeightId) -> WeightId {
-        match &mut self.store {
-            TddStore::Private(p) => p.weights.div(a, b),
-            TddStore::Shared {
-                store, interning, ..
-            } => {
-                assert!(!b.is_zero(), "division by the zero weight");
-                if a.is_zero() {
-                    WeightId::ZERO
-                } else if b.is_one() {
-                    a
-                } else if a == b {
-                    WeightId::ONE
-                } else {
-                    intern_shared(
-                        store,
-                        interning,
-                        store.weight_value(a) / store.weight_value(b),
-                    )
-                }
-            }
+        if let TddStore::Private(p) = &mut self.store {
+            return p.weights.div(a, b);
+        }
+        assert!(!b.is_zero(), "division by the zero weight");
+        if a.is_zero() {
+            WeightId::ZERO
+        } else if b.is_one() {
+            a
+        } else if a == b {
+            WeightId::ONE
+        } else {
+            self.intern_weight(self.weight_value(a) / self.weight_value(b))
         }
     }
 
     /// Interned scalar multiple by a real factor.
     pub(crate) fn wscale_real(&mut self, a: WeightId, factor: f64) -> WeightId {
-        match &mut self.store {
-            TddStore::Private(p) => p.weights.scale_real(a, factor),
-            TddStore::Shared {
-                store, interning, ..
-            } => {
-                if factor == 0.0 || a.is_zero() {
-                    if factor == 0.0 {
-                        WeightId::ZERO
-                    } else {
-                        a
-                    }
-                } else {
-                    intern_shared(store, interning, store.weight_value(a) * factor)
-                }
-            }
+        if let TddStore::Private(p) = &mut self.store {
+            return p.weights.scale_real(a, factor);
+        }
+        if factor == 0.0 {
+            WeightId::ZERO
+        } else if a.is_zero() {
+            a
+        } else {
+            self.intern_weight(self.weight_value(a) * factor)
         }
     }
 
@@ -1108,6 +1005,22 @@ mod tests {
         assert_eq!(merged.cross_unique_hits, 1);
         // b can read a's diagram through its own handle.
         assert!((b.eval(ea, &[1]) - C64::real(2.0)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn shared_normalization_keeps_weights_just_above_the_tolerance() {
+        // A weight just above the zero tolerance must keep its value:
+        // stored as exactly `tol`, normalisation would take the zero
+        // sibling as the norm and divide by it (seen on Algorithm I over
+        // qv_n6d5 with three depolarizing sites).
+        let store = SharedTddStore::new();
+        let mut m = TddManager::new_shared(&store);
+        let z = C64::real(m.tolerance() * (1.0 + 1e-6));
+        let high = m.terminal(z);
+        let e = m.make_node(0, Edge::ZERO, high);
+        assert_eq!(m.weight_value(e.weight), z);
+        assert_eq!(m.eval(e, &[0]), C64::ZERO);
+        assert_eq!(m.eval(e, &[1]), z);
     }
 
     #[test]

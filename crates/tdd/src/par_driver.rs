@@ -12,10 +12,10 @@
 //!
 //! ## Why any schedule gives the same answer, bit for bit
 //!
-//! Workers attach to the store with **scoped** interning
-//! ([`TddManager::new_shared_scoped`]): each leaf conversion and each
-//! plan step opens a fresh weight scope, whose tolerance gluing and
-//! computed tables start empty. Within a scope the computation is the
+//! Workers attach to the store with [`TddManager::new_shared`], whose
+//! interning is **scoped**: each leaf conversion and each plan step
+//! opens a fresh weight scope, whose tolerance gluing and computed
+//! tables start empty. Within a scope the computation is the
 //! deterministic `cont` recursion over the operand *values* — glue
 //! representatives are elected in recursion order, interned globally by
 //! exact bits, and `ops::add` orders its operands by weight value — so a
@@ -34,11 +34,6 @@
 //! the steps and inputs below it, so edges kept from an earlier run on
 //! the same store resume a later run exactly where a full run would
 //! stand.
-//!
-//! (The scoped family exists because the canonical grid fragments under
-//! plan-driver arithmetic — round-off twins straddling grid cells
-//! tripled the weight arena and with it the whole contraction's cost;
-//! see `crate::store`'s module docs.)
 
 use crate::convert::from_tensor;
 use crate::driver::{ContractionResult, DriverTimeout};
@@ -361,7 +356,7 @@ pub fn scale_free_loops(
     if free_loops == 0 {
         return root;
     }
-    let mut m = TddManager::new_shared_scoped(store);
+    let mut m = TddManager::new_shared(store);
     m.begin_weight_scope();
     let weight = m.wscale_real(root.weight, (free_loops as f64).exp2());
     stats.merge(&m.stats());
@@ -446,7 +441,7 @@ pub fn contract_steps_parallel<'t>(
     let workers = options.workers.max(1).min(n_run.max(1));
     let worker = |_w: usize| -> Result<(usize, TddStats), DriverTimeout> {
         let _panic_guard = PanicGuard(&scheduler);
-        let mut m = TddManager::new_shared_scoped(store);
+        let mut m = TddManager::new_shared(store);
         m.set_deadline(options.deadline);
         let mut max_nodes = 0usize;
         // Resolves one operand slot: produced and resolved slots read
@@ -533,7 +528,7 @@ pub fn contract_steps_parallel<'t>(
 
     // Close out: read the kept slots, converting any input no running
     // step consumed (published, so a slot kept twice converts once).
-    let mut m = TddManager::new_shared_scoped(store);
+    let mut m = TddManager::new_shared(store);
     let kept = run
         .keep
         .iter()
@@ -596,9 +591,9 @@ mod tests {
             let plan = net.plan(strategy);
 
             // Sequential reference on a (fresh) shared store, same
-            // interning family as the parallel workers.
+            // interning rule as the parallel workers.
             let seq_store = SharedTddStore::new();
-            let mut seq_m = TddManager::new_shared_scoped(&seq_store);
+            let mut seq_m = TddManager::new_shared(&seq_store);
             let seq =
                 contract_network_opts(&mut seq_m, &net, &plan, &order, DriverOptions::default())
                     .expect("no deadline");

@@ -1,6 +1,6 @@
-//! The shared concurrent TDD store: a lock-striped unique table plus a
-//! sharded, canonically-snapping weight-interning table over per-stripe
-//! append-only arenas.
+//! The shared concurrent TDD store: a lock-striped unique table plus
+//! sharded exact-bits weight interning over per-stripe append-only
+//! arenas.
 //!
 //! A [`SharedTddStore`] lets several [`crate::TddManager`]s — one per
 //! worker thread — hash-cons nodes and intern weights into *one* set of
@@ -22,16 +22,13 @@
 //!   unreachable chunk at once.
 //! * **Lock striping, with a lock-free hit path.** Find-or-insert goes
 //!   through one of [`STRIPES`] mutex-guarded hash-map shards selected
-//!   by the key's hash (nodes) or quantised bucket (weights). In front
+//!   by the key's hash (a node, or a weight's bit pattern). In front
 //!   of each node stripe sits a fixed-size probe table of single-word
 //!   atomic slots: the dominant case — a lookup that *hits* — verifies
 //!   its candidate against the immutable arena entry and returns
 //!   without ever taking the stripe mutex, which only insertions and
-//!   probe misses touch. Grid-family managers additionally keep a
-//!   private weight lookaside keyed on the canonical grid cell, so
-//!   repeated arithmetic results skip the weight stripes entirely;
-//!   scoped managers reach the exact-bits stripes only for a scope's
-//!   new representatives (see below).
+//!   probe misses touch. Managers reach the weight stripes only for a
+//!   scope's new representatives (see below).
 //! * **No global hot lines.** Each stripe owns its *own* arena shard —
 //!   an id is `(stripe, index)` packed into a `u32` — so allocation
 //!   happens under the stripe lock the inserter already holds, and
@@ -40,37 +37,27 @@
 //!   cache line on — reads only check their own shard's length, written
 //!   solely by that stripe's insertions; independent sub-contractions
 //!   scale because they touch disjoint stripes most of the time.
-//! * **Value-pure interning, two families.** The private
-//!   [`crate::WeightTable`] merges values *first-come-first-served*
-//!   within a tolerance, which makes the stored representative depend on
-//!   insertion order — harmless sequentially, but racy across threads.
-//!   The shared store offers two schedule-independent families instead:
-//!
-//!   1. **Canonical grid snapping** (`SharedTddStore::intern_weight`): every
-//!      value rounds to the centre of a fine sub-tolerance grid cell, a
-//!      pure function of the value alone, *globally* — which is what
-//!      lets Algorithm I's term engine share computed-table entries
-//!      across trace terms, bit-identically at any thread count.
-//!   2. **Exact-bits interning** (`SharedTddStore::intern_weight_exact`): the
-//!      bit pattern is the key and the stored value. Gluing of
-//!      almost-equal values is layered on top by the *managers*, inside
-//!      per-operation scopes (see `TddManager::set_scoped_interning`):
-//!      the plan drivers use it because grid snapping fragments
-//!      cancellation-heavy Algorithm II workloads into several times the
-//!      private driver's distinct weights (and nodes), while scope-local
-//!      first-seen gluing reproduces the private table's compaction and
-//!      is still a pure function of each operation's operand values.
-//!      A scoped manager resolves a value through its scope memo (exact
-//!      bits seen in this scope), then its tolerance index
-//!      (`weight::ToleranceIndex`, the private table's rule), and only a
-//!      new representative reaches this map — which is the one place an
-//!      exact-bits id is kept across scopes and managers.
-//!
-//!   Either way every arithmetic result is identical whatever the thread
-//!   interleaving, which is what makes shared-store parallel runs
-//!   **bit-identical** to sequential ones. (Ids themselves are
-//!   scheduling-dependent — which stripe index a node lands on depends
-//!   on who inserts first — but no value ever depends on an id.)
+//! * **Value-pure interning.** The private [`crate::WeightTable`] merges
+//!   values *first-come-first-served* within a tolerance, which makes
+//!   the stored representative depend on insertion order — harmless
+//!   sequentially, but racy across threads. The shared store interns by
+//!   **exact bits** instead (`SharedTddStore::intern_weight_exact`): the
+//!   bit pattern is both the key and the stored value, a pure function
+//!   of the value. Gluing of almost-equal values is layered on top by
+//!   the *managers*, inside per-operation scopes (see
+//!   `TddManager::begin_weight_scope`): one leaf conversion or one plan
+//!   step is one scope, whose first value seen in a tolerance
+//!   neighbourhood becomes its representative by the private table's
+//!   rule (`weight::ToleranceIndex`). A manager resolves a value through
+//!   its scope memo (exact bits seen in this scope), then its tolerance
+//!   index, and only a new representative reaches this store's map —
+//!   the one place an exact-bits id is kept across scopes and managers.
+//!   Each scope is a pure function of its operand values, so every
+//!   arithmetic result is identical whatever the thread interleaving,
+//!   which is what makes shared-store parallel runs **bit-identical**
+//!   to sequential ones. (Ids themselves are scheduling-dependent —
+//!   which stripe index a node lands on depends on who inserts first —
+//!   but no value ever depends on an id.)
 
 use crate::fxhash::{self, FxHashMap};
 use crate::manager::{Edge, Node, NodeId, TddStats, TERMINAL_VAR};
@@ -94,9 +81,6 @@ pub const STRIPES: usize = 64;
 const INDEX_BITS: u32 = 25;
 /// Mask extracting the in-shard index.
 const INDEX_MASK: u32 = (1 << INDEX_BITS) - 1;
-/// The extra weight shard used for exact-bits "huge" values (guarded by
-/// its own map mutex rather than a grid stripe).
-const HUGE_SHARD: usize = STRIPES;
 
 /// log2 of the per-stripe probe-table size. 4096 slots × 8 B × 64
 /// stripes = 2 MiB per store — a fixed cache overhead, deliberately
@@ -272,16 +256,6 @@ pub struct StoreEpoch {
     cross_unique_hits: u64,
 }
 
-/// Which interning family a weight value falls into (see
-/// [`SharedTddStore::classify`]): exactly zero, exact-bits "huge", or a
-/// canonical tolerance-grid cell carrying its `(re, im)` cell key.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum WeightClass {
-    Zero,
-    Huge,
-    Grid(i64, i64),
-}
-
 /// One arena entry: the canonical node plus the worker that first
 /// interned it (so cross-thread hit attribution is a lock-free arena
 /// read instead of a map-entry field behind the stripe mutex).
@@ -377,31 +351,16 @@ impl NodeStripe {
 /// assert_eq!(store.stats().cross_unique_hits, 1);
 /// ```
 pub struct SharedTddStore {
+    /// The merging radius the attached managers glue weights within.
     tol: f64,
-    /// Canonical snapping grid width. Deliberately finer than the
-    /// private merging radius (`tol`): first-come-first-served merging
-    /// only perturbs *colliding* values, while snapping perturbs every
-    /// intern, so the cell is shrunk to `tol / 32` to keep cumulative
-    /// drift inside even the checker's tightest 1e-10 accuracy targets —
-    /// while staying orders of magnitude above f64 round-off (~1e-15),
-    /// which is what canonicity actually has to unify.
-    grid: f64,
-    /// Magnitudes past this fall back to exact-bits interning (the
-    /// tolerance grid is meaningless out there and its `i64` key would
-    /// saturate).
-    huge: f64,
     /// One node arena shard per stripe, pushed under that stripe's lock.
     nodes: Vec<AppendArena<NodeEntry>>,
     node_stripes: Vec<NodeStripe>,
-    /// One weight arena shard per stripe plus [`HUGE_SHARD`] for
-    /// exact-bits values.
+    /// One weight arena shard per stripe, pushed under that stripe's
+    /// exact-bits map lock.
     weights: Vec<AppendArena<C64>>,
-    weight_stripes: Vec<Mutex<FxHashMap<(i64, i64), WeightId>>>,
-    huge_weights: Mutex<FxHashMap<(u64, u64), WeightId>>,
-    /// Exact-bits find-or-insert maps (the scoped-glue family), one per
-    /// stripe, sharded by the bit pattern's hash. They intern into the
-    /// same per-stripe weight arenas as the grid family — ids stay
-    /// disjoint because each entry is pushed exactly once.
+    /// Exact-bits find-or-insert maps, one per stripe, sharded by the
+    /// bit pattern's hash.
     exact_stripes: Vec<Mutex<FxHashMap<(u64, u64), WeightId>>>,
     elim_sets: AppendArena<Box<[u32]>>,
     elim_ids: Mutex<FxHashMap<Vec<u32>, u32>>,
@@ -455,20 +414,11 @@ impl SharedTddStore {
         base_peak_nodes: usize,
         peak_bytes_seed: usize,
     ) -> Arc<Self> {
-        let grid = tol / 32.0;
         let store = SharedTddStore {
             tol,
-            grid,
-            // Past this the grid key `round(x / grid)` nears `i64`
-            // saturation and f64 precision; see `intern_weight`.
-            huge: 0.5 * (i64::MAX as f64) * grid,
             nodes: (0..STRIPES).map(|_| AppendArena::new()).collect(),
             node_stripes: (0..STRIPES).map(|_| NodeStripe::new()).collect(),
-            weights: (0..=STRIPES).map(|_| AppendArena::new()).collect(),
-            weight_stripes: (0..STRIPES)
-                .map(|_| Mutex::new(FxHashMap::default()))
-                .collect(),
-            huge_weights: Mutex::new(FxHashMap::default()),
+            weights: (0..STRIPES).map(|_| AppendArena::new()).collect(),
             exact_stripes: (0..STRIPES)
                 .map(|_| Mutex::new(FxHashMap::default()))
                 .collect(),
@@ -491,15 +441,11 @@ impl SharedTddStore {
         });
         // Weight shard 0, slots 0/1: exact 0 and 1, so
         // `WeightId::{ZERO, ONE}` hold exact constants; 1 is also
-        // pre-inserted under its grid key and its exact bit pattern so
-        // either interning family finds it.
+        // pre-inserted under its bit pattern so interning finds it.
+        // (Managers snap values near zero to `WeightId::ZERO` before
+        // they reach the map.)
         store.weights[0].push(C64::ZERO);
         store.weights[0].push(C64::ONE);
-        let one_key = store.grid_key(C64::ONE);
-        store.weight_stripes[stripe_of(&one_key)]
-            .lock()
-            .expect("weight stripe poisoned")
-            .insert(one_key, WeightId::ONE);
         let one_bits = (C64::ONE.re.to_bits(), C64::ONE.im.to_bits());
         store.exact_stripes[stripe_of(&one_bits)]
             .lock()
@@ -571,21 +517,6 @@ impl SharedTddStore {
         for stripe in &self.node_stripes {
             let map = stripe.map.lock().expect("node stripe poisoned");
             bytes += map_bytes(map.capacity(), node_entry);
-        }
-        let weight_entry = std::mem::size_of::<(i64, i64)>() + std::mem::size_of::<WeightId>();
-        for stripe in &self.weight_stripes {
-            let stripe = stripe.lock().expect("weight stripe poisoned");
-            bytes += map_bytes(stripe.capacity(), weight_entry);
-        }
-        {
-            // Scoped so the guard is released before the exact-stripe and
-            // elim-set locks below: sizing must never hold two store locks
-            // at once (two-guard lint).
-            let huge = self.huge_weights.lock().expect("huge weights poisoned");
-            bytes += map_bytes(
-                huge.capacity(),
-                std::mem::size_of::<(u64, u64)>() + std::mem::size_of::<WeightId>(),
-            );
         }
         let exact_entry = std::mem::size_of::<(u64, u64)>() + std::mem::size_of::<WeightId>();
         for stripe in &self.exact_stripes {
@@ -664,10 +595,11 @@ impl SharedTddStore {
     /// hook *does* reset is statistics attribution — it snapshots the
     /// allocation and sharing counters, and [`Self::stats_since`] later
     /// reports only the delta, so each query's report counts its own
-    /// work rather than the whole session's. (Because canonical
+    /// work rather than the whole session's. (Because exact-bits
     /// interning makes every stored value a pure function of the value
-    /// alone, reuse is value-transparent: a warm-store run is
-    /// bit-identical to the same run on a fresh store.)
+    /// alone, and gluing is scope-local, reuse is value-transparent: a
+    /// warm-store run is bit-identical to the same run on a fresh
+    /// store.)
     ///
     /// The counters are *cumulative across reclamation swaps*: a
     /// successor store inherits its predecessor's totals as base
@@ -706,87 +638,13 @@ impl SharedTddStore {
         }
     }
 
-    #[inline]
-    fn grid_key(&self, z: C64) -> (i64, i64) {
-        let w = self.grid;
-        ((z.re / w).round() as i64, (z.im / w).round() as i64)
-    }
-
-    /// Interns a value by snapping it to the centre of its grid cell —
-    /// a pure function of the value, so every thread interleaving maps
-    /// equal inputs to the same id *and the same stored value*.
-    ///
-    /// This is the canonical composition of [`Self::classify`] with the
-    /// per-family interners; the hot path in `TddManager` inlines it
-    /// around a per-manager lookaside, so production code reaches the
-    /// pieces directly while tests pin this composition's semantics.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn intern_weight(&self, z: C64) -> WeightId {
-        debug_assert!(z.is_finite(), "non-finite weight {z}");
-        match self.classify(z) {
-            WeightClass::Zero => WeightId::ZERO,
-            WeightClass::Huge => self.intern_weight_huge(z),
-            WeightClass::Grid(re, im) => self.intern_weight_cell((re, im)),
-        }
-    }
-
-    /// Classifies a value into its interning family — the same decision
-    /// tree, in the same order, as `SharedTddStore::intern_weight`. Exposed so a
-    /// manager-side lookaside can key a lock-free weight cache on the
-    /// canonical grid cell without ever taking a stripe lock on a hit.
-    #[inline]
-    pub(crate) fn classify(&self, z: C64) -> WeightClass {
-        if z.re.abs() <= self.tol && z.im.abs() <= self.tol {
-            WeightClass::Zero
-        } else if z.re.abs() >= self.huge || z.im.abs() >= self.huge {
-            WeightClass::Huge
-        } else {
-            let key = self.grid_key(z);
-            WeightClass::Grid(key.0, key.1)
-        }
-    }
-
-    /// Find-or-intern by canonical grid cell. The stored representative
-    /// is computed from the *cell key* (`key · grid`), never from the
-    /// caller's value, so any two paths that land in one cell — a fresh
-    /// arithmetic result, a manager lookaside miss, or an exact
-    /// migration during reclamation — produce bit-identical values.
-    pub(crate) fn intern_weight_cell(&self, key: (i64, i64)) -> WeightId {
-        let shard = stripe_of(&key);
-        let mut stripe = self.weight_stripes[shard]
-            .lock()
-            .expect("weight stripe poisoned");
-        if let Some(&id) = stripe.get(&key) {
-            return id;
-        }
-        let w = self.grid;
-        let snapped = C64::new(key.0 as f64 * w, key.1 as f64 * w);
-        let id = WeightId(encode(shard, self.weights[shard].push(snapped)));
-        stripe.insert(key, id);
-        id
-    }
-
-    /// Exact-bits interning for huge magnitudes: the tolerance grid is
-    /// below one ulp out there, so the value itself is the key.
-    pub(crate) fn intern_weight_huge(&self, z: C64) -> WeightId {
-        let key = (z.re.to_bits(), z.im.to_bits());
-        let mut map = self.huge_weights.lock().expect("huge weights poisoned");
-        if let Some(&id) = map.get(&key) {
-            return id;
-        }
-        let id = WeightId(encode(HUGE_SHARD, self.weights[HUGE_SHARD].push(z)));
-        map.insert(key, id);
-        id
-    }
-
-    /// Exact-bits interning (the scoped-glue family): the value's bit
-    /// pattern is both the key and the stored value, so this is
-    /// trivially a pure function of the value — two runs, whatever their
-    /// schedules, map equal bits to one id with identical stored bits.
-    /// Tolerance gluing happens *above* this, in the interning manager's
-    /// per-operation scope, never in the store: a scoped manager calls
-    /// this once per representative its scope elects, and keeps no copy
-    /// of the map.
+    /// Exact-bits interning: the value's bit pattern is both the key and
+    /// the stored value, so this is trivially a pure function of the
+    /// value — two runs, whatever their schedules, map equal bits to one
+    /// id with identical stored bits. Tolerance gluing happens *above*
+    /// this, in the interning manager's per-operation scope, never in
+    /// the store: a manager calls this once per representative its scope
+    /// elects, and keeps no copy of the map.
     pub(crate) fn intern_weight_exact(&self, z: C64) -> WeightId {
         let key = (z.re.to_bits(), z.im.to_bits());
         let shard = stripe_of(&key);
@@ -925,12 +783,10 @@ impl SharedTddStore {
     /// they referenced, the find-or-insert maps' dead entries — is
     /// retired with the old store once its last `Arc` drops.
     ///
-    /// **Bit-exactness.** Migration never re-derives a grid cell from a
-    /// stored value: near the `i64` key range the roundtrip
-    /// `round((k · grid) / grid)` can land in a neighbouring cell. It
-    /// instead reverses the stripe maps (`id → cell key`) and re-interns
-    /// by cell, which reproduces the stored `k · grid` bits exactly;
-    /// huge weights migrate by exact bits. Node ids are renumbered, but
+    /// **Bit-exactness.** Every weight but 0 and 1 re-interns through
+    /// the successor's exact-bits maps, so it keeps its stored bits, and
+    /// a post-swap intern of the same bits finds the migrated id
+    /// (id-equality fast paths stay sound). Node ids are renumbered, but
     /// no value in the engine ever depends on an id, so contraction
     /// results are unchanged to the last bit.
     ///
@@ -939,28 +795,6 @@ impl SharedTddStore {
     /// rebuild managers — including their memo tables, which cache old
     /// ids — against the successor.
     pub fn compact(&self, roots: &[Edge]) -> (Arc<SharedTddStore>, Vec<Edge>) {
-        // Reverse weight maps: id → canonical cell key (grid shards).
-        // Without roots nothing migrates, so neither map is needed.
-        let mut grid_keys: FxHashMap<WeightId, (i64, i64)> = FxHashMap::default();
-        // Exact-family membership: these ids migrate through the
-        // successor's exact maps so a post-swap intern of the same bits
-        // finds the migrated id (id-equality fast paths stay sound).
-        let mut exact_ids: FxHashMap<WeightId, ()> = FxHashMap::default();
-        if !roots.is_empty() {
-            for stripe in &self.weight_stripes {
-                let map = stripe.lock().expect("weight stripe poisoned");
-                for (&key, &id) in map.iter() {
-                    grid_keys.insert(id, key);
-                }
-            }
-            for stripe in &self.exact_stripes {
-                let map = stripe.lock().expect("exact weight stripe poisoned");
-                for &id in map.values() {
-                    exact_ids.insert(id, ());
-                }
-            }
-        }
-
         // Count the live node set so the successor's inherited
         // `nodes_created` offset can be pre-deducted: migration re-pushes
         // exactly the live set, restoring the cumulative total.
@@ -993,63 +827,37 @@ impl SharedTddStore {
         let mut node_map: FxHashMap<NodeId, NodeId> = FxHashMap::default();
         let remapped = roots
             .iter()
-            .map(|root| {
-                self.migrate_edge(
-                    &next,
-                    *root,
-                    &grid_keys,
-                    &exact_ids,
-                    &mut weight_map,
-                    &mut node_map,
-                )
-            })
+            .map(|root| self.migrate_edge(&next, *root, &mut weight_map, &mut node_map))
             .collect();
         (next, remapped)
     }
 
     /// Migrates one edge (weight + reachable sub-diagram) into `next`.
-    #[allow(clippy::too_many_arguments)]
     fn migrate_edge(
         &self,
         next: &SharedTddStore,
         edge: Edge,
-        grid_keys: &FxHashMap<WeightId, (i64, i64)>,
-        exact_ids: &FxHashMap<WeightId, ()>,
         weight_map: &mut FxHashMap<WeightId, WeightId>,
         node_map: &mut FxHashMap<NodeId, NodeId>,
     ) -> Edge {
         let weight = if edge.weight == WeightId::ZERO || edge.weight == WeightId::ONE {
             edge.weight
-        } else if let Some(&cached) = weight_map.get(&edge.weight) {
-            cached
         } else {
-            let migrated = if exact_ids.contains_key(&edge.weight) {
-                // Exact family: the bit pattern is the identity.
-                next.intern_weight_exact(self.weight_value(edge.weight))
-            } else {
-                match grid_keys.get(&edge.weight) {
-                    Some(&key) => next.intern_weight_cell(key),
-                    // Not in a grid stripe ⇒ interned in the huge shard.
-                    None => next.intern_weight_huge(self.weight_value(edge.weight)),
-                }
-            };
-            weight_map.insert(edge.weight, migrated);
-            migrated
+            *weight_map
+                .entry(edge.weight)
+                .or_insert_with(|| next.intern_weight_exact(self.weight_value(edge.weight)))
         };
-        let node = self.migrate_node(next, edge.node, grid_keys, exact_ids, weight_map, node_map);
+        let node = self.migrate_node(next, edge.node, weight_map, node_map);
         Edge { node, weight }
     }
 
     /// Migrates one reachable node (recursively, memoised). Stored
     /// nodes are already canonical, so they re-intern through
     /// `unique_node` without re-normalisation.
-    #[allow(clippy::too_many_arguments)]
     fn migrate_node(
         &self,
         next: &SharedTddStore,
         id: NodeId,
-        grid_keys: &FxHashMap<WeightId, (i64, i64)>,
-        exact_ids: &FxHashMap<WeightId, ()>,
         weight_map: &mut FxHashMap<WeightId, WeightId>,
         node_map: &mut FxHashMap<NodeId, NodeId>,
     ) -> NodeId {
@@ -1060,8 +868,8 @@ impl SharedTddStore {
             return mapped;
         }
         let old = self.node(id);
-        let low = self.migrate_edge(next, old.low, grid_keys, exact_ids, weight_map, node_map);
-        let high = self.migrate_edge(next, old.high, grid_keys, exact_ids, weight_map, node_map);
+        let low = self.migrate_edge(next, old.low, weight_map, node_map);
+        let high = self.migrate_edge(next, old.high, weight_map, node_map);
         let creator = {
             let (shard, index) = decode(id.0);
             self.nodes[shard].get(index).creator
@@ -1082,16 +890,11 @@ impl SharedTddStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::TddManager;
 
     #[test]
     fn id_encoding_round_trips() {
-        for (shard, index) in [
-            (0usize, 0usize),
-            (0, 1),
-            (63, 5),
-            (HUGE_SHARD, 7),
-            (17, 12345),
-        ] {
+        for (shard, index) in [(0usize, 0usize), (0, 1), (63, 5), (17, 12345)] {
             assert_eq!(decode(encode(shard, index)), (shard, index));
         }
         assert_eq!(encode(0, 0), 0, "terminal/zero must stay id 0");
@@ -1155,7 +958,7 @@ mod tests {
                     let store = Arc::clone(&store);
                     scope.spawn(move || {
                         (0..2000)
-                            .map(|k| store.intern_weight(C64::new(k as f64 * 0.125, -1.0)))
+                            .map(|k| store.intern_weight_exact(C64::new(k as f64 * 0.125, -1.0)))
                             .collect::<Vec<_>>()
                     })
                 })
@@ -1171,41 +974,15 @@ mod tests {
     }
 
     #[test]
-    fn interning_is_a_pure_function_of_the_value() {
-        let store = SharedTddStore::new();
-        let a = store.intern_weight(C64::new(0.25, -0.75));
-        let b = store.intern_weight(C64::new(0.25 + 1e-12, -0.75 + 1e-12));
-        assert_eq!(a, b, "values in one grid cell must merge");
-        let va = store.weight_value(a);
-        assert!((va - C64::new(0.25, -0.75)).abs() <= 5e-12);
-
-        // A second store built in any other order maps the same inputs
-        // to the same *values* (ids may differ, values may not).
-        let other = SharedTddStore::new();
-        let _noise = other.intern_weight(C64::new(0.5, 0.5));
-        let c = other.intern_weight(C64::new(0.25, -0.75));
-        assert_eq!(other.weight_value(c), va, "snapping must be canonical");
-    }
-
-    #[test]
     fn zero_and_one_stay_exact() {
         let store = SharedTddStore::new();
-        assert_eq!(store.intern_weight(C64::ZERO), WeightId::ZERO);
-        assert_eq!(store.intern_weight(C64::new(5e-11, -5e-11)), WeightId::ZERO);
-        assert_eq!(store.intern_weight(C64::ONE), WeightId::ONE);
+        // The exact map does not snap values near zero; managers do.
+        let mut m = TddManager::new_shared(&store);
+        assert_eq!(m.intern_weight(C64::ZERO), WeightId::ZERO);
+        assert_eq!(m.intern_weight(C64::new(5e-11, -5e-11)), WeightId::ZERO);
+        assert_eq!(store.intern_weight_exact(C64::ONE), WeightId::ONE);
         assert_eq!(store.weight_value(WeightId::ONE), C64::ONE);
         assert_eq!(store.weight_value(WeightId::ZERO), C64::ZERO);
-    }
-
-    #[test]
-    fn huge_weights_intern_exactly() {
-        let store = SharedTddStore::new();
-        let big = C64::new(3.5e12, -1.0);
-        let a = store.intern_weight(big);
-        let b = store.intern_weight(big);
-        assert_eq!(a, b);
-        assert_eq!(store.weight_value(a), big, "huge values are kept exact");
-        assert_ne!(store.intern_weight(C64::new(3.5e12 + 1.0, -1.0)), a);
     }
 
     #[test]
@@ -1221,11 +998,6 @@ mod tests {
         assert_ne!(store.intern_weight_exact(z2), a);
         // The multiplicative identity is pre-seeded in the exact maps.
         assert_eq!(store.intern_weight_exact(C64::ONE), WeightId::ONE);
-        // The two families may hold bit-equal values under distinct ids;
-        // neither ever observes the other's entries.
-        let g = store.intern_weight(z);
-        assert_eq!(store.intern_weight_exact(z), a);
-        assert_ne!(g, a);
     }
 
     #[test]
@@ -1269,7 +1041,7 @@ mod tests {
                 weight: WeightId::ONE,
             },
         };
-        let half = store.intern_weight(C64::real(0.5));
+        let half = store.intern_weight_exact(C64::real(0.5));
 
         // "Run 1": two fresh nodes plus one re-find.
         let epoch1 = store.reset_between_runs();
@@ -1306,7 +1078,7 @@ mod tests {
         let mut previous = baseline;
         for batch in 0..4 {
             for k in 0..2000 {
-                store.intern_weight(C64::new((batch * 2000 + k) as f64 * 0.25, 1.0));
+                store.intern_weight_exact(C64::new((batch * 2000 + k) as f64 * 0.25, 1.0));
             }
             let now = store.bytes_used();
             assert!(now >= previous, "append-only storage never shrinks");
@@ -1329,7 +1101,7 @@ mod tests {
         let w0 = store.register_worker();
         let w1 = store.register_worker();
         let one = WeightId::ONE;
-        let half = store.intern_weight(C64::real(0.5));
+        let half = store.intern_weight_exact(C64::real(0.5));
         let key = Node {
             var: 3,
             low: Edge {
@@ -1355,8 +1127,8 @@ mod tests {
     /// A tiny two-level diagram with a shared interior node, for the
     /// migration tests.
     fn sample_root(store: &SharedTddStore, worker: u32) -> Edge {
-        let half = store.intern_weight(C64::new(0.5, -0.25));
-        let third = store.intern_weight(C64::real(1.0 / 3.0));
+        let half = store.intern_weight_exact(C64::new(0.5, -0.25));
+        let third = store.intern_weight_exact(C64::real(1.0 / 3.0));
         let leaf = |w: WeightId| Edge {
             node: NodeId::TERMINAL,
             weight: w,
@@ -1409,7 +1181,7 @@ mod tests {
         // the hit counters exact, whichever path served the lookup.
         let store = SharedTddStore::new();
         let w = store.register_worker();
-        let half = store.intern_weight(C64::real(0.5));
+        let half = store.intern_weight_exact(C64::real(0.5));
         let key = |k: u32| Node {
             var: k,
             low: Edge {
@@ -1430,26 +1202,6 @@ mod tests {
         assert_eq!(stats.nodes_created, 500);
         assert_eq!(stats.unique_hits, 1500);
         assert_eq!(stats.cross_unique_hits, 0);
-    }
-
-    #[test]
-    fn interning_by_cell_matches_interning_by_value() {
-        let store = SharedTddStore::new();
-        let z = C64::new(0.125, -2.5);
-        match store.classify(z) {
-            WeightClass::Grid(re, im) => {
-                let by_cell = store.intern_weight_cell((re, im));
-                let by_value = store.intern_weight(z);
-                assert_eq!(by_cell, by_value);
-                assert_eq!(
-                    store.weight_value(by_cell).re.to_bits(),
-                    store.weight_value(by_value).re.to_bits()
-                );
-            }
-            other => panic!("expected a grid cell, got {other:?}"),
-        }
-        assert_eq!(store.classify(C64::new(1e-12, 0.0)), WeightClass::Zero);
-        assert_eq!(store.classify(C64::new(9e13, 0.0)), WeightClass::Huge);
     }
 
     #[test]
@@ -1488,7 +1240,7 @@ mod tests {
         let root = sample_root(&store, w);
         // Garbage the compaction must drop: nodes unreachable from root.
         for k in 100..150 {
-            let dead = store.intern_weight(C64::real(k as f64 * 0.01));
+            let dead = store.intern_weight_exact(C64::real(k as f64 * 0.01));
             store.unique_node(
                 Node {
                     var: k,
@@ -1504,15 +1256,15 @@ mod tests {
                 w,
             );
         }
-        // And a huge weight that *is* live.
+        // And a live root that is a weight alone.
         let big = C64::new(4.25e12, 1.0);
-        let huge_root = Edge {
+        let scalar_root = Edge {
             node: NodeId::TERMINAL,
-            weight: store.intern_weight(big),
+            weight: store.intern_weight_exact(big),
         };
         let before = store.stats();
 
-        let (next, remapped) = store.compact(&[root, huge_root]);
+        let (next, remapped) = store.compact(&[root, scalar_root]);
         assert_eq!(remapped.len(), 2);
         assert_eq!(next.arena_len(), 2, "only the two reachable nodes migrate");
         let mut old_print = Vec::new();
@@ -1528,11 +1280,11 @@ mod tests {
         assert_eq!(after.unique_hits, before.unique_hits);
         assert_eq!(after.peak_nodes, before.peak_nodes);
 
-        // Re-interning post-swap values still canonicalises identically.
+        // Re-interning post-swap values finds the migrated ids.
         assert_eq!(
-            next.intern_weight(C64::new(0.5, -0.25)),
+            next.intern_weight_exact(C64::new(0.5, -0.25)),
             remapped[0].weight,
-            "the migrated root weight is the canonical cell entry"
+            "the migrated root weight is the exact-bits entry"
         );
     }
 
@@ -1540,7 +1292,7 @@ mod tests {
     fn peak_bytes_survive_a_swap_chain() {
         let store = SharedTddStore::new();
         for k in 0..4000 {
-            store.intern_weight(C64::new(k as f64 * 0.25, 1.0));
+            store.intern_weight_exact(C64::new(k as f64 * 0.25, 1.0));
         }
         let peak = store.peak_bytes_used();
         assert!(peak >= store.bytes_used());

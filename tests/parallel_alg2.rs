@@ -36,8 +36,8 @@ fn alg2_options(threads: usize, shared_table: SharedTableMode) -> CheckOptions {
     }
 }
 
-/// Shared-store Algorithm II is bit-identical across thread counts: the
-/// canonical store makes every plan step a pure function of its
+/// Shared-store Algorithm II is bit-identical across thread counts: one
+/// weight scope per plan step makes every step a pure function of its
 /// operands, so any topological schedule computes the same fidelity and
 /// the same `max_nodes`.
 #[test]

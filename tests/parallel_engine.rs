@@ -63,7 +63,7 @@ proptest! {
 
     /// Exact mode on the *private* backend: 2/4/8 workers reproduce the
     /// sequential bounds to 1e-9 in both term orders (each private
-    /// manager snaps weights along its own history, so tolerance-level
+    /// manager glues weights along its own history, so tolerance-level
     /// drift is the contract here; bit-equality is the shared store's).
     #[test]
     fn parallel_exact_matches_sequential_bounds((ideal, noisy) in instance()) {

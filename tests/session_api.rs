@@ -10,8 +10,8 @@
 //! pinned error precedence.
 
 use qaec::{
-    check_equivalence, jamiolkowski_fidelity, AlgorithmChoice, CheckOptions, Checker, QaecError,
-    SharedTableMode, StoreReclaimMode, Verdict,
+    check_equivalence, fidelity_monte_carlo, jamiolkowski_fidelity, AlgorithmChoice, CheckOptions,
+    Checker, QaecError, SharedTableMode, StoreReclaimMode, Verdict,
 };
 use qaec_circuit::generators::{qft, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
@@ -59,8 +59,8 @@ fn reparameterise(noisy: &Circuit, p: f64) -> Circuit {
 
 /// Compile-once / query-many returns the one-shot values: bitwise
 /// wherever the engine guarantees determinism (sequential runs; any
-/// shared-store run — canonical interning makes warm reuse
-/// value-transparent), and within the interning tolerance for the one
+/// shared-store run — exact-bits interning with scope-local glue makes
+/// warm reuse value-transparent), and within the interning tolerance for the one
 /// configuration without that guarantee (parallel private stores, whose
 /// per-worker interning history is scheduler-dependent).
 #[test]
@@ -111,6 +111,50 @@ fn compiled_fidelity_matches_one_shot_across_backends() {
 /// `check` on a fresh session equals `check_equivalence` (verdict and
 /// bounds), and `verdict` keeps agreeing at every ε once answers come
 /// from the cached interval.
+/// `Auto` keeps Algorithm I and Monte Carlo on private per-worker
+/// managers at every thread count: the session allocates no shared
+/// store, and one and four threads agree within the interning
+/// tolerance. Only `On` puts Algorithm I on a shared store.
+#[test]
+fn auto_keeps_algorithm_one_private_at_every_thread_count() {
+    let (ideal, noisy) = fixture(3, 4);
+    let run = |threads: usize| {
+        let opts = options(AlgorithmChoice::AlgorithmI, threads, SharedTableMode::Auto);
+        let mut compiled = Checker::new(&ideal, &noisy)
+            .options(opts.clone())
+            .compile()
+            .expect("compile");
+        let fidelity = compiled.fidelity().expect("fidelity");
+        assert_eq!(
+            compiled.warm_store_bytes(),
+            0,
+            "t{threads}: auto must not allocate a shared store"
+        );
+        let estimate = fidelity_monte_carlo(&ideal, &noisy, 2_000, 7, &opts)
+            .expect("monte carlo")
+            .estimate;
+        (fidelity, estimate)
+    };
+    let (fidelity_t1, estimate_t1) = run(1);
+    let (fidelity_t4, estimate_t4) = run(4);
+    assert!(
+        (fidelity_t4 - fidelity_t1).abs() < 1e-9,
+        "fidelity: t4 {fidelity_t4} vs t1 {fidelity_t1}"
+    );
+    assert!(
+        (estimate_t4 - estimate_t1).abs() < 1e-9,
+        "monte carlo: t4 {estimate_t4} vs t1 {estimate_t1}"
+    );
+    let shared = Checker::new(&ideal, &noisy)
+        .options(options(AlgorithmChoice::AlgorithmI, 4, SharedTableMode::On))
+        .compile()
+        .expect("compile");
+    assert!(
+        shared.warm_store_bytes() > 0,
+        "on must allocate a shared store"
+    );
+}
+
 #[test]
 fn compiled_check_and_verdict_match_one_shot() {
     let (ideal, noisy) = fixture(3, 4);
