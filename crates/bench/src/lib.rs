@@ -11,7 +11,7 @@
 //!
 //! Criterion micro-benches live under `benches/`.
 
-use qaec::{fidelity_alg1, fidelity_alg2, CheckOptions, QaecError, SharedTableMode, TermOrder};
+use qaec::{fidelity_alg1, fidelity_alg2, CheckOptions, QaecError, TermOrder};
 use qaec_circuit::generators::{
     bernstein_vazirani_all_ones, grover_dac21, mod_mul_7x1_mod15, qft, quantum_volume,
     randomized_benchmarking, QftStyle,
@@ -176,7 +176,6 @@ pub fn run_alg2(ideal: &Circuit, noisy: &Circuit, timeout: Duration) -> Outcome 
     let opts = CheckOptions {
         deadline: Some(Instant::now() + timeout),
         threads: 1,
-        shared_table: SharedTableMode::Auto,
         ..CheckOptions::default()
     };
     let start = Instant::now();

@@ -31,8 +31,8 @@ pub mod serve;
 
 use qaec::{
     check_equivalence, fidelity_alg1, fidelity_alg2, fidelity_monte_carlo, AlgorithmChoice,
-    CheckOptions, Checker, EpsilonPoint, EquivalenceReport, SharedTableMode, StoreReclaimMode,
-    SweepPoint, TddStats, Verdict,
+    CheckOptions, Checker, EpsilonPoint, EquivalenceReport, StoreReclaimMode, SweepPoint, TddStats,
+    Verdict,
 };
 use qaec_bench::json;
 use qaec_circuit::{qasm, Circuit};
@@ -106,10 +106,9 @@ pub struct CliOptions {
     pub strategy: Strategy,
     /// Per-run timeout.
     pub timeout: Option<Duration>,
-    /// Worker threads for Algorithm I and the Monte-Carlo estimator.
+    /// Worker threads (`--threads`): Algorithm I / Monte Carlo terms,
+    /// Algorithm II plan steps.
     pub threads: usize,
-    /// Shared concurrent TDD store across workers (`--shared-table`).
-    pub shared_table: SharedTableMode,
     /// Shared-store reclamation at quiescent boundaries
     /// (`--store-reclaim`).
     pub store_reclaim: StoreReclaimMode,
@@ -136,7 +135,6 @@ impl Default for CliOptions {
             strategy: Strategy::MinFill,
             timeout: None,
             threads: qaec::default_threads(),
-            shared_table: qaec::default_shared_table(),
             store_reclaim: qaec::default_store_reclaim(),
             svd_threshold: core.svd_threshold,
             max_bond: core.max_bond,
@@ -153,7 +151,6 @@ impl CliOptions {
             algorithm: self.algorithm,
             strategy: self.strategy,
             threads: self.threads,
-            shared_table: self.shared_table,
             store_reclaim: self.store_reclaim,
             svd_threshold: self.svd_threshold,
             max_bond: self.max_bond,
@@ -214,23 +211,15 @@ OPTIONS:
                                trace terms (composes with --epsilon
                                early termination), Algorithm II runs
                                independent contraction-plan steps.
-                               Algorithm II results are bit-identical
-                               at any count; Algorithm I / MC results
+                               Algorithm II runs on one shared TDD
+                               store and is bit-identical at any count;
+                               Algorithm I / MC workers keep private
+                               managers, take the same decisions and
                                agree within the interning tolerance
-                               (~1e-9), bit-identical under
-                               --shared-table on (default: QAEC_THREADS
-                               env var, else 1)
-    --shared-table <on|off|auto>
-                               share one concurrent TDD store across the
-                               workers (auto = always for Algorithm II,
-                               never for Algorithm I / MC, whose
-                               workers keep private managers; default:
-                               QAEC_SHARED_TABLE env var, else auto).
-                               Shared runs hash-cons sub-diagrams across
-                               threads and are bit-identical at every
-                               thread count, max_nodes included; off
-                               restores the fastest private sequential
-                               Algorithm II driver
+                               (~1e-9) (default: QAEC_THREADS env var,
+                               else 1)
+    --shared-table auto        accepted, no effect (the retired store
+                               switch; on and off are errors)
     --lanes <n>                accepted, no effect (the retired
                                multi-lane sweep width)
     --store-reclaim <on|off|auto>
@@ -326,8 +315,9 @@ fn no_value(flag: &str, inline: Option<&str>) -> Result<(), String> {
 /// `serve` share into `options`; `Ok(false)` when `flag` is none of
 /// them. `--algorithm mc`, `--samples` and `--seed` select the
 /// Monte-Carlo estimator, which only `fidelity` runs: without
-/// `monte_carlo` they are errors, not silently ignored. `--lanes` and
-/// `--seed-cache` are validated and have no effect.
+/// `monte_carlo` they are errors, not silently ignored. `--lanes`,
+/// `--seed-cache` and `--shared-table auto` are validated and have no
+/// effect.
 pub(crate) fn checker_flag<'a>(
     options: &mut CliOptions,
     flag: &str,
@@ -377,14 +367,17 @@ pub(crate) fn checker_flag<'a>(
         "--lanes" => {
             flag_value::<usize>(flag, value()?, |&n| n >= 1)?;
         }
-        "--shared-table" => {
-            options.shared_table = match value()? {
-                "on" => SharedTableMode::On,
-                "off" => SharedTableMode::Off,
-                "auto" => SharedTableMode::Auto,
-                other => return Err(format!("unknown shared-table mode `{other}`")),
-            };
-        }
+        "--shared-table" => match value()? {
+            "auto" => {}
+            mode @ ("on" | "off") => {
+                return Err(format!(
+                    "--shared-table {mode} is no longer supported: Algorithm I and Monte Carlo \
+                     always run on private per-worker managers, Algorithm II on the shared \
+                     store (only `auto` is accepted)"
+                ))
+            }
+            other => return Err(format!("unknown shared-table mode `{other}`")),
+        },
         "--store-reclaim" => {
             options.store_reclaim = match value()? {
                 "on" => StoreReclaimMode::On,
@@ -959,18 +952,23 @@ mod tests {
 
     #[test]
     fn parse_shared_table_modes_in_both_flag_styles() {
-        for (args, expected) in [
-            (vec!["--shared-table", "on"], SharedTableMode::On),
-            (vec!["--shared-table=off"], SharedTableMode::Off),
-            (vec!["--shared-table=auto"], SharedTableMode::Auto),
+        // `--shared-table on|off` selected a retired store path: a usage
+        // error (exit 2) on every subcommand that takes checker flags,
+        // whose message names the store each algorithm uses.
+        for sub in [
+            vec!["fidelity", "i.qasm", "n.qasm"],
+            vec!["check", "i.qasm", "n.qasm", "--epsilon", "0.05"],
+            vec!["sweep", "i.qasm", "n.qasm", "--epsilons", "0.1,0.01"],
+            vec!["serve"],
         ] {
-            let mut full = vec!["fidelity", "i.qasm", "n.qasm"];
-            full.extend(args);
-            match parse_args(&strings(&full)).unwrap() {
-                Command::Fidelity { options, .. } => {
-                    assert_eq!(options.shared_table, expected, "{full:?}")
-                }
-                other => panic!("wrong command {other:?}"),
+            for flags in [vec!["--shared-table", "on"], vec!["--shared-table=off"]] {
+                let mut full = sub.clone();
+                full.extend(&flags);
+                let err = parse_args(&strings(&full)).unwrap_err();
+                assert!(
+                    err.contains("private per-worker managers"),
+                    "{full:?}: {err}"
+                );
             }
         }
         assert!(parse_args(&strings(&[
@@ -989,7 +987,8 @@ mod tests {
                 "{bad} must be rejected"
             );
         }
-        // `--seed-cache` and `--lanes` are validated, then ignored.
+        // `--seed-cache`, `--lanes` and `--shared-table auto` are
+        // validated, then ignored.
         match parse_args(&strings(&[
             "check",
             "i.qasm",
@@ -998,6 +997,8 @@ mod tests {
             "--seed-cache=off",
             "--lanes",
             "4",
+            "--shared-table",
+            "auto",
         ]))
         .unwrap()
         {

@@ -890,7 +890,6 @@ pub fn run_serve(args: &ServeArgs, out: &mut impl Write) -> Result<i32, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qaec::SharedTableMode;
     use std::io::{BufRead, BufReader, Write};
 
     const IDEAL: &str = "OPENQASM 2.0;\\nqreg q[2];\\nh q[0];\\ncx q[0], q[1];\\n";
@@ -1004,13 +1003,12 @@ mod tests {
             "--threads=4".into(),
             "--algorithm".into(),
             "2".into(),
-            "--shared-table=on".into(),
+            "--shared-table=auto".into(),
         ])
         .expect("parse");
         assert_eq!(args.cache_bytes, Some(64 << 20));
         assert_eq!(args.options.threads, 4);
         assert_eq!(args.options.algorithm, AlgorithmChoice::AlgorithmII);
-        assert_eq!(args.options.shared_table, SharedTableMode::On);
         assert_eq!(args.listen, None);
 
         // Algorithm III and its knobs parse like the one-shot frontend.

@@ -4,8 +4,8 @@
 //! selection. The number of selections is exponential in the number of
 //! noise sites, but:
 //!
-//! * the shared manager reuses unique/computed-table entries across terms
-//!   (Table II's "Opt." configuration);
+//! * each worker's manager reuses unique/computed-table entries across
+//!   the terms it contracts (Table II's "Opt." configuration);
 //! * terms can be enumerated best-first by probability mass, and
 //!   Cauchy–Schwarz (`|tr(U†Eᵢ)|² ≤ d·tr(Eᵢ†Eᵢ)`) bounds the mass still
 //!   outstanding, so an ε-decision can stop early in *both* directions —
@@ -14,12 +14,9 @@
 //! * independent terms parallelize across threads (`threads > 1`) through
 //!   the work-stealing [`crate::engine`], which composes with `epsilon`,
 //!   `term_order`, `max_terms` and `deadline`;
-//! * every worker contracts on its own private manager by default, so
-//!   runs at different thread counts agree within the interning
-//!   tolerance (≲1e-9); `options.shared_table = On` puts the workers on
-//!   one concurrent decision-diagram store instead, where bounds,
-//!   verdicts and `max_nodes` are bit-identical whatever the thread
-//!   count.
+//! * every worker contracts on its own private manager, so runs at
+//!   different thread counts take the same decisions and agree within
+//!   the interning tolerance (≲1e-9).
 
 use crate::engine::{Jobs, TermEngine};
 use crate::error::QaecError;
@@ -29,9 +26,8 @@ use crate::options::CheckOptions;
 use crate::report::Verdict;
 use crate::validate;
 use qaec_circuit::Circuit;
-use qaec_tdd::{SharedTddStore, TddStats};
+use qaec_tdd::TddStats;
 use qaec_tensornet::{ContractionPlan, VarOrder};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Outcome of an Algorithm I run.
@@ -92,7 +88,7 @@ pub(crate) fn fidelity_alg1_prevalidated(
 ) -> Result<Alg1Report, QaecError> {
     let start = Instant::now();
     let artifacts = Alg1Artifacts::compile(ideal, noisy, options);
-    let mut report = artifacts.run(epsilon, options, None)?;
+    let mut report = artifacts.run(epsilon, options)?;
     report.elapsed = start.elapsed();
     Ok(report)
 }
@@ -159,9 +155,8 @@ impl Alg1Artifacts {
         &self,
         epsilon: Option<f64>,
         options: &CheckOptions,
-        warm_store: Option<&Arc<SharedTddStore>>,
     ) -> Result<Alg1Report, QaecError> {
-        self.run_template(&self.template, epsilon, options, warm_store)
+        self.run_template(&self.template, epsilon, options)
     }
 
     /// One query over a re-instantiated template (a noise-sweep point):
@@ -171,12 +166,11 @@ impl Alg1Artifacts {
         template: &Alg1Template,
         epsilon: Option<f64>,
         options: &CheckOptions,
-        warm_store: Option<&Arc<SharedTddStore>>,
     ) -> Result<Alg1Report, QaecError> {
         let start = Instant::now();
         let total_terms = template.total_terms();
         let outcome = self
-            .engine(template, options, warm_store)
+            .engine(template, options)
             .run(epsilon, Jobs::Enumerate)?;
 
         Ok(Alg1Report {
@@ -197,7 +191,6 @@ impl Alg1Artifacts {
         &'a self,
         template: &'a Alg1Template,
         options: &'a CheckOptions,
-        warm_store: Option<&'a Arc<SharedTddStore>>,
     ) -> TermEngine<'a> {
         TermEngine {
             template,
@@ -206,7 +199,6 @@ impl Alg1Artifacts {
             order: &self.order,
             options,
             d2: self.d2,
-            warm_store,
         }
     }
 }

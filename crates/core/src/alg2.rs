@@ -14,11 +14,11 @@
 //! one weight scope — exact-bits interning, glued only within the
 //! step — every step's result is a pure function of its operands, and
 //! the fidelity and `max_nodes` are **bit-identical for every thread
-//! count** — which is why Algorithm II resolves
-//! [`SharedTableMode::Auto`] to the shared store even at one worker
-//! (`--threads` stays a pure performance knob). `SharedTableMode::Off`
-//! keeps the original private sequential driver, including its
-//! mark-compact GC (append-only shared arenas cannot compact).
+//! count** — which is why Algorithm II always contracts on the shared
+//! store, even at one worker (`--threads` stays a pure performance
+//! knob). The shared arenas are append-only, so sessions bound their
+//! footprint by store reclamation ([`crate::StoreReclaimMode`]), not by
+//! the private store's mark-compact GC.
 //!
 //! ## The fold
 //!
@@ -36,16 +36,16 @@
 use crate::error::QaecError;
 use crate::miter::{build_trace_network, identity_map, Alg2Template, BuiltNetwork, MiterElement};
 use crate::optimize::{cancel_inverse_pairs, eliminate_swaps};
-use crate::options::{CheckOptions, SharedTableMode};
+use crate::options::CheckOptions;
 use crate::validate;
 use qaec_circuit::{Circuit, NoiseChannel};
 use qaec_math::C64;
 use qaec_tdd::{
-    contract_network_opts, contract_network_parallel, contract_steps_parallel, scale_free_loops,
-    DriverOptions, Edge, ParallelOptions, SharedTddStore, StepRun, TddManager, TddStats,
+    contract_network_parallel, contract_steps_parallel, scale_free_loops, Edge, ParallelOptions,
+    SharedTddStore, StepRun, TddManager, TddStats,
 };
 use qaec_tensornet::plan::{PlanCost, PlanGraph};
-use qaec_tensornet::{ContractionPlan, PlanStep, Tensor, TensorNetwork};
+use qaec_tensornet::{ContractionPlan, PlanStep, Tensor};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -93,7 +93,7 @@ pub(crate) fn fidelity_alg2_prevalidated(
 ) -> Result<Alg2Report, QaecError> {
     let start = Instant::now();
     let artifacts = Alg2Artifacts::compile(ideal, noisy, options);
-    let mut report = artifacts.run(options, None)?;
+    let mut report = artifacts.run(&SharedTddStore::new(), options)?;
     report.elapsed = start.elapsed();
     Ok(report)
 }
@@ -216,31 +216,34 @@ impl Alg2Artifacts {
         }
     }
 
-    /// One contraction of the compiled (base) network.
+    /// One contraction of the compiled (base) network on `store`.
     pub(crate) fn run(
         &self,
-        options: &CheckOptions,
-        warm_store: Option<&Arc<SharedTddStore>>,
-    ) -> Result<Alg2Report, QaecError> {
-        self.run_network(&self.built.network, options, warm_store)
-    }
-
-    /// One noise-sweep point on a private store (`--shared-table off`):
-    /// the compiled network with its noise-site tensors replaced,
-    /// contracted in full.
-    pub(crate) fn run_replay(
-        &self,
-        channels: &[NoiseChannel],
+        store: &Arc<SharedTddStore>,
         options: &CheckOptions,
     ) -> Result<Alg2Report, QaecError> {
-        let mut network = self.built.network.clone();
-        for (&(slot, _), tensor) in self.noise_slots.iter().zip(self.noise_tensors(channels)) {
-            network.replace(slot, tensor);
-        }
-        self.run_network(&network, options, None)
+        let start = Instant::now();
+        // Statistics fence: a warm (session-reused) store reports only
+        // this contraction's allocation delta.
+        let epoch = store.reset_between_runs();
+        let outcome = contract_network_parallel(
+            store,
+            &self.built.network,
+            &self.plan,
+            &self.built.order,
+            parallel(options),
+        )
+        .map_err(|_| QaecError::Timeout)?;
+        let trace = TddManager::new_shared(store)
+            .edge_scalar(outcome.result.root)
+            .expect("closed network");
+        let mut stats = outcome.stats;
+        // Allocation counters are store-owned: merged exactly once.
+        stats.merge(&store.stats_since(epoch));
+        Ok(self.report(trace, outcome.result.max_nodes, stats, start))
     }
 
-    /// One noise-sweep point on a shared store: converts the point's
+    /// One noise-sweep point on `store`: converts the point's
     /// noise-site tensors and runs the noise-dependent steps from
     /// `fold`, building the fold first when `fold` is `None` (the
     /// report's time and statistics then include it). Returns the fold
@@ -393,62 +396,6 @@ impl Alg2Artifacts {
             .collect()
     }
 
-    fn run_network(
-        &self,
-        network: &TensorNetwork,
-        options: &CheckOptions,
-        warm_store: Option<&Arc<SharedTddStore>>,
-    ) -> Result<Alg2Report, QaecError> {
-        let start = Instant::now();
-        // `Auto` resolves ON at every thread count here (unlike
-        // Algorithm I, whose workers stay private under `Auto`): the
-        // plan scheduler needs the shared substrate, and contracting
-        // over the shared store at one worker too keeps `--threads` a
-        // pure performance knob — the fidelity and `max_nodes` are
-        // bit-identical whatever the count.
-        let (max_nodes, trace, stats) = if options.shared_table != SharedTableMode::Off {
-            let store = match warm_store {
-                Some(store) => Arc::clone(store),
-                None => SharedTddStore::new(),
-            };
-            // Statistics fence: a warm (session-reused) store reports
-            // only this contraction's allocation delta.
-            let epoch = store.reset_between_runs();
-            let outcome = contract_network_parallel(
-                &store,
-                network,
-                &self.plan,
-                &self.built.order,
-                parallel(options),
-            )
-            .map_err(|_| QaecError::Timeout)?;
-            let reader = TddManager::new_shared(&store);
-            let trace = reader
-                .edge_scalar(outcome.result.root)
-                .expect("closed network");
-            let mut stats = outcome.stats;
-            // Allocation counters are store-owned: merged exactly once.
-            stats.merge(&store.stats_since(epoch));
-            (outcome.result.max_nodes, trace, stats)
-        } else {
-            let mut manager = TddManager::new();
-            let result = contract_network_opts(
-                &mut manager,
-                network,
-                &self.plan,
-                &self.built.order,
-                DriverOptions {
-                    gc_threshold: options.gc_threshold,
-                    deadline: options.deadline,
-                },
-            )
-            .map_err(|_| QaecError::Timeout)?;
-            let trace = manager.edge_scalar(result.root).expect("closed network");
-            (result.max_nodes, trace, manager.stats())
-        };
-        Ok(self.report(trace, max_nodes, stats, start))
-    }
-
     /// The report of one contraction with trace `trace`.
     fn report(&self, trace: C64, max_nodes: usize, stats: TddStats, start: Instant) -> Alg2Report {
         // Σ|tr(U†Eᵢ)|² is real and non-negative; the imaginary part is
@@ -479,13 +426,11 @@ mod tests {
     use super::*;
     use qaec_circuit::generators::{quantum_volume, tile};
     use qaec_circuit::noise_insertion::insert_random_noise;
+    use qaec_tdd::{contract_network_opts, DriverOptions};
 
     /// The tiled qv6x4_k8 workload (four 6-qubit QV blocks, 8
-    /// depolarizing sites, Table I seed) leaves 4 workers room to run:
-    /// its plan's total step cost is at least 4 times its critical path,
-    /// both in the dense `2^rank` estimate the scheduler ranks by.
-    #[test]
-    fn tiled_plan_has_work_for_four_workers() {
+    /// depolarizing sites, Table I seed), compiled at one thread.
+    fn qv6x4_k8() -> Alg2Artifacts {
         const NOISE_SEED: u64 = 0xDAC2021;
         let ideal = tile(&quantum_volume(6, 5, NOISE_SEED), 4);
         let noisy = insert_random_noise(
@@ -498,10 +443,89 @@ mod tests {
             threads: 1,
             ..CheckOptions::default()
         };
-        let artifacts = Alg2Artifacts::compile(&ideal, &noisy, &options);
+        Alg2Artifacts::compile(&ideal, &noisy, &options)
+    }
+
+    /// qv6x4_k8 leaves 4 workers room to run: its plan's total step cost
+    /// is at least 4 times its critical path, both in the dense `2^rank`
+    /// estimate the scheduler ranks by.
+    #[test]
+    fn tiled_plan_has_work_for_four_workers() {
+        let artifacts = qv6x4_k8();
         let graph = artifacts.plan.graph(&artifacts.built.network);
         let critical_path = graph.priority.iter().copied().fold(0.0, f64::max);
         let parallelism = artifacts.plan_cost.dense_ops / critical_path;
         assert!(parallelism >= 4.0, "total / critical path = {parallelism}");
+    }
+
+    /// On qv6x4_k8, 1 and 4 workers report the same fidelity bits and
+    /// `max_nodes`, and the shared store does the work of the private
+    /// sequential driver on the same network, plan and order: equal
+    /// `cont_calls` and `add_calls`, `nodes_created` within 1%, fidelity
+    /// within 1e-9. Both shared runs account a store footprint whose
+    /// peak is at least what is still held.
+    #[test]
+    fn qv6x4_shared_store_matches_private_work_at_any_thread_count() {
+        let artifacts = qv6x4_k8();
+        let shared = |threads| {
+            let options = CheckOptions {
+                threads,
+                ..CheckOptions::default()
+            };
+            artifacts
+                .run(&SharedTddStore::new(), &options)
+                .expect("qv6x4_k8")
+        };
+        let private = || {
+            let mut manager = TddManager::new();
+            let driver = DriverOptions {
+                gc_threshold: CheckOptions::default().gc_threshold,
+                deadline: None,
+            };
+            let result = contract_network_opts(
+                &mut manager,
+                &artifacts.built.network,
+                &artifacts.plan,
+                &artifacts.built.order,
+                driver,
+            )
+            .expect("private driver");
+            let trace = manager.edge_scalar(result.root).expect("closed network");
+            artifacts.report(trace, result.max_nodes, manager.stats(), Instant::now())
+        };
+        // The three runs are independent (a store each), so they run
+        // side by side.
+        let (t1, t4, private) = std::thread::scope(|scope| {
+            let t4 = scope.spawn(|| shared(4));
+            let private = scope.spawn(private);
+            let t1 = shared(1);
+            (
+                t1,
+                t4.join().expect("t4 run thread"),
+                private.join().expect("private run thread"),
+            )
+        });
+        assert_eq!(t1.fidelity.to_bits(), t4.fidelity.to_bits());
+        assert_eq!((t1.max_nodes, t4.max_nodes), (448, 448));
+        for shared in [&t1, &t4] {
+            let stats = &shared.stats;
+            assert!(stats.store_bytes > 0, "{stats:?}");
+            assert!(stats.peak_store_bytes >= stats.store_bytes, "{stats:?}");
+        }
+        assert!(
+            (t1.fidelity - private.fidelity).abs() < 1e-9,
+            "shared {} vs private {}",
+            t1.fidelity,
+            private.fidelity
+        );
+        let (shared, private) = (&t1.stats, &private.stats);
+        assert_eq!(shared.cont_calls, private.cont_calls);
+        assert_eq!(shared.add_calls, private.add_calls);
+        assert!(
+            shared.nodes_created.abs_diff(private.nodes_created) * 100 <= private.nodes_created,
+            "nodes created: shared {} vs private {}",
+            shared.nodes_created,
+            private.nodes_created
+        );
     }
 }

@@ -61,16 +61,12 @@ pub struct McReport {
 ///
 /// The sample stream is drawn up front (deterministic in `seed` alone,
 /// whatever `options.threads` is), the distinct strings are contracted
-/// on the shared work-stealing [`crate::engine`], and the estimator is
-/// then replayed over the sample sequence in draw order. By default
-/// (`options.shared_table` `Auto` or `Off`) every worker contracts on a
-/// private manager, which glues weights along its own interning history
-/// (tolerance ≈1e-10), so estimates at different thread counts agree
-/// within that tolerance. Under [`crate::options::SharedTableMode::On`]
-/// every string's trace is a pure function of the string — the shared
-/// store's exact-bits interning, glued only within each scope, is
-/// scheduling-independent — so the estimate is bit-identical across
-/// every thread count.
+/// on the work-stealing [`crate::engine`], and the estimator is then
+/// replayed over the sample sequence in draw order. Every worker
+/// contracts on a private manager, which glues weights along its own
+/// interning history (tolerance ≈1e-10), so estimates at different
+/// thread counts agree within that tolerance; at one thread the
+/// estimate is a function of `seed` alone, bit for bit.
 ///
 /// # Errors
 ///
@@ -147,7 +143,7 @@ pub fn fidelity_monte_carlo(
     // Contract each distinct string once, work-stolen across
     // `options.threads` workers.
     let outcome = artifacts
-        .engine(&artifacts.template, options, None)
+        .engine(&artifacts.template, options)
         .run(None, Jobs::Fixed(&distinct))?;
     let ratios: Vec<f64> = outcome
         .values

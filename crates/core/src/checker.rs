@@ -181,12 +181,11 @@ mod tests {
     #[test]
     fn epsilon_boundary_is_not_equivalent_on_every_path() {
         // A noiseless identity pair: F_J is *exactly* 1.0 on both
-        // algorithms over the private store (exact weight arithmetic),
-        // so ε = 0 puts every path exactly on the boundary. The store is
-        // pinned to the private backend because landing *on* the
-        // boundary needs bit-exact values, which it gives on every
-        // algorithm here; the comparison under regression,
-        // `Verdict::decide`, is the single one every backend shares.
+        // algorithms (exact weight arithmetic — Algorithm I on its
+        // private store, Algorithm II on the shared one), so ε = 0 puts
+        // every path exactly on the boundary. The comparison under
+        // regression, `Verdict::decide`, is the single one every backend
+        // shares.
         let mut ideal = Circuit::new(2);
         ideal.h(0).cx(0, 1);
         let noisy = ideal.clone();
@@ -198,7 +197,6 @@ mod tests {
             let options = CheckOptions {
                 algorithm,
                 threads: 1,
-                shared_table: crate::SharedTableMode::Off,
                 ..CheckOptions::default()
             };
             let report = check_equivalence(&ideal, &noisy, 0.0, &options).expect("check");

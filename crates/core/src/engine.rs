@@ -18,45 +18,32 @@
 //!   even when term costs vary by orders of magnitude;
 //! * every worker keeps a private [`TddManager`] and reuses its computed
 //!   tables across every term it contracts (the paper's Table II "Opt."
-//!   configuration) — the default at every thread count. Under
-//!   `SharedTableMode::On` all workers hash-cons nodes and intern
-//!   weights into one [`SharedTddStore`] instead, with one weight scope
-//!   per leaf conversion and per plan step, each clearing the worker's
-//!   computed tables.
+//!   configuration).
 //!
-//! ## Bit-identical parallel results
+//! ## Sequential-prefix semantics
 //!
-//! Two mechanisms make a shared-store run reproduce the sequential
-//! result *bit for bit*, whatever the thread count or scheduling:
+//! The ordered reducer folds completed terms strictly in enumeration
+//! order: workers deposit `(sequence, value, mass)` and the reducer
+//! advances a gapless frontier, so partial sums — and therefore the
+//! ε-decision point, the verdict and the reported term count — are
+//! those of the sequential prefix. Terms completed beyond the frontier
+//! when a decision lands are simply discarded from the report (work
+//! wasted, semantics unchanged). A fixed-job run keeps each folded
+//! value too, so its per-job values come back in job order.
 //!
-//! 1. The store's exact-bits interning, glued only within each scope,
-//!    makes every term's value a pure function of the term alone (see
-//!    [`qaec_tdd::store`]).
-//! 2. The ordered reducer folds completed terms strictly in enumeration
-//!    order: workers deposit `(sequence, value, mass)` and the reducer
-//!    advances a gapless frontier, so partial sums — and therefore the
-//!    ε-decision point, the verdict, the reported bounds and the
-//!    reported term count — are those of the sequential prefix. Terms
-//!    completed beyond the frontier when a decision lands are simply
-//!    discarded from the report (work wasted, semantics unchanged). A
-//!    fixed-job run keeps each folded value too, so its per-job values
-//!    come back in job order.
-//!
-//! With private per-worker stores the reducer still guarantees
-//! sequential *decision semantics*, but values drift by the interning
-//! tolerance (≈1e-10) because each manager glues weights along its own
-//! history.
+//! Values are not bit-identical across thread counts: each private
+//! manager glues weights along its own interning history, so a term's
+//! value depends on which terms its worker contracted before, and
+//! bounds drift within the interning tolerance (≲1e-9). At one thread
+//! the run is the sequential loop, bit for bit.
 
 use crate::error::QaecError;
 use crate::miter::{build_trace_network, Alg1Template, BuiltNetwork};
 use crate::options::{CheckOptions, TermOrder};
 use crate::report::Verdict;
-use qaec_tdd::{
-    contract_network_opts, run_on_workers, DriverOptions, SharedTddStore, TddManager, TddStats,
-};
+use qaec_tdd::{contract_network_opts, run_on_workers, DriverOptions, TddManager, TddStats};
 use qaec_tensornet::{ContractionPlan, VarOrder};
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::Arc;
 
 use qaec_tdd::sync::atomic::{AtomicBool, Ordering};
 use qaec_tdd::sync::Mutex;
@@ -76,11 +63,6 @@ pub(crate) struct TermEngine<'a> {
     pub options: &'a CheckOptions,
     /// `d²` normalisation for `|tr(U†Eᵢ)|²`.
     pub d2: f64,
-    /// A warm shared store to reuse instead of allocating a fresh one
-    /// (compile-once sessions sweeping many queries over one store).
-    /// Only consulted under `SharedTableMode::On`; per-run statistics
-    /// are epoch-fenced so each run reports its own delta.
-    pub warm_store: Option<&'a Arc<SharedTddStore>>,
 }
 
 /// The terms an engine run contracts.
@@ -106,8 +88,8 @@ pub(crate) struct EngineOutcome {
     pub max_nodes: usize,
     /// Early ε-decision, if one was reached.
     pub verdict: Option<Verdict>,
-    /// Decision-diagram statistics: every worker's local counters plus
-    /// the shared store's allocation counters (merged exactly once).
+    /// Decision-diagram statistics merged across workers; the store
+    /// footprints are the workers' sum (see [`fold_workers`]).
     pub stats: TddStats,
     /// Per-job term values `|tr(U†E_choice)|²/d²` in job order
     /// ([`Jobs::Fixed`] runs only; empty otherwise).
@@ -237,33 +219,19 @@ struct SharedState<'j> {
 }
 
 /// A worker's private contraction context: its thread-local manager (or
-/// a fresh one per term when table reuse is off), the store it attaches
-/// managers to, and its local maxima.
+/// a fresh one per term when table reuse is off) and its local maxima.
 struct WorkerCtx<'a> {
     engine: &'a TermEngine<'a>,
-    store: Option<Arc<SharedTddStore>>,
-    /// This worker's id on the shared store — registered once per
-    /// logical worker, so fresh per-term managers (table reuse off)
-    /// don't misattribute hits on their own earlier nodes as
-    /// cross-thread sharing.
-    worker: Option<u32>,
     manager: Option<TddManager>,
     max_nodes: usize,
     stats: TddStats,
 }
 
 impl<'a> WorkerCtx<'a> {
-    fn new(engine: &'a TermEngine<'a>, store: Option<Arc<SharedTddStore>>) -> Self {
-        let worker = store.as_ref().map(|s| s.register_worker());
-        let manager = engine
-            .options
-            .reuse_tables
-            .then(|| new_manager(store.as_ref(), worker));
+    fn new(engine: &'a TermEngine<'a>) -> Self {
         WorkerCtx {
             engine,
-            store,
-            worker,
-            manager,
+            manager: engine.options.reuse_tables.then(TddManager::new),
             max_nodes: 0,
             stats: TddStats::default(),
         }
@@ -275,7 +243,7 @@ impl<'a> WorkerCtx<'a> {
         let mut fresh = None;
         let manager = match self.manager.as_mut() {
             Some(m) => m,
-            None => fresh.insert(new_manager(self.store.as_ref(), self.worker)),
+            None => fresh.insert(TddManager::new()),
         };
         let result = contract_network_opts(
             manager,
@@ -291,6 +259,8 @@ impl<'a> WorkerCtx<'a> {
         let trace = manager.edge_scalar(result.root).expect("closed network");
         self.max_nodes = self.max_nodes.max(result.max_nodes);
         if let Some(fresh) = fresh {
+            // Successive per-term managers never coexist: `merge` keeps
+            // the largest footprint.
             self.stats.merge(&fresh.stats());
         }
         Ok(trace.norm_sqr() / self.engine.d2)
@@ -306,16 +276,32 @@ impl<'a> WorkerCtx<'a> {
     }
 }
 
-/// A manager on the run's shared store under the worker's stable id, or
-/// a fully private one.
-fn new_manager(store: Option<&Arc<SharedTddStore>>, worker: Option<u32>) -> TddManager {
-    match store {
-        Some(store) => {
-            let worker = worker.expect("shared store implies a registered worker id");
-            TddManager::new_shared_with_id(store, worker)
+/// Folds the workers' results into the run's `max_nodes` and stats, and
+/// the last error if any worker failed. Counters add up as in
+/// [`TddStats::merge`], but the store footprints are summed rather than
+/// maxed: every worker's private store is live at once and disjoint
+/// from the others.
+fn fold_workers(
+    outcomes: Vec<Result<(usize, TddStats), QaecError>>,
+) -> (usize, TddStats, Option<QaecError>) {
+    let mut max_nodes = 0usize;
+    let mut stats = TddStats::default();
+    let (mut store_bytes, mut peak_store_bytes) = (0, 0);
+    let mut error = None;
+    for outcome in outcomes {
+        match outcome {
+            Ok((nodes, worker)) => {
+                max_nodes = max_nodes.max(nodes);
+                stats.merge(&worker);
+                store_bytes += worker.store_bytes;
+                peak_store_bytes += worker.peak_store_bytes;
+            }
+            Err(e) => error = Some(e),
         }
-        None => TddManager::new(),
     }
+    stats.store_bytes = store_bytes;
+    stats.peak_store_bytes = peak_store_bytes;
+    (max_nodes, stats, error)
 }
 
 impl TermEngine<'_> {
@@ -337,27 +323,13 @@ impl TermEngine<'_> {
         self.options.threads.max(1).min(jobs.max(1))
     }
 
-    /// The run's shared store, under `SharedTableMode::On`: the
-    /// session's warm store when one was supplied (value-transparent —
-    /// exact-bits interning with scope-local glue makes reuse
-    /// bit-identical to a fresh store), else a fresh one.
-    fn shared_store(&self) -> Option<Arc<SharedTddStore>> {
-        self.options
-            .shared_table
-            .enabled_for()
-            .then(|| match self.warm_store {
-                Some(store) => Arc::clone(store),
-                None => SharedTddStore::new(),
-            })
-    }
-
     /// Runs the ε-aware accumulation over `jobs` (`options.deadline`
     /// and `options.threads` respected; `options.term_order` and
     /// `options.max_terms` shape [`Jobs::Enumerate`]).
     ///
-    /// Bounds, verdicts and term counts always follow sequential-prefix
-    /// semantics (see the module docs); with the shared store they are
-    /// additionally bit-identical across thread counts.
+    /// Verdicts and term counts follow sequential-prefix semantics, and
+    /// the bounds agree with the sequential run's within the interning
+    /// tolerance (see the module docs).
     pub(crate) fn run(
         &self,
         epsilon: Option<f64>,
@@ -374,11 +346,6 @@ impl TermEngine<'_> {
             Jobs::Fixed(list) => (TermQueue::new(list.iter().cloned(), None), list.len()),
         };
         let workers = self.worker_count(total_terms);
-        let store = self.shared_store();
-        // Statistics fence: on a warm (session-reused) store this run
-        // reports only its own allocation delta; on a fresh store the
-        // epoch is zero and the delta equals the totals.
-        let epoch = store.as_ref().map(|s| s.reset_between_runs());
         // Small batches keep the stop signal responsive during ε runs;
         // exact runs amortise queue locking with larger ones.
         let batch_size = if epsilon.is_some() {
@@ -392,32 +359,13 @@ impl TermEngine<'_> {
             stop: AtomicBool::new(false),
         };
 
-        let folded = run_on_workers(workers, |_| {
-            self.epsilon_worker(&shared, store.as_ref(), batch_size)
-        });
+        let folded = run_on_workers(workers, |_| self.epsilon_worker(&shared, batch_size));
 
         let reducer = shared
             .reducer
             .into_inner()
             .expect("engine reducer poisoned");
-        let mut max_nodes = 0usize;
-        let mut stats = TddStats::default();
-        let mut error = None;
-        for outcome in folded {
-            match outcome {
-                Ok((nodes, worker_stats)) => {
-                    max_nodes = max_nodes.max(nodes);
-                    stats.merge(&worker_stats);
-                }
-                Err(e) => error = Some(e),
-            }
-        }
-        if let Some(store) = &store {
-            // Allocation counters are store-owned: merged exactly once
-            // here, never per worker (see `SharedTddStore::stats`), and
-            // fenced to this run's epoch.
-            stats.merge(&store.stats_since(epoch.expect("epoch taken with the store")));
-        }
+        let (max_nodes, stats, error) = fold_workers(folded);
         // A decided verdict outranks a racing deadline in another worker
         // (the sequential loop likewise checks the bounds first).
         if reducer.decision.is_none() {
@@ -453,10 +401,9 @@ impl TermEngine<'_> {
     fn epsilon_worker(
         &self,
         shared: &SharedState,
-        store: Option<&Arc<SharedTddStore>>,
         batch_size: usize,
     ) -> Result<(usize, TddStats), QaecError> {
-        let mut ctx = WorkerCtx::new(self, store.cloned());
+        let mut ctx = WorkerCtx::new(self);
         let mut batch = Vec::with_capacity(batch_size);
         'steal: loop {
             // ordering: SeqCst — stop is a control-flow flag only (result
@@ -804,6 +751,33 @@ mod tests {
         assert!((d.lower - 0.85).abs() < 1e-15);
         // The frozen snapshot ignores the already-submitted term 2.
         assert!((d.remaining - (1.0 - 0.52 - 0.36)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn worker_footprints_add_up_across_private_stores() {
+        let worker = |nodes, store_bytes, peak_store_bytes| {
+            Ok((
+                nodes,
+                TddStats {
+                    nodes_created: 10,
+                    store_bytes,
+                    peak_store_bytes,
+                    ..TddStats::default()
+                },
+            ))
+        };
+        let (max_nodes, stats, error) =
+            fold_workers(vec![worker(7, 4096, 8192), worker(12, 9000, 9000)]);
+        assert!(error.is_none());
+        assert_eq!(max_nodes, 12);
+        assert_eq!(stats.nodes_created, 20);
+        assert_eq!(
+            (stats.store_bytes, stats.peak_store_bytes),
+            (13_096, 17_192),
+            "disjoint private stores add up"
+        );
+        let (_, _, error) = fold_workers(vec![worker(7, 4096, 8192), Err(QaecError::Timeout)]);
+        assert_eq!(error, Some(QaecError::Timeout));
     }
 
     #[test]

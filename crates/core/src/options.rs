@@ -36,41 +36,17 @@ pub enum VarOrderStyle {
     TimeMajor,
 }
 
-/// Whether the workers of a check share one concurrent TDD store
-/// (lock-striped unique table, exact-bits weight interning glued within
-/// one scope per leaf conversion and per plan step) or each keep a
-/// fully private manager.
-///
-/// On the shared store every scope is a pure function of its operand
-/// values, so results — `max_nodes` included — are **bit-identical**
-/// whatever the thread count. Algorithm I and the Monte-Carlo estimator
-/// share only under `On`: their private per-worker managers are faster,
-/// keep their garbage collection, and agree across thread counts within
-/// the interning tolerance (≲1e-9). Algorithm II shares unless the mode
-/// is `Off` (see [`crate::fidelity_alg2`]).
+/// Has no effect: `Auto` is the only value. Kept so that struct
+/// literals and `--shared-table auto` flags written for the retired
+/// store switch stay valid. Each algorithm has one store: Algorithm I
+/// and the Monte-Carlo estimator contract on private per-worker
+/// managers, Algorithm II on the shared concurrent store (see
+/// [`crate::fidelity_alg2`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SharedTableMode {
-    /// The default: Algorithm I and Monte Carlo run on private
-    /// per-worker managers at every thread count; Algorithm II's plan
-    /// scheduler contracts over the shared store at every thread count,
-    /// so `threads` is a pure performance knob there.
+    /// The only mode: each algorithm uses its own store.
     #[default]
     Auto,
-    /// Always share, Algorithm I and Monte Carlo included, at any thread
-    /// count: the mode whose results are bit-identical across thread
-    /// counts.
-    On,
-    /// Never share: every worker keeps a private manager, and
-    /// Algorithm II runs the sequential private driver.
-    Off,
-}
-
-impl SharedTableMode {
-    /// Whether Algorithm I and Monte-Carlo workers share one store: only
-    /// under `On`, at any worker count.
-    pub fn enabled_for(self) -> bool {
-        self == SharedTableMode::On
-    }
 }
 
 /// When a session retires its shared store for a compact successor
@@ -178,9 +154,9 @@ pub struct CheckOptions {
     /// Worker threads. Algorithm I and the Monte-Carlo estimator steal
     /// independent trace terms (the paper notes they parallelize
     /// trivially), composing with `epsilon`, `term_order`, `max_terms`
-    /// and `deadline`, with results that agree across thread counts
-    /// within the interning tolerance (bit-identical under
-    /// [`SharedTableMode::On`]); Algorithm II dispatches independent
+    /// and `deadline`: decisions and term counts are those of the
+    /// sequential run, and values agree across thread counts within the
+    /// interning tolerance (≲1e-9). Algorithm II dispatches independent
     /// contraction *plan steps* to the pool instead (there is only one
     /// term), with bit-identical results at every thread count. Plan *construction*
     /// (one-shot calls and [`crate::Checker::compile`]) also plans
@@ -191,10 +167,9 @@ pub struct CheckOptions {
     /// Cap on Algorithm I terms (None = all); bounds stay correct, they
     /// just stop tightening.
     pub max_terms: Option<usize>,
-    /// Whether workers share one concurrent TDD store (default:
-    /// [`SharedTableMode::Auto`] — on for Algorithm II, off for
-    /// Algorithm I and Monte Carlo — overridable via the
-    /// `QAEC_SHARED_TABLE` environment variable).
+    /// Has no effect (see [`SharedTableMode`]): Algorithm I and Monte
+    /// Carlo always run on private per-worker managers, Algorithm II
+    /// always on the shared store.
     pub shared_table: SharedTableMode,
     /// Has no effect. Kept so that struct literals and `--seed-cache`
     /// flags written for the retired cross-worker contraction-cache
@@ -237,28 +212,13 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// The default shared-store mode: the `QAEC_SHARED_TABLE` environment
-/// variable when set (`on`/`1`/`true` force sharing, `off`/`0`/`false`
-/// force private managers), else [`SharedTableMode::Auto`].
-///
-/// This is what [`CheckOptions::default`] uses, so CI can run the whole
-/// suite with either backend forced — the `shared-table-sanity` matrix
-/// does exactly that on 4 workers.
-pub fn default_shared_table() -> SharedTableMode {
-    match std::env::var("QAEC_SHARED_TABLE").as_deref() {
-        Ok("on") | Ok("1") | Ok("true") => SharedTableMode::On,
-        Ok("off") | Ok("0") | Ok("false") => SharedTableMode::Off,
-        _ => SharedTableMode::Auto,
-    }
-}
-
 /// The default store-reclamation mode: the `QAEC_STORE_RECLAIM`
 /// environment variable when set (`on`/`1`/`true` reclaim at every
 /// quiescent boundary, `off`/`0`/`false` never reclaim, `auto` the
 /// size-triggered default), else [`StoreReclaimMode::Auto`].
 ///
 /// This is what [`CheckOptions::default`] uses, so CI can force either
-/// extreme for the whole suite — the `shared-table-sanity` matrix runs
+/// extreme for the whole suite — the `store-reclaim-sanity` matrix runs
 /// a `QAEC_STORE_RECLAIM=on`/`off` leg to prove reclamation
 /// bit-transparent end to end.
 pub fn default_store_reclaim() -> StoreReclaimMode {
@@ -283,7 +243,7 @@ impl Default for CheckOptions {
             gc_threshold: Some(2_000_000),
             threads: default_threads(),
             max_terms: None,
-            shared_table: default_shared_table(),
+            shared_table: SharedTableMode::Auto,
             seed_cont_cache: true,
             sweep_lanes: 8,
             store_reclaim: default_store_reclaim(),
@@ -318,20 +278,12 @@ mod tests {
 
     #[test]
     fn shared_table_resolution() {
-        // Only `On` puts Algorithm I and Monte Carlo on the shared store.
-        assert!(!SharedTableMode::Auto.enabled_for());
-        assert!(SharedTableMode::On.enabled_for());
-        assert!(!SharedTableMode::Off.enabled_for());
-        // Unless the env override is active, the default is Auto; with
-        // it, CI forces one backend for the whole suite.
-        let expected = match std::env::var("QAEC_SHARED_TABLE").as_deref() {
-            Ok("on") | Ok("1") | Ok("true") => SharedTableMode::On,
-            Ok("off") | Ok("0") | Ok("false") => SharedTableMode::Off,
-            _ => SharedTableMode::Auto,
-        };
-        assert_eq!(CheckOptions::default().shared_table, expected);
-        // The no-op `seed_cont_cache` keeps its old default.
-        assert!(CheckOptions::default().seed_cont_cache);
+        // `Auto` is the only store mode; it and the other no-op knobs
+        // keep their old defaults.
+        let o = CheckOptions::default();
+        assert_eq!(o.shared_table, SharedTableMode::Auto);
+        assert!(o.seed_cont_cache);
+        assert_eq!(o.sweep_lanes, 8);
     }
 
     #[test]

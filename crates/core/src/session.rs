@@ -19,11 +19,15 @@
 //!   ε; Algorithm I re-runs only when they cannot),
 //!   [`CompiledCheck::sweep_epsilon`], and
 //!   [`CompiledCheck::sweep_noise`] — which re-weights the noise sites
-//!   on the compiled plan instead of replanning, reusing one warm
-//!   [`SharedTddStore`] across the whole batch. On Algorithm II the
-//!   first noise sweep also folds the noise-free part of the doubled
-//!   network into that store once, so every later point contracts only
-//!   the noise-dependent plan steps (see [`crate::alg2`]'s fold).
+//!   on the compiled plan instead of replanning.
+//!
+//! Each algorithm has one store. Algorithm I (and the Monte-Carlo
+//! estimator) contracts every query on fresh private per-worker
+//! managers. An Algorithm II session holds one warm [`SharedTddStore`]
+//! for its whole life: its first noise sweep folds the noise-free part
+//! of the doubled network into that store once, so every later point
+//! contracts only the noise-dependent plan steps (see
+//! [`crate::alg2`]'s fold).
 //!
 //! Warm-store reuse is value-transparent: the shared store's value-pure
 //! interning makes every contraction a pure function of its inputs, so a
@@ -95,8 +99,8 @@ use std::sync::Arc;
 use qaec_tdd::sync::Mutex;
 use std::time::Duration;
 
-/// A swappable handle to a session's warm shared store, together with
-/// the Algorithm II fold whose frontier edges live in it.
+/// A swappable handle to an Algorithm II session's warm shared store,
+/// together with the fold whose frontier edges live in it.
 ///
 /// Epoch-based reclamation retires the store for a compact successor
 /// ([`SharedTddStore::compact`], with the fold's frontier as its roots)
@@ -144,9 +148,13 @@ impl StoreCell {
         }
     }
 
-    /// The quiescent-boundary reclamation hook: when `mode` says so,
-    /// swaps the store for a compact successor that keeps only the
-    /// fold's frontier, remapped.
+    /// The quiescent-boundary reclamation hook, called between queries
+    /// and sweep points, when no contraction holds ids into the store:
+    /// when `mode` says so, swaps the store for a compact successor that
+    /// keeps only the fold's frontier, remapped. Value-transparent
+    /// (interning is pure, no engine value depends on an id, and the
+    /// frontier migrates bit-exactly), so results are bit-identical
+    /// whether or when swaps happen.
     fn reclaim(&self, mode: StoreReclaimMode) {
         let Warm { store, fold } = self.warm();
         if !mode.should_reclaim(store.approx_data_bytes()) {
@@ -232,7 +240,12 @@ impl Checker {
 #[derive(Clone, Debug)]
 enum Backend {
     Alg1(Alg1Artifacts),
-    Alg2(Alg2Artifacts),
+    /// The doubled network and the session's warm shared store, reused
+    /// across every query and sweep point: later queries hash-cons
+    /// against everything earlier ones interned. Held through a
+    /// swappable cell so `options.store_reclaim` can retire the store
+    /// for a compact successor at quiescent boundaries.
+    Alg2(Alg2Artifacts, StoreCell),
     Mpo(MpoBackend),
 }
 
@@ -400,8 +413,9 @@ pub struct SweepPoint {
 }
 
 /// A compiled equivalence check: reusable artifacts (miter or doubled
-/// network, variable order, contraction plan, warm store) answering many
-/// cheap queries. Build one with [`Checker::compile`].
+/// network, variable order, contraction plan, and for Algorithm II a
+/// warm store) answering many cheap queries. Build one with
+/// [`Checker::compile`].
 ///
 /// Queries are *incremental*: every run tightens a cached fidelity
 /// interval, and any later query the interval already decides — a
@@ -413,14 +427,6 @@ pub struct CompiledCheck {
     options: CheckOptions,
     algorithm: AlgorithmUsed,
     backend: Backend,
-    /// The session's warm shared store, when the configured store mode
-    /// resolves on for this algorithm. Reused across
-    /// every query and sweep point: later queries hash-cons against
-    /// everything earlier ones interned (value-transparent — interning
-    /// keeps results bit-identical to fresh-store runs). Held through a
-    /// swappable cell so `options.store_reclaim` can retire the store
-    /// for a compact successor at quiescent boundaries.
-    store: Option<StoreCell>,
     knowledge: Option<Knowledge>,
 }
 
@@ -443,21 +449,14 @@ impl CompiledCheck {
             AlgorithmChoice::AlgorithmII => AlgorithmUsed::AlgorithmII,
             AlgorithmChoice::Mpo => AlgorithmUsed::Mpo,
         };
-        let (backend, store) = match algorithm {
+        let backend = match algorithm {
             AlgorithmUsed::AlgorithmI => {
-                let artifacts = Alg1Artifacts::compile(ideal, noisy, &options);
-                let store = options
-                    .shared_table
-                    .enabled_for()
-                    .then(|| StoreCell::new(SharedTddStore::new()));
-                (Backend::Alg1(artifacts), store)
+                Backend::Alg1(Alg1Artifacts::compile(ideal, noisy, &options))
             }
-            AlgorithmUsed::AlgorithmII => {
-                let artifacts = Alg2Artifacts::compile(ideal, noisy, &options);
-                let store = (options.shared_table != crate::SharedTableMode::Off)
-                    .then(|| StoreCell::new(SharedTddStore::new()));
-                (Backend::Alg2(artifacts), store)
-            }
+            AlgorithmUsed::AlgorithmII => Backend::Alg2(
+                Alg2Artifacts::compile(ideal, noisy, &options),
+                StoreCell::new(SharedTddStore::new()),
+            ),
             AlgorithmUsed::Mpo => {
                 // Only the `Auto` portfolio gets an exact fallback; a
                 // forced Algorithm III session reports Inconclusive
@@ -471,18 +470,16 @@ impl CompiledCheck {
                         noisy: noisy.clone(),
                     }))
                 });
-                let backend = MpoBackend {
+                Backend::Mpo(MpoBackend {
                     plan: Arc::new(MpoPlan::compile(ideal, noisy)),
                     escalation,
-                };
-                (Backend::Mpo(backend), None)
+                })
             }
         };
         CompiledCheck {
             options,
             algorithm,
             backend,
-            store,
             knowledge: None,
         }
     }
@@ -498,26 +495,22 @@ impl CompiledCheck {
         &self.options
     }
 
-    /// The session's current warm shared store, when the configured
-    /// store mode resolved on at compile time — `None` for
-    /// private-store sessions. An owned handle: reclamation may swap
-    /// the cell while the caller still runs against this generation.
-    pub(crate) fn warm_store(&self) -> Option<Arc<SharedTddStore>> {
-        self.store.as_ref().map(StoreCell::get)
-    }
-
-    /// The swappable store cell itself, for holders (the service cache)
-    /// that must observe reclamation swaps instead of pinning one
-    /// generation.
+    /// The swappable store cell of an Algorithm II session — `None` for
+    /// the other backends, which hold no store between queries — for
+    /// holders (the service cache) that must observe reclamation swaps
+    /// instead of pinning one generation.
     pub(crate) fn warm_store_cell(&self) -> Option<&StoreCell> {
-        self.store.as_ref()
+        match &self.backend {
+            Backend::Alg2(_, cell) => Some(cell),
+            Backend::Alg1(_) | Backend::Mpo(_) => None,
+        }
     }
 
     /// Bytes of backing storage held by the session's warm store
     /// ([`SharedTddStore::bytes_used`]) — the footprint a byte-budgeted
-    /// session cache accounts against. 0 for private-store sessions
-    /// (Algorithm I under [`crate::SharedTableMode::Auto`] or `Off`),
-    /// whose per-query arenas die with each query.
+    /// session cache accounts against. 0 for sessions without one
+    /// (Algorithm I, whose per-query private arenas die with each
+    /// query, and MPO).
     ///
     /// Steps down when `options.store_reclaim` retires the store for a
     /// compact successor at a quiescent boundary; with reclamation off
@@ -525,7 +518,8 @@ impl CompiledCheck {
     /// until the session drops. [`CompiledCheck::warm_store_peak_bytes`]
     /// keeps the high-water mark either way.
     pub fn warm_store_bytes(&self) -> usize {
-        self.warm_store().map_or(0, |store| store.bytes_used())
+        self.warm_store_cell()
+            .map_or(0, |cell| cell.get().bytes_used())
     }
 
     /// High-water mark of [`CompiledCheck::warm_store_bytes`] across the
@@ -533,20 +527,8 @@ impl CompiledCheck {
     /// has since retired ([`SharedTddStore::peak_bytes_used`] carries
     /// across successor swaps).
     pub fn warm_store_peak_bytes(&self) -> usize {
-        self.warm_store().map_or(0, |store| store.peak_bytes_used())
-    }
-
-    /// The quiescent-boundary reclamation hook: called between queries
-    /// and sweep points, when no contraction holds ids into the store.
-    /// Retires the store for a compact successor when
-    /// `options.store_reclaim` says so — value-transparent (interning is
-    /// pure, no engine value depends on an id, and the fold's frontier
-    /// migrates bit-exactly), so results are bit-identical whether or
-    /// when swaps happen.
-    fn maybe_reclaim_store(&self) {
-        if let Some(cell) = &self.store {
-            cell.reclaim(self.options.store_reclaim);
-        }
+        self.warm_store_cell()
+            .map_or(0, |cell| cell.get().peak_bytes_used())
     }
 
     /// The compiled noise channels, in site order — the sites
@@ -554,7 +536,7 @@ impl CompiledCheck {
     pub fn noise_channels(&self) -> &[NoiseChannel] {
         match &self.backend {
             Backend::Alg1(a) => &a.template.channels,
-            Backend::Alg2(a) => &a.channels,
+            Backend::Alg2(a, _) => &a.channels,
             Backend::Mpo(b) => b.plan.channels(),
         }
     }
@@ -591,7 +573,7 @@ impl CompiledCheck {
         }
         match &self.backend {
             Backend::Alg1(artifacts) => {
-                let report = artifacts.run(None, &self.options, self.warm_store().as_ref())?;
+                let report = artifacts.run(None, &self.options)?;
                 let value = report.fidelity_lower;
                 self.remember(Knowledge {
                     lower: report.fidelity_lower,
@@ -607,11 +589,11 @@ impl CompiledCheck {
                     bond_max: None,
                     cross_check: None,
                 });
-                self.maybe_reclaim_store();
                 Ok(value)
             }
-            Backend::Alg2(artifacts) => {
-                let report = artifacts.run(&self.options, self.warm_store().as_ref())?;
+            Backend::Alg2(artifacts, cell) => {
+                let report = artifacts.run(&cell.get(), &self.options)?;
+                cell.reclaim(self.options.store_reclaim);
                 let value = report.fidelity;
                 self.remember(Knowledge {
                     lower: value,
@@ -627,7 +609,6 @@ impl CompiledCheck {
                     bond_max: None,
                     cross_check: None,
                 });
-                self.maybe_reclaim_store();
                 Ok(value)
             }
             Backend::Mpo(backend) => {
@@ -710,8 +691,7 @@ impl CompiledCheck {
         }
         match &self.backend {
             Backend::Alg1(artifacts) => {
-                let report =
-                    artifacts.run(Some(epsilon), &self.options, self.warm_store().as_ref())?;
+                let report = artifacts.run(Some(epsilon), &self.options)?;
                 // All terms evaluated without an early decision: compare
                 // the exact value (the same single comparison the early
                 // exit used on its bounds).
@@ -733,11 +713,11 @@ impl CompiledCheck {
                     cross_check: None,
                 };
                 self.remember(Knowledge::from_report(&out));
-                self.maybe_reclaim_store();
                 Ok(out)
             }
-            Backend::Alg2(artifacts) => {
-                let report = artifacts.run(&self.options, self.warm_store().as_ref())?;
+            Backend::Alg2(artifacts, cell) => {
+                let report = artifacts.run(&cell.get(), &self.options)?;
+                cell.reclaim(self.options.store_reclaim);
                 let verdict = Verdict::decide(report.fidelity, epsilon);
                 let out = EquivalenceReport {
                     verdict,
@@ -754,7 +734,6 @@ impl CompiledCheck {
                     cross_check: None,
                 };
                 self.remember(Knowledge::from_report(&out));
-                self.maybe_reclaim_store();
                 Ok(out)
             }
             Backend::Mpo(backend) => {
@@ -860,11 +839,10 @@ impl CompiledCheck {
     /// site's channel is replaced by the same channel at strength
     /// `strengths[i]` (via [`NoiseChannel::with_strength`]) and the
     /// point is evaluated **on the compiled plan** — only the noise-site
-    /// weights change, and planning is not repeated. The whole batch
-    /// shares the session's warm store. On Algorithm II over a shared
-    /// store, the session's first noise sweep contracts the noise-free
-    /// plan steps once (the fold) and every point runs only the steps
-    /// that depend on a noise site.
+    /// weights change, and planning is not repeated. On Algorithm II the
+    /// whole batch shares the session's warm store: the session's first
+    /// noise sweep contracts the noise-free plan steps once (the fold)
+    /// and every point runs only the steps that depend on a noise site.
     ///
     /// Every point's fidelity, verdict and `max_nodes` are bit-identical
     /// to a cold [`crate::jamiolkowski_fidelity`] /
@@ -918,19 +896,13 @@ impl CompiledCheck {
                 .iter()
                 .map(|channels| {
                     let template = artifacts.template.with_channels(channels);
-                    let report = artifacts.run_template(
-                        &template,
-                        Some(epsilon),
-                        &self.options,
-                        self.warm_store().as_ref(),
-                    )?;
-                    self.maybe_reclaim_store();
+                    let report = artifacts.run_template(&template, Some(epsilon), &self.options)?;
                     Ok(report
                         .verdict
                         .unwrap_or_else(|| Verdict::decide(report.fidelity_lower, epsilon)))
                 })
                 .collect(),
-            Backend::Alg2(_) | Backend::Mpo(_) => Ok(self
+            Backend::Alg2(..) | Backend::Mpo(_) => Ok(self
                 .sweep_noise_prevalidated(epsilon, &points)?
                 .into_iter()
                 .map(|point| point.verdict)
@@ -992,9 +964,9 @@ impl CompiledCheck {
                 .iter()
                 .map(|channels| self.alg1_point(artifacts, channels, epsilon))
                 .collect(),
-            Backend::Alg2(artifacts) => points
+            Backend::Alg2(artifacts, cell) => points
                 .iter()
-                .map(|channels| self.alg2_point(artifacts, channels, epsilon))
+                .map(|channels| self.alg2_point(artifacts, cell, channels, epsilon))
                 .collect(),
             Backend::Mpo(backend) => match &backend.escalation {
                 // `Auto` promised exact per-point fidelities: the whole
@@ -1068,9 +1040,7 @@ impl CompiledCheck {
         epsilon: f64,
     ) -> Result<SweepPoint, QaecError> {
         let template = artifacts.template.with_channels(channels);
-        let report =
-            artifacts.run_template(&template, None, &self.options, self.warm_store().as_ref())?;
-        self.maybe_reclaim_store();
+        let report = artifacts.run_template(&template, None, &self.options)?;
         Ok(SweepPoint {
             fidelity: report.fidelity_lower,
             verdict: Verdict::decide(report.fidelity_lower, epsilon),
@@ -1080,25 +1050,19 @@ impl CompiledCheck {
         })
     }
 
-    /// One Algorithm II sweep point: from the fold on a shared-store
-    /// session (building the fold on first use), or a full private
-    /// replay on a `--shared-table off` session.
+    /// One Algorithm II sweep point, from the fold on the session's
+    /// store (building the fold on first use).
     fn alg2_point(
         &self,
         artifacts: &Alg2Artifacts,
+        cell: &StoreCell,
         channels: &[NoiseChannel],
         epsilon: f64,
     ) -> Result<SweepPoint, QaecError> {
-        let report = match &self.store {
-            Some(cell) => {
-                let Warm { store, fold } = cell.warm();
-                let (report, fold) = artifacts.run_folded(&store, fold, channels, &self.options)?;
-                cell.keep_fold(&store, fold);
-                report
-            }
-            None => artifacts.run_replay(channels, &self.options)?,
-        };
-        self.maybe_reclaim_store();
+        let Warm { store, fold } = cell.warm();
+        let (report, fold) = artifacts.run_folded(&store, fold, channels, &self.options)?;
+        cell.keep_fold(&store, fold);
+        cell.reclaim(self.options.store_reclaim);
         Ok(SweepPoint {
             fidelity: report.fidelity,
             verdict: Verdict::decide(report.fidelity, epsilon),

@@ -109,11 +109,10 @@ pub struct TddStats {
     pub gc_runs: u64,
     /// Largest arena size observed (live + dead nodes, excluding terminal).
     pub peak_nodes: usize,
-    /// Bytes of backing storage held by the run's shared store
-    /// ([`crate::SharedTddStore::bytes_used`]) at report time. 0 for
-    /// private-store runs, whose arenas die with the manager; for warm
-    /// sessions this is the footprint the service layer's byte-budgeted
-    /// eviction accounts against.
+    /// Bytes of backing storage held at report time: the shared store's
+    /// [`crate::SharedTddStore::bytes_used`], or a private manager's own
+    /// arenas and tables. For warm sessions this is the footprint the
+    /// service layer's byte-budgeted eviction accounts against.
     pub store_bytes: u64,
     /// High-water mark of `store_bytes` over the run (and, for shared
     /// stores, over every retired predecessor in a reclamation chain —
@@ -127,7 +126,11 @@ impl TddStats {
     /// Folds another manager's counters into this one: counts add up,
     /// size maxima take the max. Used to combine the thread-local
     /// managers of a parallel run into one report; with a shared store,
-    /// merge [`crate::SharedTddStore::stats`] exactly once on top.
+    /// merge [`crate::SharedTddStore::stats`] exactly once on top. The
+    /// store footprints take the max too, which is right for managers
+    /// on one shared store and for managers that succeed one another;
+    /// concurrent private managers hold disjoint stores, so a caller
+    /// combining those sums their footprints instead.
     ///
     /// # Example
     ///
@@ -150,8 +153,8 @@ impl TddStats {
         self.cont_hits += other.cont_hits;
         self.gc_runs += other.gc_runs;
         self.peak_nodes = self.peak_nodes.max(other.peak_nodes);
-        // A footprint, not a counter: every worker of a run reports the
-        // same store, so summing would multiply it by the worker count.
+        // A footprint, not a counter: workers on one shared store all
+        // report it, so summing would multiply it by the worker count.
         self.store_bytes = self.store_bytes.max(other.store_bytes);
         self.peak_store_bytes = self.peak_store_bytes.max(other.peak_store_bytes);
     }
@@ -323,19 +326,9 @@ impl TddManager {
     /// [`crate::convert::from_tensor`] do), and results are
     /// bit-identical whatever the schedule or thread count.
     pub fn new_shared(store: &Arc<SharedTddStore>) -> Self {
-        Self::new_shared_with_id(store, store.register_worker())
-    }
-
-    /// [`Self::new_shared`] under an explicit worker id (from
-    /// [`SharedTddStore::register_worker`]). Use this when one logical
-    /// worker creates several managers over its lifetime — e.g. fresh
-    /// per-term managers when table reuse is off — so unique-table hits
-    /// against that worker's own earlier nodes are not misattributed as
-    /// cross-thread sharing.
-    pub fn new_shared_with_id(store: &Arc<SharedTddStore>, worker: u32) -> Self {
         Self::with_store(TddStore::Shared {
             store: Arc::clone(store),
-            worker,
+            worker: store.register_worker(),
             glue: ToleranceIndex::new(store.tolerance()),
             resolved: FxHashMap::default(),
         })

@@ -1,13 +1,13 @@
 //! The work-stealing parallel term engine: sequential/parallel agreement
 //! on bounds and verdicts, `max_terms`/`deadline` composition, early
-//! ε-exit on the Fig. 7 QFT workloads, thread-count determinism of the
-//! Monte-Carlo estimator, and — for the shared concurrent TDD store —
-//! *bit-identical* results across every thread count.
+//! ε-exit on the Fig. 7 QFT workloads, and thread-count stability of the
+//! Monte-Carlo estimator. Every worker contracts on a private manager,
+//! so values agree across thread counts within the interning tolerance.
 
 use proptest::prelude::*;
 use qaec::{
     check_equivalence, fidelity_alg1, fidelity_monte_carlo, AlgorithmChoice, CheckOptions,
-    QaecError, SharedTableMode, TermOrder, Verdict,
+    QaecError, TermOrder, Verdict,
 };
 use qaec_circuit::generators::{qft, random_circuit, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
@@ -20,17 +20,6 @@ fn with_threads(threads: usize, term_order: TermOrder) -> CheckOptions {
         threads,
         term_order,
         ..CheckOptions::default()
-    }
-}
-
-fn with_backend(
-    threads: usize,
-    term_order: TermOrder,
-    shared_table: SharedTableMode,
-) -> CheckOptions {
-    CheckOptions {
-        shared_table,
-        ..with_threads(threads, term_order)
     }
 }
 
@@ -61,21 +50,20 @@ fn instance() -> impl proptest::strategy::Strategy<Value = (Circuit, Circuit)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Exact mode on the *private* backend: 2/4/8 workers reproduce the
-    /// sequential bounds to 1e-9 in both term orders (each private
-    /// manager glues weights along its own history, so tolerance-level
-    /// drift is the contract here; bit-equality is the shared store's).
+    /// Exact mode: 2/4/8 workers reproduce the sequential bounds to 1e-9
+    /// in both term orders (each private manager glues weights along its
+    /// own history, so tolerance-level drift is the contract).
     #[test]
     fn parallel_exact_matches_sequential_bounds((ideal, noisy) in instance()) {
         for term_order in [TermOrder::Lexicographic, TermOrder::BestFirst] {
             let seq = fidelity_alg1(
                 &ideal, &noisy, None,
-                &with_backend(1, term_order, SharedTableMode::Off),
+                &with_threads(1, term_order),
             ).expect("sequential");
             for threads in [2usize, 4, 8] {
                 let par = fidelity_alg1(
                     &ideal, &noisy, None,
-                    &with_backend(threads, term_order, SharedTableMode::Off),
+                    &with_threads(threads, term_order),
                 ).expect("parallel");
                 prop_assert!(
                     (par.fidelity_lower - seq.fidelity_lower).abs() < 1e-9,
@@ -93,51 +81,10 @@ proptest! {
         }
     }
 
-    /// The shared store's acceptance property: `threads ∈ {1, 2, 4, 8}`
-    /// produce **bit-identical** fidelity bounds and term counts (the
-    /// former 1e-9 tolerance, upgraded to `f64::to_bits` equality). The
-    /// two backends must still agree to interning-tolerance accuracy.
-    #[test]
-    fn shared_store_runs_are_bit_identical_across_thread_counts((ideal, noisy) in instance()) {
-        for term_order in [TermOrder::Lexicographic, TermOrder::BestFirst] {
-            let seq = fidelity_alg1(
-                &ideal, &noisy, None,
-                &with_backend(1, term_order, SharedTableMode::On),
-            ).expect("sequential shared");
-            for threads in [2usize, 4, 8] {
-                let par = fidelity_alg1(
-                    &ideal, &noisy, None,
-                    &with_backend(threads, term_order, SharedTableMode::On),
-                ).expect("parallel shared");
-                prop_assert_eq!(
-                    par.fidelity_lower.to_bits(), seq.fidelity_lower.to_bits(),
-                    "{:?} t={}: lower {} vs {}",
-                    term_order, threads, par.fidelity_lower, seq.fidelity_lower
-                );
-                prop_assert_eq!(
-                    par.fidelity_upper.to_bits(), seq.fidelity_upper.to_bits(),
-                    "{:?} t={}: upper {} vs {}",
-                    term_order, threads, par.fidelity_upper, seq.fidelity_upper
-                );
-                prop_assert_eq!(par.terms_computed, seq.terms_computed);
-            }
-            let private = fidelity_alg1(
-                &ideal, &noisy, None,
-                &with_backend(1, term_order, SharedTableMode::Off),
-            ).expect("sequential private");
-            prop_assert!(
-                (seq.fidelity_lower - private.fidelity_lower).abs() < 1e-8,
-                "backends diverged: shared {} vs private {}",
-                seq.fidelity_lower, private.fidelity_lower
-            );
-        }
-    }
-
     /// ε-decision mode: parallel verdicts agree with sequential ones for
     /// ε ∈ {1e-2, 1e-4} in both term orders (skipping razor-edge
-    /// instances where fidelity sits within 1e-9 of the threshold), and
-    /// on the shared store the decided *bounds* are bit-identical too —
-    /// the ordered reducer freezes the decision at the sequential-prefix
+    /// instances where fidelity sits within 1e-9 of the threshold) — the
+    /// ordered reducer freezes the decision at the sequential-prefix
     /// point whatever the scheduling.
     #[test]
     fn parallel_epsilon_verdicts_match_sequential((ideal, noisy) in instance()) {
@@ -151,10 +98,6 @@ proptest! {
                 }
                 let seq = check_equivalence(&ideal, &noisy, eps, &with_threads(1, term_order))
                     .expect("sequential");
-                let seq_shared = check_equivalence(
-                    &ideal, &noisy, eps,
-                    &with_backend(1, term_order, SharedTableMode::On),
-                ).expect("sequential shared");
                 for threads in [2usize, 4, 8] {
                     let par =
                         check_equivalence(&ideal, &noisy, eps, &with_threads(threads, term_order))
@@ -163,22 +106,6 @@ proptest! {
                         par.verdict, seq.verdict,
                         "{:?} t={} ε={}: exact fidelity {}", term_order, threads, eps, exact
                     );
-                    let par_shared = check_equivalence(
-                        &ideal, &noisy, eps,
-                        &with_backend(threads, term_order, SharedTableMode::On),
-                    ).expect("parallel shared");
-                    prop_assert_eq!(par_shared.verdict, seq_shared.verdict);
-                    prop_assert_eq!(
-                        par_shared.fidelity_bounds.0.to_bits(),
-                        seq_shared.fidelity_bounds.0.to_bits(),
-                        "shared ε bounds must be bit-stable ({:?} t={} ε={})",
-                        term_order, threads, eps
-                    );
-                    prop_assert_eq!(
-                        par_shared.fidelity_bounds.1.to_bits(),
-                        seq_shared.fidelity_bounds.1.to_bits()
-                    );
-                    prop_assert_eq!(par_shared.terms_computed, seq_shared.terms_computed);
                 }
             }
         }
@@ -265,10 +192,8 @@ fn parallel_max_terms_and_epsilon_compose() {
 }
 
 /// The Monte-Carlo sample stream is a function of the seed alone: thread
-/// count changes only which worker contracts which distinct string. On
-/// the shared store every string's trace is scheduling-independent, so
-/// the estimate is **bit-identical** for every thread count; on private
-/// stores it agrees to the weight-interning tolerance.
+/// count changes only which worker contracts which distinct string, and
+/// the estimate agrees to the weight-interning tolerance.
 #[test]
 fn monte_carlo_estimate_is_thread_count_stable() {
     let ideal = random_circuit(2, 8, 41);
@@ -278,7 +203,7 @@ fn monte_carlo_estimate_is_thread_count_stable() {
         &noisy,
         400,
         7,
-        &with_backend(1, TermOrder::BestFirst, SharedTableMode::Off),
+        &with_threads(1, TermOrder::BestFirst),
     )
     .expect("sequential mc");
     let repeat = fidelity_monte_carlo(
@@ -286,22 +211,14 @@ fn monte_carlo_estimate_is_thread_count_stable() {
         &noisy,
         400,
         7,
-        &with_backend(1, TermOrder::BestFirst, SharedTableMode::Off),
+        &with_threads(1, TermOrder::BestFirst),
     )
     .expect("repeat mc");
     // One worker → bitwise identical.
     assert_eq!(reference.estimate, repeat.estimate);
     assert_eq!(reference.std_error, repeat.std_error);
-    let shared_reference = fidelity_monte_carlo(
-        &ideal,
-        &noisy,
-        400,
-        7,
-        &with_backend(1, TermOrder::BestFirst, SharedTableMode::On),
-    )
-    .expect("sequential shared mc");
     for threads in [2usize, 4, 8] {
-        let opts = with_backend(threads, TermOrder::BestFirst, SharedTableMode::Off);
+        let opts = with_threads(threads, TermOrder::BestFirst);
         let parallel = fidelity_monte_carlo(&ideal, &noisy, 400, 7, &opts).expect("parallel mc");
         // Identical sampling; interning-level numerical drift only.
         assert!(
@@ -315,24 +232,6 @@ fn monte_carlo_estimate_is_thread_count_stable() {
             "t={threads}"
         );
         assert_eq!(reference.samples, parallel.samples, "t={threads}");
-
-        let shared = fidelity_monte_carlo(
-            &ideal,
-            &noisy,
-            400,
-            7,
-            &with_backend(threads, TermOrder::BestFirst, SharedTableMode::On),
-        )
-        .expect("parallel shared mc");
-        assert_eq!(
-            shared.estimate.to_bits(),
-            shared_reference.estimate.to_bits(),
-            "t={threads}: shared-store MC must be bit-stable"
-        );
-        assert_eq!(
-            shared.std_error.to_bits(),
-            shared_reference.std_error.to_bits()
-        );
     }
 }
 
@@ -359,95 +258,15 @@ fn reports_carry_merged_worker_stats() {
     assert!(seq.stats.cont_calls > 0);
     assert!(par.stats.cont_calls > 0);
     assert!(par.stats.nodes_created >= seq.stats.nodes_created / 2);
+    // Private stores report their footprint, and the peak never reads
+    // below what is still held.
+    for stats in [&seq.stats, &par.stats] {
+        assert!(stats.store_bytes > 0, "{stats:?}");
+        assert!(stats.peak_store_bytes >= stats.store_bytes, "{stats:?}");
+    }
 
     let checked = check_equivalence(&ideal, &noisy, 0.05, &with_threads(4, TermOrder::BestFirst))
         .expect("check");
     assert_eq!(checked.verdict, Verdict::Equivalent);
     assert!(checked.stats.nodes_created > 0);
-}
-
-/// The shared store's structure-sharing payoff, stats-level: a 4-worker
-/// shared run allocates strictly fewer nodes than the same run on
-/// private per-worker managers (which rebuild common sub-diagrams once
-/// per thread), records cross-thread unique-table hits, and reports true
-/// (non-double-counted) allocation totals ≈ the sequential run's.
-#[test]
-fn shared_store_reduces_aggregate_allocations() {
-    let ideal = qft(3, QftStyle::DecomposedNoSwaps);
-    let noisy = insert_random_noise(&ideal, &NoiseChannel::Depolarizing { p: 0.999 }, 4, 6);
-    let shared = fidelity_alg1(
-        &ideal,
-        &noisy,
-        None,
-        &with_backend(4, TermOrder::Lexicographic, SharedTableMode::On),
-    )
-    .expect("shared parallel");
-    let private = fidelity_alg1(
-        &ideal,
-        &noisy,
-        None,
-        &with_backend(4, TermOrder::Lexicographic, SharedTableMode::Off),
-    )
-    .expect("private parallel");
-    let sequential = fidelity_alg1(
-        &ideal,
-        &noisy,
-        None,
-        &with_backend(1, TermOrder::Lexicographic, SharedTableMode::Off),
-    )
-    .expect("sequential");
-    assert!(
-        shared.stats.nodes_created < private.stats.nodes_created,
-        "shared store must allocate less than per-worker rebuilding: {} vs {}",
-        shared.stats.nodes_created,
-        private.stats.nodes_created
-    );
-    assert!(
-        shared.stats.cross_unique_hits > 0,
-        "4 workers on 256 terms must share structure across threads"
-    );
-    // The shared store accounts its footprint, and its high-water mark
-    // never reads below what it still holds.
-    assert!(shared.stats.store_bytes > 0, "{:?}", shared.stats);
-    assert!(
-        shared.stats.peak_store_bytes >= shared.stats.store_bytes,
-        "{:?}",
-        shared.stats
-    );
-    // Store-aware attribution: the shared total is one global count, in
-    // the same ballpark as the sequential build — not workers × that.
-    assert!(
-        shared.stats.nodes_created <= sequential.stats.nodes_created * 2,
-        "shared {} vs sequential {} — double counting?",
-        shared.stats.nodes_created,
-        sequential.stats.nodes_created
-    );
-}
-
-/// With table reuse off a fresh manager is created per term; all of one
-/// worker's managers must share one store identity, so hits on nodes
-/// that the same thread built during *earlier terms* are not counted as
-/// cross-thread sharing. One worker ⇒ zero cross-thread hits, exactly.
-#[test]
-fn fresh_per_term_managers_keep_one_worker_identity() {
-    let ideal = qft(3, QftStyle::DecomposedNoSwaps);
-    let noisy = insert_random_noise(&ideal, &NoiseChannel::Depolarizing { p: 0.999 }, 2, 9);
-    let report = fidelity_alg1(
-        &ideal,
-        &noisy,
-        None,
-        &CheckOptions {
-            reuse_tables: false,
-            ..with_backend(1, TermOrder::Lexicographic, SharedTableMode::On)
-        },
-    )
-    .expect("fresh-manager shared run");
-    assert!(
-        report.stats.unique_hits > 0,
-        "16 structurally-identical terms must hit the unique table"
-    );
-    assert_eq!(
-        report.stats.cross_unique_hits, 0,
-        "a single worker can never hit across threads"
-    );
 }

@@ -10,7 +10,7 @@
 
 use qaec::{
     check_equivalence, AlgorithmChoice, CheckOptions, Checker, EquivalenceReport, Service,
-    ServiceConfig, ServiceQuery, ServiceRequest, SharedTableMode, StoreReclaimMode,
+    ServiceConfig, ServiceQuery, ServiceRequest, StoreReclaimMode,
 };
 use qaec_circuit::generators::{qft, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
@@ -24,7 +24,6 @@ fn options(algorithm: AlgorithmChoice) -> CheckOptions {
     CheckOptions {
         algorithm,
         threads: 1,
-        shared_table: SharedTableMode::Auto,
         store_reclaim: StoreReclaimMode::Auto,
         ..CheckOptions::default()
     }

@@ -13,7 +13,7 @@
 
 use qaec::{
     check_equivalence, AlgorithmChoice, CacheOutcome, CheckOptions, Checker, QaecError, Service,
-    ServiceConfig, ServiceQuery, ServiceReply, ServiceRequest, SharedTableMode,
+    ServiceConfig, ServiceQuery, ServiceReply, ServiceRequest,
 };
 use qaec_circuit::generators::{qft, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
@@ -31,15 +31,14 @@ fn fixture(n: usize, sites: usize, seed: u64) -> (Circuit, Circuit) {
     (ideal, noisy)
 }
 
-/// Deterministic-by-construction options: shared-store runs are
-/// bit-reproducible at every thread count, so every comparison below
-/// compares like with like regardless of the CI env matrix
-/// (`QAEC_THREADS` / `QAEC_SHARED_TABLE`).
+/// Deterministic-by-construction options: the thread count is explicit
+/// (Algorithm II is bit-reproducible at every count, Algorithm I runs
+/// at one), so every comparison below compares like with like
+/// regardless of the CI env matrix (`QAEC_THREADS`).
 fn options(algorithm: AlgorithmChoice, threads: usize) -> CheckOptions {
     CheckOptions {
         algorithm,
         threads,
-        shared_table: SharedTableMode::On,
         ..CheckOptions::default()
     }
 }

@@ -11,7 +11,7 @@
 
 use qaec::{
     check_equivalence, fidelity_monte_carlo, jamiolkowski_fidelity, AlgorithmChoice, CheckOptions,
-    Checker, QaecError, SharedTableMode, StoreReclaimMode, Verdict,
+    Checker, QaecError, StoreReclaimMode, Verdict,
 };
 use qaec_circuit::generators::{qft, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
@@ -30,11 +30,10 @@ fn fixture(n: usize, sites: usize) -> (Circuit, Circuit) {
     (ideal, noisy)
 }
 
-fn options(algorithm: AlgorithmChoice, threads: usize, shared: SharedTableMode) -> CheckOptions {
+fn options(algorithm: AlgorithmChoice, threads: usize) -> CheckOptions {
     CheckOptions {
         algorithm,
         threads,
-        shared_table: shared,
         ..CheckOptions::default()
     }
 }
@@ -58,68 +57,54 @@ fn reparameterise(noisy: &Circuit, p: f64) -> Circuit {
 }
 
 /// Compile-once / query-many returns the one-shot values: bitwise
-/// wherever the engine guarantees determinism (sequential runs; any
-/// shared-store run — exact-bits interning with scope-local glue makes
+/// wherever the engine guarantees determinism (sequential runs; every
+/// Algorithm II run — exact-bits interning with scope-local glue makes
 /// warm reuse value-transparent), and within the interning tolerance for the one
-/// configuration without that guarantee (parallel private stores, whose
+/// configuration without that guarantee (parallel Algorithm I, whose
 /// per-worker interning history is scheduler-dependent).
 #[test]
 fn compiled_fidelity_matches_one_shot_across_backends() {
     let (ideal, noisy) = fixture(3, 4);
     for algorithm in [AlgorithmChoice::AlgorithmI, AlgorithmChoice::AlgorithmII] {
         for threads in [1usize, 4] {
-            for shared in [SharedTableMode::On, SharedTableMode::Off] {
-                let opts = options(algorithm, threads, shared);
-                let one_shot = jamiolkowski_fidelity(&ideal, &noisy, &opts).expect("one-shot");
-                let mut compiled = Checker::new(&ideal, &noisy)
-                    .options(opts.clone())
-                    .compile()
-                    .expect("compile");
-                let first = compiled.fidelity().expect("query 1");
-                let second = compiled.fidelity().expect("query 2 (cached)");
-                let label = format!("{algorithm:?} t{threads} {shared:?}");
+            let opts = options(algorithm, threads);
+            let one_shot = jamiolkowski_fidelity(&ideal, &noisy, &opts).expect("one-shot");
+            let mut compiled = Checker::new(&ideal, &noisy)
+                .options(opts.clone())
+                .compile()
+                .expect("compile");
+            let first = compiled.fidelity().expect("query 1");
+            let second = compiled.fidelity().expect("query 2 (cached)");
+            let label = format!("{algorithm:?} t{threads}");
+            assert_eq!(
+                first.to_bits(),
+                second.to_bits(),
+                "{label}: repeated queries must be stable"
+            );
+            if algorithm == AlgorithmChoice::AlgorithmI && threads > 1 {
+                assert!(
+                    (first - one_shot).abs() < 1e-9,
+                    "{label}: {first} vs {one_shot}"
+                );
+            } else {
                 assert_eq!(
                     first.to_bits(),
-                    second.to_bits(),
-                    "{label}: repeated queries must be stable"
+                    one_shot.to_bits(),
+                    "{label}: compiled vs one-shot drifted: {first} vs {one_shot}"
                 );
-                // Parallel Algorithm I on private stores is the one
-                // configuration whose exact sum is only
-                // tolerance-reproducible (per-worker interning history
-                // depends on scheduling) — everywhere else the session
-                // must match the one-shot value bit for bit.
-                let bit_deterministic = !(algorithm == AlgorithmChoice::AlgorithmI
-                    && threads > 1
-                    && shared == SharedTableMode::Off);
-                if bit_deterministic {
-                    assert_eq!(
-                        first.to_bits(),
-                        one_shot.to_bits(),
-                        "{label}: compiled vs one-shot drifted: {first} vs {one_shot}"
-                    );
-                } else {
-                    assert!(
-                        (first - one_shot).abs() < 1e-9,
-                        "{label}: {first} vs {one_shot}"
-                    );
-                }
             }
         }
     }
 }
 
-/// `check` on a fresh session equals `check_equivalence` (verdict and
-/// bounds), and `verdict` keeps agreeing at every ε once answers come
-/// from the cached interval.
-/// `Auto` keeps Algorithm I and Monte Carlo on private per-worker
-/// managers at every thread count: the session allocates no shared
-/// store, and one and four threads agree within the interning
-/// tolerance. Only `On` puts Algorithm I on a shared store.
+/// Algorithm I and Monte Carlo run on private per-worker managers at
+/// every thread count: the session allocates no shared store, and one
+/// and four threads agree within the interning tolerance.
 #[test]
 fn auto_keeps_algorithm_one_private_at_every_thread_count() {
     let (ideal, noisy) = fixture(3, 4);
     let run = |threads: usize| {
-        let opts = options(AlgorithmChoice::AlgorithmI, threads, SharedTableMode::Auto);
+        let opts = options(AlgorithmChoice::AlgorithmI, threads);
         let mut compiled = Checker::new(&ideal, &noisy)
             .options(opts.clone())
             .compile()
@@ -128,7 +113,7 @@ fn auto_keeps_algorithm_one_private_at_every_thread_count() {
         assert_eq!(
             compiled.warm_store_bytes(),
             0,
-            "t{threads}: auto must not allocate a shared store"
+            "t{threads}: Algorithm I must not allocate a shared store"
         );
         let estimate = fidelity_monte_carlo(&ideal, &noisy, 2_000, 7, &opts)
             .expect("monte carlo")
@@ -145,21 +130,16 @@ fn auto_keeps_algorithm_one_private_at_every_thread_count() {
         (estimate_t4 - estimate_t1).abs() < 1e-9,
         "monte carlo: t4 {estimate_t4} vs t1 {estimate_t1}"
     );
-    let shared = Checker::new(&ideal, &noisy)
-        .options(options(AlgorithmChoice::AlgorithmI, 4, SharedTableMode::On))
-        .compile()
-        .expect("compile");
-    assert!(
-        shared.warm_store_bytes() > 0,
-        "on must allocate a shared store"
-    );
 }
 
+/// `check` on a fresh session equals `check_equivalence` (verdict and
+/// bounds), and `verdict` keeps agreeing at every ε once answers come
+/// from the cached interval.
 #[test]
 fn compiled_check_and_verdict_match_one_shot() {
     let (ideal, noisy) = fixture(3, 4);
     for algorithm in [AlgorithmChoice::AlgorithmI, AlgorithmChoice::AlgorithmII] {
-        let opts = options(algorithm, 1, SharedTableMode::Auto);
+        let opts = options(algorithm, 1);
         for eps in [0.5, 0.01, 1e-4, 0.0] {
             let one_shot = check_equivalence(&ideal, &noisy, eps, &opts).expect("one-shot");
             // Fresh compile: the first query is exactly the one-shot run.
@@ -205,7 +185,7 @@ fn epsilon_sweep_is_monotone_in_epsilon() {
     let (ideal, noisy) = fixture(3, 4);
     for algorithm in [AlgorithmChoice::AlgorithmI, AlgorithmChoice::AlgorithmII] {
         let mut compiled = Checker::new(&ideal, &noisy)
-            .options(options(algorithm, 1, SharedTableMode::Auto))
+            .options(options(algorithm, 1))
             .compile()
             .expect("compile");
         let fidelity = compiled.fidelity().expect("fidelity");
@@ -245,7 +225,7 @@ fn noise_sweep_matches_cold_checks_bitwise() {
     let eps = 0.01;
     for algorithm in [AlgorithmChoice::AlgorithmI, AlgorithmChoice::AlgorithmII] {
         for threads in [1usize, 4] {
-            let opts = options(algorithm, threads, SharedTableMode::Auto);
+            let opts = options(algorithm, threads);
             let compiled = Checker::new(&ideal, &noisy)
                 .options(opts.clone())
                 .compile()
@@ -262,10 +242,10 @@ fn noise_sweep_matches_cold_checks_bitwise() {
                 let cold_verdict = check_equivalence(&ideal, &cold_noisy, eps, &opts)
                     .expect("cold check")
                     .verdict;
-                // Exhaustive sums on the shared store (Auto resolves
-                // shared for alg2 always, and for alg1 at t4) are
-                // bit-deterministic; the private sequential alg1 path is
-                // the identical code path either way.
+                // Algorithm II's exhaustive sums on the shared store are
+                // bit-deterministic at every thread count, and so is
+                // sequential Algorithm I; parallel Algorithm I drifts
+                // within the interning tolerance.
                 let bit_deterministic = algorithm == AlgorithmChoice::AlgorithmII || threads == 1;
                 if bit_deterministic {
                     assert_eq!(
@@ -307,7 +287,7 @@ fn warm_store_stats_are_epoch_fenced_per_point() {
     let compiled = Checker::new(&ideal, &noisy)
         .options(CheckOptions {
             store_reclaim: StoreReclaimMode::Off,
-            ..options(AlgorithmChoice::AlgorithmII, 1, SharedTableMode::On)
+            ..options(AlgorithmChoice::AlgorithmII, 1)
         })
         .compile()
         .expect("compile");
@@ -343,7 +323,7 @@ fn wrapper_and_session_error_precedence_agree() {
     let mut noisy_ideal = Circuit::new(2);
     noisy_ideal.noise(NoiseChannel::BitFlip { p: 0.9 }, &[0]);
     for algorithm in [AlgorithmChoice::AlgorithmI, AlgorithmChoice::AlgorithmII] {
-        let opts = options(algorithm, 1, SharedTableMode::Auto);
+        let opts = options(algorithm, 1);
         // Width mismatch beats a bad epsilon, in the wrapper and at
         // session compile time.
         assert_eq!(

@@ -9,13 +9,11 @@
 //! footprint stays strictly (in fact multiples) below the append-only
 //! reclaim-off peak.
 //!
-//! Options are always set explicitly (the CI shared-table and
+//! Options are always set explicitly (the CI thread-sanity and
 //! reclamation matrices override the defaults via environment
 //! variables, and these tests pin exact configurations).
 
-use qaec::{
-    AlgorithmChoice, CheckOptions, Checker, CompiledCheck, SharedTableMode, StoreReclaimMode,
-};
+use qaec::{AlgorithmChoice, CheckOptions, Checker, CompiledCheck, StoreReclaimMode};
 use qaec_circuit::generators::{qft, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
 use qaec_circuit::{Circuit, NoiseChannel};
@@ -37,7 +35,6 @@ fn options(threads: usize, reclaim: StoreReclaimMode) -> CheckOptions {
     CheckOptions {
         algorithm: AlgorithmChoice::AlgorithmII,
         threads,
-        shared_table: SharedTableMode::On,
         store_reclaim: reclaim,
         ..CheckOptions::default()
     }

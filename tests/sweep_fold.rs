@@ -9,12 +9,12 @@
 //! does strictly less decision-diagram work than the first.
 //!
 //! Options are always set explicitly (the CI thread-sanity and
-//! shared-table matrices override the defaults via environment
+//! store-reclaim matrices override the defaults via environment
 //! variables, and these tests pin exact configurations).
 
 use qaec::{
     check_equivalence, AlgorithmChoice, CheckOptions, Checker, CompiledCheck, EquivalenceReport,
-    SharedTableMode, StoreReclaimMode, SweepPoint,
+    StoreReclaimMode, SweepPoint,
 };
 use qaec_circuit::generators::{qft, quantum_volume, tile, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
@@ -39,11 +39,10 @@ fn fixture(n: usize, sites: usize) -> (Circuit, Circuit) {
     (ideal, noisy)
 }
 
-fn options(threads: usize, shared: SharedTableMode, reclaim: StoreReclaimMode) -> CheckOptions {
+fn options(threads: usize, reclaim: StoreReclaimMode) -> CheckOptions {
     CheckOptions {
         algorithm: AlgorithmChoice::AlgorithmII,
         threads,
-        shared_table: shared,
         store_reclaim: reclaim,
         ..CheckOptions::default()
     }
@@ -81,7 +80,7 @@ const EPSILON: f64 = 0.02;
 /// Every point must equal a cold one-shot check of its pair: fidelity
 /// bits, verdict and `max_nodes`.
 fn assert_matches_cold(ideal: &Circuit, noisy: &Circuit, points: &[SweepPoint], what: &str) {
-    let cold_options = options(1, SharedTableMode::Auto, StoreReclaimMode::Auto);
+    let cold_options = options(1, StoreReclaimMode::Auto);
     assert_eq!(points.len(), STRENGTHS.len(), "{what}");
     for (i, (point, &strength)) in points.iter().zip(&STRENGTHS).enumerate() {
         let cold = check_equivalence(
@@ -115,11 +114,7 @@ fn folded_sweep_matches_cold_one_shot_checks() {
             StoreReclaimMode::Off,
             StoreReclaimMode::Auto,
         ] {
-            let session = compile(
-                &ideal,
-                &noisy,
-                &options(threads, SharedTableMode::On, reclaim),
-            );
+            let session = compile(&ideal, &noisy, &options(threads, reclaim));
             for sweep in ["first", "repeated"] {
                 let points = session.sweep_noise(EPSILON, &STRENGTHS).expect("sweep");
                 let what = format!("t{threads} {reclaim:?} {sweep} sweep");
@@ -135,11 +130,7 @@ fn folded_sweep_matches_cold_one_shot_checks() {
 #[test]
 fn repeated_sweep_does_fewer_cont_calls() {
     let (ideal, noisy) = fixture(3, 4);
-    let session = compile(
-        &ideal,
-        &noisy,
-        &options(1, SharedTableMode::On, StoreReclaimMode::Off),
-    );
+    let session = compile(&ideal, &noisy, &options(1, StoreReclaimMode::Off));
     let cont_calls =
         |points: &[SweepPoint]| -> u64 { points.iter().map(|p| p.stats.cont_calls).sum() };
     let first = session.sweep_noise(EPSILON, &STRENGTHS).expect("first");
@@ -181,7 +172,7 @@ fn qv6x4_sweeps_fold_to_0_35x_the_cold_work_and_reclaim_1_5x_of_the_peak() {
     );
     let strengths = [0.999, 0.998, 0.997, 0.996, 0.995, 0.99, 0.98, 0.97];
     let epsilon = 1e-3;
-    let opts = |reclaim| options(1, SharedTableMode::On, reclaim);
+    let opts = |reclaim| options(1, reclaim);
     // A session's sweep, with its store's peak and current footprint.
     let sweep = |session: &CompiledCheck| {
         let points = session.sweep_noise(epsilon, &strengths).expect("sweep");
@@ -248,27 +239,24 @@ fn qv6x4_sweeps_fold_to_0_35x_the_cold_work_and_reclaim_1_5x_of_the_peak() {
     );
 }
 
-/// A private-store session (`--shared-table off`) keeps the per-point
-/// full replay; its fidelities agree with the folded sweep to the
-/// interning tolerance, and its verdicts exactly.
+/// An Algorithm I session sweeps on private per-worker managers, one
+/// full term enumeration per point; its fidelities agree with the
+/// folded Algorithm II sweep to the interning tolerance, and its
+/// verdicts exactly.
 #[test]
 fn private_store_sweep_agrees_with_the_folded_sweep() {
     let (ideal, noisy) = fixture(3, 4);
     for threads in [1usize, 4] {
-        let folded = compile(
-            &ideal,
-            &noisy,
-            &options(threads, SharedTableMode::On, StoreReclaimMode::Auto),
-        )
-        .sweep_noise(EPSILON, &STRENGTHS)
-        .expect("folded sweep");
-        let private = compile(
-            &ideal,
-            &noisy,
-            &options(threads, SharedTableMode::Off, StoreReclaimMode::Auto),
-        )
-        .sweep_noise(EPSILON, &STRENGTHS)
-        .expect("private sweep");
+        let folded = compile(&ideal, &noisy, &options(threads, StoreReclaimMode::Auto))
+            .sweep_noise(EPSILON, &STRENGTHS)
+            .expect("folded sweep");
+        let alg1 = CheckOptions {
+            algorithm: AlgorithmChoice::AlgorithmI,
+            ..options(threads, StoreReclaimMode::Auto)
+        };
+        let private = compile(&ideal, &noisy, &alg1)
+            .sweep_noise(EPSILON, &STRENGTHS)
+            .expect("private sweep");
         for (i, (a, b)) in folded.iter().zip(&private).enumerate() {
             assert!(
                 (a.fidelity - b.fidelity).abs() < 1e-9,
@@ -289,11 +277,7 @@ fn pair_without_noise_sites_folds_everything() {
     let mut ideal = Circuit::new(3);
     ideal.h(0).cx(0, 1).t(1);
     let noisy = ideal.clone();
-    let session = compile(
-        &ideal,
-        &noisy,
-        &options(1, SharedTableMode::On, StoreReclaimMode::Off),
-    );
+    let session = compile(&ideal, &noisy, &options(1, StoreReclaimMode::Off));
     let points = session.sweep_noise(EPSILON, &STRENGTHS).expect("sweep");
     assert_matches_cold(&ideal, &noisy, &points, "noise-free pair");
     assert_eq!(points[0].fidelity, 1.0);
@@ -312,22 +296,14 @@ fn pair_whose_every_step_depends_on_noise_has_an_empty_fold() {
     let ideal = Circuit::new(2);
     let mut noisy = Circuit::new(2);
     noisy.noise(NoiseChannel::Depolarizing { p: 0.999 }, &[0]);
-    let session = compile(
-        &ideal,
-        &noisy,
-        &options(1, SharedTableMode::On, StoreReclaimMode::Off),
-    );
+    let session = compile(&ideal, &noisy, &options(1, StoreReclaimMode::Off));
     let points = session.sweep_noise(EPSILON, &STRENGTHS).expect("sweep");
     assert_matches_cold(&ideal, &noisy, &points, "noise-only pair");
     let same = session.sweep_noise(EPSILON, &[0.99, 0.99]).expect("repeat");
     assert_eq!(same[0].stats.cont_calls, same[1].stats.cont_calls);
-    let fresh = compile(
-        &ideal,
-        &noisy,
-        &options(1, SharedTableMode::On, StoreReclaimMode::Off),
-    )
-    .sweep_noise(EPSILON, &[0.99, 0.99])
-    .expect("fresh");
+    let fresh = compile(&ideal, &noisy, &options(1, StoreReclaimMode::Off))
+        .sweep_noise(EPSILON, &[0.99, 0.99])
+        .expect("fresh");
     assert_eq!(
         fresh[0].stats.cont_calls, fresh[1].stats.cont_calls,
         "an empty fold contracts nothing"
@@ -336,38 +312,35 @@ fn pair_whose_every_step_depends_on_noise_has_an_empty_fold() {
 
 /// `sweep_noise_verdicts` (ε-aware, early-exit) agrees with the exact
 /// sweep's decisions and with itself run one strength at a time, on
-/// both backends and both store modes. The ε is chosen to split the
-/// strength range, so both verdicts actually occur.
+/// both backends. The ε is chosen to split the strength range, so both
+/// verdicts actually occur.
 #[test]
 fn verdicts_sweep_matches_exact_sweep_and_point_by_point_runs() {
     let (ideal, noisy) = fixture(3, 4);
     for algorithm in [AlgorithmChoice::AlgorithmI, AlgorithmChoice::AlgorithmII] {
-        for shared in [SharedTableMode::On, SharedTableMode::Off] {
-            let opts = CheckOptions {
-                algorithm,
-                ..options(1, shared, StoreReclaimMode::Auto)
-            };
-            let compiled = compile(&ideal, &noisy, &opts);
-            let verdicts = compiled
-                .sweep_noise_verdicts(EPSILON, &STRENGTHS)
-                .expect("verdict sweep");
-            assert_eq!(verdicts.len(), STRENGTHS.len());
-            let exact = compiled
-                .sweep_noise(EPSILON, &STRENGTHS)
-                .expect("exact sweep");
-            for (i, (v, point)) in verdicts.iter().zip(&exact).enumerate() {
-                assert_eq!(*v, point.verdict, "{algorithm:?} {shared:?} point {i}");
-            }
-            for (i, &strength) in STRENGTHS.iter().enumerate() {
-                let single = compiled
-                    .sweep_noise_verdicts(EPSILON, &[strength])
-                    .expect("single-point verdict");
-                assert_eq!(single[0], verdicts[i], "{algorithm:?} {shared:?} point {i}");
-            }
-            let seen: std::collections::HashSet<_> =
-                verdicts.iter().map(|v| format!("{v}")).collect();
-            assert_eq!(seen.len(), 2, "ε must split the range: {verdicts:?}");
+        let opts = CheckOptions {
+            algorithm,
+            ..options(1, StoreReclaimMode::Auto)
+        };
+        let compiled = compile(&ideal, &noisy, &opts);
+        let verdicts = compiled
+            .sweep_noise_verdicts(EPSILON, &STRENGTHS)
+            .expect("verdict sweep");
+        assert_eq!(verdicts.len(), STRENGTHS.len());
+        let exact = compiled
+            .sweep_noise(EPSILON, &STRENGTHS)
+            .expect("exact sweep");
+        for (i, (v, point)) in verdicts.iter().zip(&exact).enumerate() {
+            assert_eq!(*v, point.verdict, "{algorithm:?} point {i}");
         }
+        for (i, &strength) in STRENGTHS.iter().enumerate() {
+            let single = compiled
+                .sweep_noise_verdicts(EPSILON, &[strength])
+                .expect("single-point verdict");
+            assert_eq!(single[0], verdicts[i], "{algorithm:?} point {i}");
+        }
+        let seen: std::collections::HashSet<_> = verdicts.iter().map(|v| format!("{v}")).collect();
+        assert_eq!(seen.len(), 2, "ε must split the range: {verdicts:?}");
     }
 }
 

@@ -5,14 +5,13 @@
 //! together. The contract under test is that it stays a pure no-op —
 //! a noise sweep at any lane width is bit-identical to the same
 //! session's points replayed one strength at a time, at every thread
-//! count and store mode — and that a sweep does not depend on the
-//! thread count.
+//! count — and that a sweep does not depend on the thread count.
 //!
 //! Options are always set explicitly (the CI thread-sanity and
-//! shared-table matrices override the defaults via environment
+//! store-reclaim matrices override the defaults via environment
 //! variables, and these tests pin exact configurations).
 
-use qaec::{AlgorithmChoice, CheckOptions, Checker, CompiledCheck, SharedTableMode};
+use qaec::{AlgorithmChoice, CheckOptions, Checker, CompiledCheck};
 use qaec_circuit::generators::{qft, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
 use qaec_circuit::{Circuit, NoiseChannel};
@@ -30,11 +29,10 @@ fn fixture(n: usize, sites: usize) -> (Circuit, Circuit) {
     (ideal, noisy)
 }
 
-fn options(threads: usize, shared: SharedTableMode, lanes: usize) -> CheckOptions {
+fn options(threads: usize, lanes: usize) -> CheckOptions {
     CheckOptions {
         algorithm: AlgorithmChoice::AlgorithmII,
         threads,
-        shared_table: shared,
         sweep_lanes: lanes,
         ..CheckOptions::default()
     }
@@ -52,48 +50,45 @@ fn compile(ideal: &Circuit, noisy: &Circuit, opts: &CheckOptions) -> CompiledChe
 const STRENGTHS: [f64; 9] = [0.999, 0.998, 0.997, 0.996, 0.995, 0.99, 0.98, 0.97, 0.96];
 const EPSILON: f64 = 0.02;
 
-/// Lane widths {1, 2, 4, 8} × threads {1, 4} × shared/private store:
-/// every configuration's sweep is bit-identical to a lanes-1 session
-/// that sweeps one strength per call (the scalar per-point replay).
+/// Lane widths {1, 2, 4, 8} × threads {1, 4}: every configuration's
+/// sweep is bit-identical to a lanes-1 session that sweeps one strength
+/// per call (the scalar per-point replay).
 #[test]
 fn lane_sweep_is_bitwise_identical_to_scalar_replay() {
     let (ideal, noisy) = fixture(3, 4);
     for threads in [1usize, 4] {
-        for shared in [SharedTableMode::On, SharedTableMode::Off] {
-            let replay = compile(&ideal, &noisy, &options(threads, shared, 1));
-            let scalar: Vec<_> = STRENGTHS
-                .iter()
-                .map(|&strength| {
-                    let mut point = replay
-                        .sweep_noise(EPSILON, &[strength])
-                        .expect("scalar point");
-                    assert_eq!(point.len(), 1);
-                    point.remove(0)
-                })
-                .collect();
-            for lanes in [1usize, 2, 4, 8] {
-                let swept = compile(&ideal, &noisy, &options(threads, shared, lanes))
-                    .sweep_noise(EPSILON, &STRENGTHS)
-                    .expect("lane sweep");
-                assert_eq!(swept.len(), scalar.len());
-                for (i, (lane, reference)) in swept.iter().zip(&scalar).enumerate() {
-                    assert_eq!(
-                        lane.fidelity.to_bits(),
-                        reference.fidelity.to_bits(),
-                        "lanes={lanes} t{threads} {shared:?} point {i}: \
-                         {} != {}",
-                        lane.fidelity,
-                        reference.fidelity
-                    );
-                    assert_eq!(
-                        lane.verdict, reference.verdict,
-                        "lanes={lanes} t{threads} {shared:?} point {i}"
-                    );
-                    assert_eq!(
-                        lane.max_nodes, reference.max_nodes,
-                        "lanes={lanes} t{threads} {shared:?} point {i}"
-                    );
-                }
+        let replay = compile(&ideal, &noisy, &options(threads, 1));
+        let scalar: Vec<_> = STRENGTHS
+            .iter()
+            .map(|&strength| {
+                let mut point = replay
+                    .sweep_noise(EPSILON, &[strength])
+                    .expect("scalar point");
+                assert_eq!(point.len(), 1);
+                point.remove(0)
+            })
+            .collect();
+        for lanes in [1usize, 2, 4, 8] {
+            let swept = compile(&ideal, &noisy, &options(threads, lanes))
+                .sweep_noise(EPSILON, &STRENGTHS)
+                .expect("lane sweep");
+            assert_eq!(swept.len(), scalar.len());
+            for (i, (lane, reference)) in swept.iter().zip(&scalar).enumerate() {
+                assert_eq!(
+                    lane.fidelity.to_bits(),
+                    reference.fidelity.to_bits(),
+                    "lanes={lanes} t{threads} point {i}: {} != {}",
+                    lane.fidelity,
+                    reference.fidelity
+                );
+                assert_eq!(
+                    lane.verdict, reference.verdict,
+                    "lanes={lanes} t{threads} point {i}"
+                );
+                assert_eq!(
+                    lane.max_nodes, reference.max_nodes,
+                    "lanes={lanes} t{threads} point {i}"
+                );
             }
         }
     }
@@ -104,10 +99,10 @@ fn lane_sweep_is_bitwise_identical_to_scalar_replay() {
 #[test]
 fn lane_sweep_is_thread_count_independent() {
     let (ideal, noisy) = fixture(3, 4);
-    let t1 = compile(&ideal, &noisy, &options(1, SharedTableMode::On, 8))
+    let t1 = compile(&ideal, &noisy, &options(1, 8))
         .sweep_noise(EPSILON, &STRENGTHS)
         .expect("t1 sweep");
-    let t4 = compile(&ideal, &noisy, &options(4, SharedTableMode::On, 8))
+    let t4 = compile(&ideal, &noisy, &options(4, 8))
         .sweep_noise(EPSILON, &STRENGTHS)
         .expect("t4 sweep");
     assert_eq!(t1.len(), STRENGTHS.len());
