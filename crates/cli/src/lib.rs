@@ -195,12 +195,16 @@ SWEEP:
 
 OPTIONS:
     --algorithm <auto|1|2|mpo|mc>
-                               checking algorithm (default: auto — the
-                               portfolio: a cheap MPO interval pass on
-                               wide, weakly-coupled pairs, escalating
-                               to an exact backend whenever the
-                               interval cannot decide; mc, the Monte
-                               Carlo estimator, is fidelity only)
+                               checking algorithm (default: auto —
+                               exact: a pair whose interaction graph
+                               splits into disjoint components is the
+                               product of its components, each distinct
+                               one on Algorithm II; any other pair runs
+                               Algorithm I up to 16 Kraus terms, else
+                               Algorithm II; mpo, the approximate
+                               certified-interval backend, runs only
+                               when asked for; mc, the Monte Carlo
+                               estimator, is fidelity only)
     --samples <n>              Monte Carlo samples (fidelity only,
                                default 2000)
     --seed <n>                 Monte Carlo seed (fidelity only, default 0)
@@ -234,8 +238,8 @@ OPTIONS:
                                QAEC_STORE_RECLAIM env var, else auto)
     --seed-cache <on|off>      accepted, no effect (the retired
                                cross-worker contraction-cache seeding)
-    --svd-threshold <t>        MPO (algorithm mpo / the auto portfolio):
-                               discard singular values below t·σ_max at
+    --svd-threshold <t>        MPO (algorithm mpo only): discard
+                               singular values below t·σ_max at
                                each truncation; every discard widens the
                                certified fidelity interval by the proven
                                residual (default 1e-8)
@@ -543,9 +547,6 @@ pub(crate) fn check_json(report: &EquivalenceReport) -> json::Object {
     if let Some(bond_max) = report.bond_max {
         object = object.int("bond_max", bond_max as u64);
     }
-    if let Some(cross_check) = report.cross_check {
-        object = object.boolean("cross_check", cross_check);
-    }
     object
 }
 
@@ -647,10 +648,8 @@ fn run_inner(command: Command, out: &mut impl std::io::Write) -> Result<i32, Str
                 write_stats(out, options.verbose, &r.stats)?;
                 return Ok(0);
             }
-            // Resolve `auto` up front so every branch carries statistics.
-            // Fidelity is an exact query, so `auto` resolves to an exact
-            // backend even where a check would try MPO first — the same
-            // promise the session API keeps.
+            // Resolve `auto` up front so every branch carries statistics:
+            // the whole pair on the exact backend `auto_choice` picks.
             let (resolved, auto_note) = match opts.algorithm {
                 AlgorithmChoice::Auto => match qaec::auto_choice(&noisy) {
                     qaec::AlgorithmUsed::AlgorithmI => (AlgorithmChoice::AlgorithmI, "auto: "),

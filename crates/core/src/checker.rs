@@ -19,9 +19,11 @@ use std::time::Instant;
 /// two noise sites, i.e. 4–16 depolarizing terms).
 pub const AUTO_TERM_THRESHOLD: usize = 16;
 
-/// Picks the **exact** algorithm for a noisy circuit under
-/// [`crate::AlgorithmChoice::Auto`] — and the backend the portfolio
-/// escalates to when an MPO interval cannot decide.
+/// Picks the exact algorithm [`crate::AlgorithmChoice::Auto`] runs on a
+/// pair whose qubit-interaction graph is connected: Algorithm I up to
+/// [`AUTO_TERM_THRESHOLD`] Kraus terms, Algorithm II above. A pair that
+/// splits into several components runs every distinct component on
+/// Algorithm II instead.
 pub fn auto_choice(noisy: &Circuit) -> AlgorithmUsed {
     if noisy.kraus_term_count() <= AUTO_TERM_THRESHOLD {
         AlgorithmUsed::AlgorithmI
@@ -30,27 +32,14 @@ pub fn auto_choice(noisy: &Circuit) -> AlgorithmUsed {
     }
 }
 
-/// Register width at or above which the `Auto` portfolio considers the
-/// approximate MPO pass (Algorithm III) worth trying.
-pub const MPO_WIDTH_THRESHOLD: usize = 8;
-
-/// Whether the `Auto` portfolio should run the approximate MPO backend
-/// first: the register is wide (≥ [`MPO_WIDTH_THRESHOLD`] qubits) *and*
-/// shallowly entangled — the largest connected component of the
-/// qubit-interaction graph (each multi-qubit instruction links its
-/// qubits) spans at most half the register.
+/// The connected components of the pair's qubit-interaction graph, in
+/// which every multi-qubit gate or noise instruction of either circuit
+/// links its qubits. Each component lists its qubits in ascending order,
+/// and the components come in the order of their first qubit.
 ///
-/// The heuristic targets the regimes where the two cost models diverge:
-/// the exact backends' decision diagrams grow with *global* circuit
-/// structure, while MPO bond dimension is bounded by the width of the
-/// component a bond cuts through — on tiled or block-local workloads
-/// that bound is a small constant no matter how wide the register gets.
-pub fn mpo_favored(noisy: &Circuit) -> bool {
-    let n = noisy.n_qubits();
-    if n < MPO_WIDTH_THRESHOLD {
-        return false;
-    }
-    // Union-find over the qubit-interaction graph.
+/// No instruction spans two components, so the miter is a tensor product
+/// over them and `F_J` is the product of the components' `F_J`.
+pub(crate) fn components(ideal: &Circuit, noisy: &Circuit) -> Vec<Vec<usize>> {
     fn find(parent: &mut [usize], mut x: usize) -> usize {
         while parent[x] != x {
             parent[x] = parent[parent[x]];
@@ -58,23 +47,22 @@ pub fn mpo_favored(noisy: &Circuit) -> bool {
         }
         x
     }
+    let n = noisy.n_qubits();
     let mut parent: Vec<usize> = (0..n).collect();
-    for inst in noisy.instructions() {
+    for inst in ideal.iter().chain(noisy.iter()) {
         for pair in inst.qubits.windows(2) {
             let (a, b) = (find(&mut parent, pair[0]), find(&mut parent, pair[1]));
-            if a != b {
-                parent[a] = b;
-            }
+            parent[a.max(b)] = a.min(b);
         }
     }
-    let mut size = vec![0usize; n];
-    let mut largest = 0;
+    // Each root is its component's smallest qubit (unions keep the
+    // smaller root), so indexing by root orders the components.
+    let mut components = vec![Vec::new(); n];
     for q in 0..n {
-        let root = find(&mut parent, q);
-        size[root] += 1;
-        largest = largest.max(size[root]);
+        components[find(&mut parent, q)].push(q);
     }
-    largest * 2 <= n
+    components.retain(|qubits| !qubits.is_empty());
+    components
 }
 
 /// Computes the Jamiolkowski fidelity `F_J(E, U)` between an ideal
@@ -223,24 +211,25 @@ mod tests {
         }
     }
 
-    /// The portfolio gate ([`mpo_favored`]): wide registers of narrow
-    /// interaction components go to the MPO pass; narrow registers and
-    /// globally entangled circuits stay exact.
+    /// [`components`] links the qubits of both circuits' multi-qubit
+    /// instructions, and keeps idle qubits apart.
     #[test]
-    fn mpo_favored_requires_wide_and_shallow() {
-        use qaec_circuit::generators::{qft, quantum_volume, tile, QftStyle};
-        // Narrow: below the width threshold no matter how local.
-        assert!(!mpo_favored(&qft(3, QftStyle::DecomposedNoSwaps)));
-        assert!(!mpo_favored(&quantum_volume(6, 4, 7)));
-        // Wide register of 3-qubit blocks: largest component 3 ≤ 24/2.
-        let tiled = tile(&qft(3, QftStyle::DecomposedNoSwaps), 8);
-        assert!(mpo_favored(&tiled));
-        // Wide but globally entangled: one component spans everything.
-        assert!(!mpo_favored(&qft(8, QftStyle::DecomposedNoSwaps)));
-        // Two half-register components sit exactly on the boundary
-        // (largest component == n/2) and are still accepted.
-        let half = tile(&qft(4, QftStyle::DecomposedNoSwaps), 2);
-        assert!(mpo_favored(&half));
+    fn components_cover_both_circuits() {
+        use qaec_circuit::generators::{qft, tile, QftStyle};
+        let tiled = tile(&qft(3, QftStyle::DecomposedNoSwaps), 3);
+        let blocks = vec![vec![0, 1, 2], vec![3, 4, 5], vec![6, 7, 8]];
+        assert_eq!(components(&tiled, &tiled), blocks);
+        let joined = vec![vec![0, 1, 2, 6, 7, 8], vec![3, 4, 5]];
+        let mut noisy = tiled.clone();
+        noisy.noise(NoiseChannel::TwoQubitDepolarizing { p: 0.99 }, &[7, 1]);
+        assert_eq!(components(&tiled, &noisy), joined);
+        let mut ideal = tiled.clone();
+        ideal.cx(2, 6);
+        assert_eq!(components(&ideal, &tiled), joined);
+        assert_eq!(
+            components(&Circuit::new(2), &Circuit::new(2)),
+            vec![vec![0], vec![1]]
+        );
     }
 
     /// Regression: the Algorithm II arm used to validate twice (once in

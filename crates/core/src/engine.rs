@@ -88,8 +88,9 @@ pub(crate) struct EngineOutcome {
     pub max_nodes: usize,
     /// Early ε-decision, if one was reached.
     pub verdict: Option<Verdict>,
-    /// Decision-diagram statistics merged across workers; the store
-    /// footprints are the workers' sum (see [`fold_workers`]).
+    /// Decision-diagram statistics merged across workers; the peak node
+    /// count and the store footprints are the workers' sum (see
+    /// [`fold_workers`]).
     pub stats: TddStats,
     /// Per-job term values `|tr(U†E_choice)|²/d²` in job order
     /// ([`Jobs::Fixed`] runs only; empty otherwise).
@@ -277,30 +278,24 @@ impl<'a> WorkerCtx<'a> {
 }
 
 /// Folds the workers' results into the run's `max_nodes` and stats, and
-/// the last error if any worker failed. Counters add up as in
-/// [`TddStats::merge`], but the store footprints are summed rather than
-/// maxed: every worker's private store is live at once and disjoint
-/// from the others.
+/// the last error if any worker failed. Every worker's private store is
+/// live at once and disjoint from the others, so their peak node counts
+/// and store footprints add up ([`TddStats::merge_disjoint`]).
 fn fold_workers(
     outcomes: Vec<Result<(usize, TddStats), QaecError>>,
 ) -> (usize, TddStats, Option<QaecError>) {
     let mut max_nodes = 0usize;
     let mut stats = TddStats::default();
-    let (mut store_bytes, mut peak_store_bytes) = (0, 0);
     let mut error = None;
     for outcome in outcomes {
         match outcome {
             Ok((nodes, worker)) => {
                 max_nodes = max_nodes.max(nodes);
-                stats.merge(&worker);
-                store_bytes += worker.store_bytes;
-                peak_store_bytes += worker.peak_store_bytes;
+                stats.merge_disjoint(&worker);
             }
             Err(e) => error = Some(e),
         }
     }
-    stats.store_bytes = store_bytes;
-    stats.peak_store_bytes = peak_store_bytes;
     (max_nodes, stats, error)
 }
 
@@ -760,6 +755,7 @@ mod tests {
                 nodes,
                 TddStats {
                     nodes_created: 10,
+                    peak_nodes: 2 * nodes,
                     store_bytes,
                     peak_store_bytes,
                     ..TddStats::default()
@@ -772,8 +768,8 @@ mod tests {
         assert_eq!(max_nodes, 12);
         assert_eq!(stats.nodes_created, 20);
         assert_eq!(
-            (stats.store_bytes, stats.peak_store_bytes),
-            (13_096, 17_192),
+            (stats.peak_nodes, stats.store_bytes, stats.peak_store_bytes),
+            (38, 13_096, 17_192),
             "disjoint private stores add up"
         );
         let (_, _, error) = fold_workers(vec![worker(7, 4096, 8192), Err(QaecError::Timeout)]);

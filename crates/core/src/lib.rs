@@ -78,10 +78,7 @@ pub mod session;
 pub use alg1::{fidelity_alg1, Alg1Report};
 pub use alg2::{fidelity_alg2, Alg2Report};
 pub use alg_mc::{fidelity_monte_carlo, McReport};
-pub use checker::{
-    auto_choice, check_equivalence, jamiolkowski_fidelity, mpo_favored, AUTO_TERM_THRESHOLD,
-    MPO_WIDTH_THRESHOLD,
-};
+pub use checker::{auto_choice, check_equivalence, jamiolkowski_fidelity, AUTO_TERM_THRESHOLD};
 pub use error::QaecError;
 pub use options::{
     default_store_reclaim, default_threads, AlgorithmChoice, CheckOptions, SharedTableMode,

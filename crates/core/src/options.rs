@@ -6,12 +6,12 @@ use std::time::Instant;
 /// Which checking algorithm to run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum AlgorithmChoice {
-    /// Portfolio mode: on wide, weakly-coupled workloads run a cheap
-    /// MPO pass first and escalate to an exact backend whenever the
-    /// truncation interval straddles `1 − ε`; everywhere else pick
-    /// between Algorithms I and II from the number of Kraus terms (the
-    /// paper's observed crossover). Fidelity queries and noise sweeps
-    /// always resolve to an exact backend.
+    /// Exact, by one rule. A pair whose interaction graph splits into
+    /// several disjoint components is answered as the product of its
+    /// components' fidelities, each distinct component compiled once on
+    /// Algorithm II; any other pair runs the algorithm
+    /// [`crate::auto_choice`] picks from the number of Kraus terms (the
+    /// paper's observed crossover). Never runs Algorithm III.
     #[default]
     Auto,
     /// Algorithm I: one trace network per Kraus selection.
@@ -19,9 +19,8 @@ pub enum AlgorithmChoice {
     /// Algorithm II: a single doubled network.
     AlgorithmII,
     /// Algorithm III: approximate MPO contraction with a rigorous
-    /// truncation-error interval (`qaec-mpo`). Never escalates — an
-    /// interval straddling `1 − ε` yields
-    /// [`crate::Verdict::Inconclusive`].
+    /// truncation-error interval (`qaec-mpo`). An interval straddling
+    /// `1 − ε` yields [`crate::Verdict::Inconclusive`].
     Mpo,
 }
 

@@ -12,11 +12,9 @@ pub enum Verdict {
     /// `F_J(E, U) ≤ 1 − ε`.
     NotEquivalent,
     /// The proven fidelity interval straddles `1 − ε`, so neither side
-    /// is established. Only the approximate Algorithm III backend can
-    /// return this (when forced explicitly and its truncation-error
-    /// interval is too wide at the requested ε); the `Auto` portfolio
-    /// never surfaces it — a straddling interval escalates to an exact
-    /// backend instead.
+    /// is established. Only a forced Algorithm III session returns this
+    /// (when its truncation-error interval is too wide at the requested
+    /// ε); the exact backends, `Auto` included, never do.
     Inconclusive,
 }
 
@@ -86,7 +84,7 @@ pub enum AlgorithmUsed {
     /// Collective doubled-network calculation (§IV-B).
     AlgorithmII,
     /// Approximate MPO contraction with a rigorous truncation-error
-    /// interval (the portfolio's Algorithm III, crate `qaec-mpo`).
+    /// interval (Algorithm III, crate `qaec-mpo`; runs only when forced).
     Mpo,
 }
 
@@ -140,10 +138,9 @@ pub struct EquivalenceReport {
     /// Largest MPO bond dimension reached. `Some` only when
     /// Algorithm III ran.
     pub bond_max: Option<usize>,
-    /// When the `Auto` portfolio ran the MPO pass *and* escalated to an
-    /// exact backend, whether the two agreed — the MPO interval and the
-    /// exact backend's proven bounds intersect, as two sound intervals
-    /// for the same fidelity must. `None` when only one backend ran.
+    /// Always `None`: the agreement check of a retired `Auto` mode that
+    /// ran MPO first and escalated to an exact backend. Kept so that
+    /// code reading the field still builds.
     pub cross_check: Option<bool>,
 }
 

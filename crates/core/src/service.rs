@@ -257,14 +257,15 @@ impl fmt::Display for ServiceStats {
 }
 
 /// What a cache entry's `OnceLock` publishes after the winning request
-/// compiles: the session, plus its swappable store cell pulled out so
-/// eviction can size entries without taking the (possibly busy) session
-/// lock — through the *cell*, so a reclamation swap inside the session
-/// is immediately visible to the sizing path instead of pinning the
+/// compiles: the session, plus its swappable store cells (one per
+/// Algorithm II store the session holds) pulled out so eviction can
+/// size entries without taking the (possibly busy) session lock —
+/// through the *cells*, so a reclamation swap inside the session is
+/// immediately visible to the sizing path instead of pinning the
 /// retired store.
 struct SlotCell {
     session: Mutex<CompiledCheck>,
-    store: Option<StoreCell>,
+    stores: Vec<StoreCell>,
 }
 
 /// One cache slot. The `OnceLock` is the single-flight mechanism:
@@ -276,18 +277,11 @@ struct Slot {
 }
 
 impl Slot {
-    fn bytes(&self) -> usize {
+    /// The session's current store footprint and high-water mark.
+    fn footprint(&self) -> (usize, usize) {
         self.cell
             .get()
-            .and_then(|cell| cell.store.as_ref())
-            .map_or(0, |store| store.get().bytes_used())
-    }
-
-    fn peak_bytes(&self) -> usize {
-        self.cell
-            .get()
-            .and_then(|cell| cell.store.as_ref())
-            .map_or(0, |store| store.get().peak_bytes_used())
+            .map_or((0, 0), |cell| StoreCell::footprint(&cell.stores))
     }
 }
 
@@ -397,10 +391,9 @@ impl Service {
             }
             let session =
                 CompiledCheck::compile_prevalidated(&request.ideal, &request.noisy, options);
-            let store = session.warm_store_cell().cloned();
             SlotCell {
+                stores: session.warm_store_cells(),
                 session: Mutex::new(session),
-                store,
             }
         });
         let mut session = cell.session.lock().ok()?;
@@ -461,8 +454,9 @@ impl Service {
     /// Current counters and cache footprint.
     pub fn stats(&self) -> ServiceStats {
         let cache = self.cache.lock().expect("cache lock poisoned");
-        let store_bytes: usize = cache.entries.values().map(|e| e.slot.bytes()).sum();
-        let peak_store_bytes: usize = cache.entries.values().map(|e| e.slot.peak_bytes()).sum();
+        let footprints = cache.entries.values().map(|e| e.slot.footprint());
+        let (store_bytes, peak_store_bytes) =
+            footprints.fold((0, 0), |(now, peak), (n, p)| (now + n, peak + p));
         ServiceStats {
             // ordering: Relaxed (×4) — statistics counters; a reader racing
             // a live request may be one bump behind, which a stats snapshot
@@ -531,7 +525,7 @@ impl Service {
         };
         let mut cache = self.cache.lock().expect("cache lock poisoned");
         loop {
-            let total: usize = cache.entries.values().map(|e| e.slot.bytes()).sum();
+            let total: usize = cache.entries.values().map(|e| e.slot.footprint().0).sum();
             if total <= budget {
                 return;
             }

@@ -27,7 +27,10 @@
 //! for its whole life: its first noise sweep folds the noise-free part
 //! of the doubled network into that store once, so every later point
 //! contracts only the noise-dependent plan steps (see
-//! [`crate::alg2`]'s fold).
+//! [`crate::alg2`]'s fold). Under [`AlgorithmChoice::Auto`], a pair
+//! that splits into several disjoint interaction components holds one
+//! such Algorithm II session per distinct component and answers every
+//! query as the exact product of the components' answers.
 //!
 //! Warm-store reuse is value-transparent: the shared store's value-pure
 //! interning makes every contraction a pure function of its inputs, so a
@@ -83,17 +86,16 @@
 //! # Ok::<(), qaec::QaecError>(())
 //! ```
 
-use crate::alg1::Alg1Artifacts;
-use crate::alg2::{Alg2Artifacts, Alg2Fold};
-use crate::checker::{auto_choice, mpo_favored};
+use crate::alg1::{Alg1Artifacts, Alg1Report};
+use crate::alg2::{Alg2Artifacts, Alg2Fold, Alg2Report};
+use crate::checker::{auto_choice, components};
 use crate::error::QaecError;
 use crate::options::{AlgorithmChoice, CheckOptions, StoreReclaimMode};
 use crate::report::{AlgorithmUsed, EquivalenceReport, Verdict};
 use crate::{validate, validate_epsilon};
-use qaec_circuit::{Circuit, NoiseChannel};
+use qaec_circuit::{Circuit, NoiseChannel, Operation};
 use qaec_mpo::{MpoOptions, MpoOutcome, MpoPlan};
 use qaec_tdd::{SharedTddStore, TddStats};
-use std::fmt;
 use std::sync::Arc;
 
 use qaec_tdd::sync::Mutex;
@@ -164,6 +166,22 @@ impl StoreCell {
         let (store, frontier) = store.compact(roots);
         let fold = fold.map(|fold| Arc::new(fold.remapped(frontier)));
         *self.0.lock().expect("store cell poisoned") = Warm { store, fold };
+    }
+
+    /// The summed current footprint and high-water mark of `cells`.
+    pub(crate) fn footprint(cells: &[StoreCell]) -> (usize, usize) {
+        let stores = cells.iter().map(StoreCell::get);
+        stores.fold((0, 0), |(now, peak), s| {
+            (now + s.bytes_used(), peak + s.peak_bytes_used())
+        })
+    }
+}
+
+/// The MPO tuning knobs of `options`, in the engine's own vocabulary.
+fn mpo_options(options: &CheckOptions) -> MpoOptions {
+    MpoOptions {
+        svd_threshold: options.svd_threshold,
+        max_bond: options.max_bond,
     }
 }
 
@@ -246,60 +264,162 @@ enum Backend {
     /// swappable cell so `options.store_reclaim` can retire the store
     /// for a compact successor at quiescent boundaries.
     Alg2(Alg2Artifacts, StoreCell),
-    Mpo(MpoBackend),
+    /// A forced Algorithm III session's compiled MPO program.
+    Mpo(Arc<MpoPlan>),
+    /// An `Auto` pair that splits into several interaction components.
+    Product(Product),
 }
 
-/// The Algorithm III artifacts: a compiled MPO program plus, under the
-/// `Auto` portfolio, a lazily-compiled exact session to escalate to
-/// when the MPO interval cannot decide a query.
-#[derive(Clone)]
-struct MpoBackend {
-    plan: Arc<MpoPlan>,
-    /// `Some` when compiled under [`AlgorithmChoice::Auto`]; `None`
-    /// when Algorithm III was forced explicitly (a straddling interval
-    /// then surfaces as [`Verdict::Inconclusive`] instead).
-    escalation: Option<Arc<Mutex<EscalationState>>>,
+/// An `Auto` session over a pair of several interaction components
+/// ([`components`]): the miter is a tensor product over them, so `F_J`,
+/// at the compiled channels or at any sweep point, is exactly the
+/// product of the components' `F_J`. Each distinct component compiles
+/// once, on Algorithm II because its sweep points fold.
+#[derive(Clone, Debug)]
+struct Product {
+    /// The whole pair's noise channels, in site order.
+    channels: Vec<NoiseChannel>,
+    /// The distinct components, in the order of their first copy.
+    parts: Vec<Part>,
 }
 
-impl fmt::Debug for MpoBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MpoBackend")
-            .field("n_qubits", &self.plan.n_qubits())
-            .field("channels", &self.plan.channels().len())
-            .field("escalation", &self.escalation.is_some())
-            .finish()
+/// One distinct component: its session, restricted to its own width
+/// (qubits renumbered in ascending order), and for each copy the whole
+/// pair's indices of the copy's noise sites, in the session's site order.
+#[derive(Clone, Debug)]
+struct Part {
+    session: CompiledCheck,
+    copies: Vec<Vec<usize>>,
+}
+
+impl Product {
+    /// Compiles each distinct restriction of the pair to a component
+    /// once. Restrictions must be equal instruction for instruction to
+    /// share a part, so that copies share a site numbering.
+    fn compile(
+        ideal: &Circuit,
+        noisy: &Circuit,
+        components: &[Vec<usize>],
+        options: &CheckOptions,
+    ) -> Product {
+        let n = noisy.n_qubits();
+        let (mut component, mut local) = (vec![0; n], vec![0; n]);
+        for (c, qubits) in components.iter().enumerate() {
+            for (i, &q) in qubits.iter().enumerate() {
+                (component[q], local[q]) = (c, i);
+            }
+        }
+        let (mut sites, mut channels) = (vec![Vec::new(); components.len()], Vec::new());
+        for inst in noisy.iter() {
+            if let Operation::Noise(channel) = &inst.op {
+                sites[component[inst.qubits[0]]].push(channels.len());
+                channels.push(channel.clone());
+            }
+        }
+        let restrict = |circuit: &Circuit, c: usize| {
+            let mut out = Circuit::new(components[c].len());
+            for inst in circuit.iter().filter(|inst| component[inst.qubits[0]] == c) {
+                let qubits: Vec<usize> = inst.qubits.iter().map(|&q| local[q]).collect();
+                match &inst.op {
+                    Operation::Gate(gate) => out.gate(*gate, &qubits),
+                    Operation::Noise(channel) => out.noise(channel.clone(), &qubits),
+                };
+            }
+            out
+        };
+        let forced = CheckOptions {
+            algorithm: AlgorithmChoice::AlgorithmII,
+            ..options.clone()
+        };
+        let mut parts: Vec<((Circuit, Circuit), Part)> = Vec::new();
+        for (c, copy) in sites.into_iter().enumerate() {
+            let pair = (restrict(ideal, c), restrict(noisy, c));
+            match parts.iter_mut().find(|(seen, _)| *seen == pair) {
+                Some((_, part)) => part.copies.push(copy),
+                None => {
+                    let session =
+                        CompiledCheck::compile_prevalidated(&pair.0, &pair.1, forced.clone());
+                    let copies = vec![copy];
+                    parts.push((pair, Part { session, copies }));
+                }
+            }
+        }
+        let parts = parts.into_iter().map(|(_, part)| part).collect();
+        Product { channels, parts }
     }
-}
 
-/// The portfolio's exact fallback, compiled on first use so the cheap
-/// MPO pass pays nothing for it when the interval decides outright.
-enum EscalationState {
-    Pending { ideal: Circuit, noisy: Circuit },
-    Ready(Box<CompiledCheck>),
-}
+    /// The exact `F_J`, multiplied part by part and copy by copy. Times
+    /// and statistics add up, footprints too: the part stores coexist.
+    fn fidelity(&mut self) -> Result<Knowledge, QaecError> {
+        let mut product = Knowledge::point(1.0, 0, Duration::ZERO, TddStats::default());
+        for part in &mut self.parts {
+            let f = part.session.fidelity()?;
+            let run = part.session.knowledge.as_ref().expect("kept by fidelity()");
+            for _ in &part.copies {
+                product.lower *= f;
+            }
+            product.max_nodes = product.max_nodes.max(run.max_nodes);
+            product.elapsed += run.elapsed;
+            product.stats.merge_disjoint(&run.stats);
+        }
+        product.upper = product.lower;
+        Ok(product)
+    }
 
-impl EscalationState {
-    /// The compiled exact fallback session, compiling it on first use
-    /// with the caller's options forced to the algorithm the exact
-    /// [`auto_choice`] picks for the pair — so an escalated `Auto`
-    /// query is bit-identical to what `Auto` computed before the
-    /// portfolio existed.
-    fn ready(&mut self, options: &CheckOptions) -> &mut CompiledCheck {
-        if let EscalationState::Pending { ideal, noisy } = self {
-            let forced = CheckOptions {
-                algorithm: match auto_choice(noisy) {
-                    AlgorithmUsed::AlgorithmI => AlgorithmChoice::AlgorithmI,
-                    AlgorithmUsed::AlgorithmII | AlgorithmUsed::Mpo => AlgorithmChoice::AlgorithmII,
-                },
-                ..options.clone()
-            };
-            let compiled = CompiledCheck::compile_prevalidated(ideal, noisy, forced);
-            *self = EscalationState::Ready(Box::new(compiled));
+    /// A noise sweep: each part sweeps the distinct channel vectors its
+    /// copies take across all points, once each, and every point
+    /// multiplies its copies' values in [`Product::fidelity`]'s order. A
+    /// run's time and statistics go to the first point that uses it.
+    fn sweep(
+        &self,
+        epsilon: f64,
+        points: &[Vec<NoiseChannel>],
+    ) -> Result<Vec<SweepPoint>, QaecError> {
+        let mut out: Vec<SweepPoint> = points
+            .iter()
+            .map(|_| SweepPoint {
+                fidelity: 1.0,
+                verdict: Verdict::NotEquivalent,
+                max_nodes: 0,
+                elapsed: Duration::ZERO,
+                stats: TddStats::default(),
+            })
+            .collect();
+        for part in &self.parts {
+            let (mut runs, mut uses) = (Vec::new(), Vec::new());
+            for (point, channels) in points.iter().enumerate() {
+                for copy in &part.copies {
+                    let run: Vec<NoiseChannel> =
+                        copy.iter().map(|&s| channels[s].clone()).collect();
+                    let index = runs.iter().position(|seen| *seen == run);
+                    uses.push((point, index.unwrap_or(runs.len())));
+                    if index.is_none() {
+                        runs.push(run);
+                    }
+                }
+            }
+            let results = part.session.sweep_noise_prevalidated(epsilon, &runs)?;
+            // Per point, this part's runs share one store: merge, then
+            // add the part's footprint to the other parts'.
+            let mut charged = vec![false; results.len()];
+            let mut stats = vec![TddStats::default(); points.len()];
+            for (point, index) in uses {
+                let run = &results[index];
+                out[point].fidelity *= run.fidelity;
+                out[point].max_nodes = out[point].max_nodes.max(run.max_nodes);
+                if !std::mem::replace(&mut charged[index], true) {
+                    out[point].elapsed += run.elapsed;
+                    stats[point].merge(&run.stats);
+                }
+            }
+            for (point, stats) in out.iter_mut().zip(&stats) {
+                point.stats.merge_disjoint(stats);
+            }
         }
-        match self {
-            EscalationState::Ready(check) => check,
-            EscalationState::Pending { .. } => unreachable!("compiled above"),
+        for point in &mut out {
+            point.verdict = Verdict::decide(point.fidelity, epsilon);
         }
+        Ok(out)
     }
 }
 
@@ -310,12 +430,9 @@ struct Knowledge {
     lower: f64,
     upper: f64,
     /// The MPO midpoint estimate, when Algorithm III established the
-    /// interval — what [`CompiledCheck::fidelity`] returns for an
-    /// explicitly-forced approximate session.
+    /// interval — what [`CompiledCheck::fidelity`] returns for a forced
+    /// approximate session.
     estimate: Option<f64>,
-    /// The algorithm whose run established the interval (under the
-    /// portfolio this can differ from the session's compiled backend).
-    algorithm: AlgorithmUsed,
     terms_computed: usize,
     total_terms: usize,
     max_nodes: usize,
@@ -323,7 +440,6 @@ struct Knowledge {
     stats: TddStats,
     trunc_error: Option<f64>,
     bond_max: Option<usize>,
-    cross_check: Option<bool>,
 }
 
 impl Knowledge {
@@ -336,13 +452,53 @@ impl Knowledge {
         (self.upper - self.lower).max(0.0)
     }
 
+    /// Evidence of one exact collective evaluation (Algorithm II, or
+    /// the product over components).
+    fn point(fidelity: f64, max_nodes: usize, elapsed: Duration, stats: TddStats) -> Knowledge {
+        Knowledge {
+            lower: fidelity,
+            upper: fidelity,
+            estimate: None,
+            terms_computed: 1,
+            total_terms: 1,
+            max_nodes,
+            elapsed,
+            stats,
+            trunc_error: None,
+            bond_max: None,
+        }
+    }
+
+    fn from_alg1(report: &Alg1Report) -> Knowledge {
+        Knowledge {
+            lower: report.fidelity_lower,
+            upper: report.fidelity_upper,
+            estimate: None,
+            terms_computed: report.terms_computed,
+            total_terms: report.total_terms,
+            max_nodes: report.max_nodes,
+            elapsed: report.elapsed,
+            stats: report.stats,
+            trunc_error: None,
+            bond_max: None,
+        }
+    }
+
+    fn from_alg2(report: &Alg2Report) -> Knowledge {
+        Knowledge::point(
+            report.fidelity,
+            report.max_nodes,
+            report.elapsed,
+            report.stats,
+        )
+    }
+
     /// Evidence of an Algorithm III run, interval and estimate alike.
     fn from_mpo(out: &MpoOutcome) -> Knowledge {
         Knowledge {
             lower: out.f_lo,
             upper: out.f_hi,
             estimate: Some(out.fidelity),
-            algorithm: AlgorithmUsed::Mpo,
             terms_computed: 1,
             total_terms: 1,
             max_nodes: out.bond_max,
@@ -350,26 +506,29 @@ impl Knowledge {
             stats: TddStats::default(),
             trunc_error: Some(out.trunc_error),
             bond_max: Some(out.bond_max),
-            cross_check: None,
         }
     }
 
-    /// Evidence of the run behind an [`EquivalenceReport`] (exact
-    /// backends and escalated portfolio queries).
-    fn from_report(report: &EquivalenceReport) -> Knowledge {
-        Knowledge {
-            lower: report.fidelity_bounds.0,
-            upper: report.fidelity_bounds.1,
-            estimate: None,
-            algorithm: report.algorithm,
-            terms_computed: report.terms_computed,
-            total_terms: report.total_terms,
-            max_nodes: report.max_nodes,
-            elapsed: report.elapsed,
-            stats: report.stats,
-            trunc_error: report.trunc_error,
-            bond_max: report.bond_max,
-            cross_check: report.cross_check,
+    /// The report of a decision taken on this evidence.
+    fn report(
+        &self,
+        algorithm: AlgorithmUsed,
+        verdict: Verdict,
+        epsilon: f64,
+    ) -> EquivalenceReport {
+        EquivalenceReport {
+            verdict,
+            fidelity_bounds: (self.lower, self.upper),
+            epsilon,
+            algorithm,
+            terms_computed: self.terms_computed,
+            total_terms: self.total_terms,
+            max_nodes: self.max_nodes,
+            elapsed: self.elapsed,
+            stats: self.stats,
+            trunc_error: self.trunc_error,
+            bond_max: self.bond_max,
+            cross_check: None,
         }
     }
 }
@@ -386,7 +545,9 @@ pub struct EpsilonPoint {
     pub fidelity_bounds: (f64, f64),
 }
 
-/// One row of a noise sweep ([`CompiledCheck::sweep_noise`]).
+/// One row of a noise sweep ([`CompiledCheck::sweep_noise`]). On a pair
+/// of several interaction components, a component run that several
+/// points share is timed and counted once, on the first of them.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SweepPoint {
     /// The Jamiolkowski fidelity at this noise point (exact — sweeps
@@ -438,18 +599,25 @@ impl CompiledCheck {
         noisy: &Circuit,
         options: CheckOptions,
     ) -> CompiledCheck {
+        // `Auto` answers exactly: a pair that splits into several
+        // interaction components is the product of its components (each
+        // distinct one on Algorithm II), any other pair takes the exact
+        // backend `auto_choice` picks.
+        let components = match options.algorithm {
+            AlgorithmChoice::Auto => components(ideal, noisy),
+            _ => Vec::new(),
+        };
         let algorithm = match options.algorithm {
-            // The portfolio: try the cheap MPO pass on wide, shallowly
-            // entangled pairs (escalating when its interval cannot
-            // decide); everything else goes straight to an exact
-            // backend, exactly as before.
-            AlgorithmChoice::Auto if mpo_favored(noisy) => AlgorithmUsed::Mpo,
+            AlgorithmChoice::Auto if components.len() > 1 => AlgorithmUsed::AlgorithmII,
             AlgorithmChoice::Auto => auto_choice(noisy),
             AlgorithmChoice::AlgorithmI => AlgorithmUsed::AlgorithmI,
             AlgorithmChoice::AlgorithmII => AlgorithmUsed::AlgorithmII,
             AlgorithmChoice::Mpo => AlgorithmUsed::Mpo,
         };
         let backend = match algorithm {
+            _ if components.len() > 1 => {
+                Backend::Product(Product::compile(ideal, noisy, &components, &options))
+            }
             AlgorithmUsed::AlgorithmI => {
                 Backend::Alg1(Alg1Artifacts::compile(ideal, noisy, &options))
             }
@@ -457,24 +625,9 @@ impl CompiledCheck {
                 Alg2Artifacts::compile(ideal, noisy, &options),
                 StoreCell::new(SharedTddStore::new()),
             ),
-            AlgorithmUsed::Mpo => {
-                // Only the `Auto` portfolio gets an exact fallback; a
-                // forced Algorithm III session reports Inconclusive
-                // when its interval straddles the threshold. The MPO
-                // engine works on dense site tensors, so no
-                // decision-diagram store is allocated — the escalated
-                // session (compiled lazily) brings its own.
-                let escalation = (options.algorithm == AlgorithmChoice::Auto).then(|| {
-                    Arc::new(Mutex::new(EscalationState::Pending {
-                        ideal: ideal.clone(),
-                        noisy: noisy.clone(),
-                    }))
-                });
-                Backend::Mpo(MpoBackend {
-                    plan: Arc::new(MpoPlan::compile(ideal, noisy)),
-                    escalation,
-                })
-            }
+            // The MPO engine works on dense site tensors: no
+            // decision-diagram store.
+            AlgorithmUsed::Mpo => Backend::Mpo(Arc::new(MpoPlan::compile(ideal, noisy))),
         };
         CompiledCheck {
             options,
@@ -495,40 +648,42 @@ impl CompiledCheck {
         &self.options
     }
 
-    /// The swappable store cell of an Algorithm II session — `None` for
-    /// the other backends, which hold no store between queries — for
-    /// holders (the service cache) that must observe reclamation swaps
-    /// instead of pinning one generation.
-    pub(crate) fn warm_store_cell(&self) -> Option<&StoreCell> {
+    /// The swappable cells of the session's Algorithm II stores (one per
+    /// distinct component of a factorised session), for holders that must
+    /// observe reclamation swaps instead of pinning one generation.
+    pub(crate) fn warm_store_cells(&self) -> Vec<StoreCell> {
         match &self.backend {
-            Backend::Alg2(_, cell) => Some(cell),
-            Backend::Alg1(_) | Backend::Mpo(_) => None,
+            Backend::Alg2(_, cell) => vec![cell.clone()],
+            Backend::Product(product) => product
+                .parts
+                .iter()
+                .flat_map(|part| part.session.warm_store_cells())
+                .collect(),
+            Backend::Alg1(_) | Backend::Mpo(_) => Vec::new(),
         }
     }
 
-    /// Bytes of backing storage held by the session's warm store
-    /// ([`SharedTddStore::bytes_used`]) — the footprint a byte-budgeted
-    /// session cache accounts against. 0 for sessions without one
-    /// (Algorithm I, whose per-query private arenas die with each
-    /// query, and MPO).
+    /// Bytes of backing storage held by the session's warm stores
+    /// ([`SharedTddStore::bytes_used`], summed over a factorised
+    /// session's components) — the footprint a byte-budgeted session
+    /// cache accounts against. 0 for sessions without one (Algorithm I,
+    /// whose per-query private arenas die with each query, and MPO).
     ///
-    /// Steps down when `options.store_reclaim` retires the store for a
+    /// Steps down when `options.store_reclaim` retires a store for a
     /// compact successor at a quiescent boundary; with reclamation off
     /// the shared arenas are append-only and the number is monotone
     /// until the session drops. [`CompiledCheck::warm_store_peak_bytes`]
     /// keeps the high-water mark either way.
     pub fn warm_store_bytes(&self) -> usize {
-        self.warm_store_cell()
-            .map_or(0, |cell| cell.get().bytes_used())
+        StoreCell::footprint(&self.warm_store_cells()).0
     }
 
     /// High-water mark of [`CompiledCheck::warm_store_bytes`] across the
     /// session's life, *including* every store generation reclamation
     /// has since retired ([`SharedTddStore::peak_bytes_used`] carries
-    /// across successor swaps).
+    /// across successor swaps), summed over the session's stores.
     pub fn warm_store_peak_bytes(&self) -> usize {
-        self.warm_store_cell()
-            .map_or(0, |cell| cell.get().peak_bytes_used())
+        StoreCell::footprint(&self.warm_store_cells()).1
     }
 
     /// The compiled noise channels, in site order — the sites
@@ -537,16 +692,8 @@ impl CompiledCheck {
         match &self.backend {
             Backend::Alg1(a) => &a.template.channels,
             Backend::Alg2(a, _) => &a.channels,
-            Backend::Mpo(b) => b.plan.channels(),
-        }
-    }
-
-    /// The MPO tuning knobs of this session's options, in the engine's
-    /// own vocabulary.
-    fn mpo_options(&self) -> MpoOptions {
-        MpoOptions {
-            svd_threshold: self.options.svd_threshold,
-            max_bond: self.options.max_bond,
+            Backend::Mpo(plan) => plan.channels(),
+            Backend::Product(product) => &product.channels,
         }
     }
 
@@ -555,12 +702,10 @@ impl CompiledCheck {
     /// the one-shot path — returns the proven lower bound).
     ///
     /// Bit-identical to [`crate::jamiolkowski_fidelity`] on the same
-    /// pair and options. An `Auto` session whose portfolio compiled the
-    /// MPO backend keeps that promise by escalating this query to its
-    /// exact fallback; only an explicitly-forced
-    /// [`AlgorithmChoice::Mpo`] session returns the MPO midpoint
-    /// estimate instead, whose distance from the exact value is bounded
-    /// by the reported truncation error.
+    /// pair and options. Only a forced [`AlgorithmChoice::Mpo`] session
+    /// returns an approximation: the MPO midpoint estimate, whose
+    /// distance from the exact value is bounded by the reported
+    /// truncation error.
     ///
     /// # Errors
     ///
@@ -570,75 +715,25 @@ impl CompiledCheck {
             if k.exact() {
                 return Ok(k.lower);
             }
-        }
-        match &self.backend {
-            Backend::Alg1(artifacts) => {
-                let report = artifacts.run(None, &self.options)?;
-                let value = report.fidelity_lower;
-                self.remember(Knowledge {
-                    lower: report.fidelity_lower,
-                    upper: report.fidelity_upper,
-                    estimate: None,
-                    algorithm: AlgorithmUsed::AlgorithmI,
-                    terms_computed: report.terms_computed,
-                    total_terms: report.total_terms,
-                    max_nodes: report.max_nodes,
-                    elapsed: report.elapsed,
-                    stats: report.stats,
-                    trunc_error: None,
-                    bond_max: None,
-                    cross_check: None,
-                });
-                Ok(value)
+            // A forced approximate session serves its cached estimate
+            // rather than re-contracting.
+            if let Some(estimate) = k.estimate {
+                return Ok(estimate);
             }
+        }
+        let fresh = match &mut self.backend {
+            Backend::Alg1(artifacts) => Knowledge::from_alg1(&artifacts.run(None, &self.options)?),
             Backend::Alg2(artifacts, cell) => {
                 let report = artifacts.run(&cell.get(), &self.options)?;
                 cell.reclaim(self.options.store_reclaim);
-                let value = report.fidelity;
-                self.remember(Knowledge {
-                    lower: value,
-                    upper: value,
-                    estimate: None,
-                    algorithm: AlgorithmUsed::AlgorithmII,
-                    terms_computed: 1,
-                    total_terms: 1,
-                    max_nodes: report.max_nodes,
-                    elapsed: report.elapsed,
-                    stats: report.stats,
-                    trunc_error: None,
-                    bond_max: None,
-                    cross_check: None,
-                });
-                Ok(value)
+                Knowledge::from_alg2(&report)
             }
-            Backend::Mpo(backend) => {
-                let backend = backend.clone();
-                match &backend.escalation {
-                    // `Auto` promised the exact value: escalate.
-                    Some(cell) => {
-                        let mut state = cell.lock().expect("escalation cell poisoned");
-                        let exact = state.ready(&self.options);
-                        let value = exact.fidelity()?;
-                        let knowledge = exact.knowledge.clone();
-                        drop(state);
-                        if let Some(k) = knowledge {
-                            self.remember(k);
-                        }
-                        Ok(value)
-                    }
-                    None => {
-                        // A forced approximate session serves its
-                        // cached estimate rather than re-contracting.
-                        if let Some(estimate) = self.knowledge.as_ref().and_then(|k| k.estimate) {
-                            return Ok(estimate);
-                        }
-                        let out = backend.plan.run(&self.mpo_options());
-                        self.remember(Knowledge::from_mpo(&out));
-                        Ok(out.fidelity)
-                    }
-                }
-            }
-        }
+            Backend::Mpo(plan) => Knowledge::from_mpo(&plan.run(&mpo_options(&self.options))),
+            Backend::Product(product) => product.fidelity()?,
+        };
+        let value = fresh.estimate.unwrap_or(fresh.lower);
+        self.remember(fresh);
+        Ok(value)
     }
 
     /// Decides ε-equivalence: `F_J > 1 − ε`?
@@ -686,10 +781,10 @@ impl CompiledCheck {
     ) -> Result<EquivalenceReport, QaecError> {
         if let Some(k) = &self.knowledge {
             if let Some(verdict) = Verdict::decide_bounds(k.lower, k.upper, epsilon) {
-                return Ok(self.report_from_knowledge(verdict, epsilon));
+                return Ok(k.report(self.algorithm, verdict, epsilon));
             }
         }
-        match &self.backend {
+        let (fresh, verdict) = match &self.backend {
             Backend::Alg1(artifacts) => {
                 let report = artifacts.run(Some(epsilon), &self.options)?;
                 // All terms evaluated without an early decision: compare
@@ -698,114 +793,31 @@ impl CompiledCheck {
                 let verdict = report
                     .verdict
                     .unwrap_or_else(|| Verdict::decide(report.fidelity_lower, epsilon));
-                let out = EquivalenceReport {
-                    verdict,
-                    fidelity_bounds: (report.fidelity_lower, report.fidelity_upper),
-                    epsilon,
-                    algorithm: AlgorithmUsed::AlgorithmI,
-                    terms_computed: report.terms_computed,
-                    total_terms: report.total_terms,
-                    max_nodes: report.max_nodes,
-                    elapsed: report.elapsed,
-                    stats: report.stats,
-                    trunc_error: None,
-                    bond_max: None,
-                    cross_check: None,
-                };
-                self.remember(Knowledge::from_report(&out));
-                Ok(out)
+                (Knowledge::from_alg1(&report), verdict)
             }
             Backend::Alg2(artifacts, cell) => {
                 let report = artifacts.run(&cell.get(), &self.options)?;
                 cell.reclaim(self.options.store_reclaim);
                 let verdict = Verdict::decide(report.fidelity, epsilon);
-                let out = EquivalenceReport {
-                    verdict,
-                    fidelity_bounds: (report.fidelity, report.fidelity),
-                    epsilon,
-                    algorithm: AlgorithmUsed::AlgorithmII,
-                    terms_computed: 1,
-                    total_terms: 1,
-                    max_nodes: report.max_nodes,
-                    elapsed: report.elapsed,
-                    stats: report.stats,
-                    trunc_error: None,
-                    bond_max: None,
-                    cross_check: None,
-                };
-                self.remember(Knowledge::from_report(&out));
-                Ok(out)
+                (Knowledge::from_alg2(&report), verdict)
             }
-            Backend::Mpo(backend) => {
-                let backend = backend.clone();
-                self.check_mpo(&backend, epsilon)
+            // A forced Algorithm III session decides from its certified
+            // interval, or reports that the interval straddles 1 − ε.
+            Backend::Mpo(plan) => {
+                let out = plan.run(&mpo_options(&self.options));
+                let verdict = Verdict::decide_bounds(out.f_lo, out.f_hi, epsilon)
+                    .unwrap_or(Verdict::Inconclusive);
+                (Knowledge::from_mpo(&out), verdict)
             }
-        }
-    }
-
-    /// The portfolio's query body: run the compiled MPO program, decide
-    /// from its rigorous interval if possible, otherwise escalate to
-    /// the exact fallback (`Auto`) or report
-    /// [`Verdict::Inconclusive`] (forced Algorithm III).
-    fn check_mpo(
-        &mut self,
-        backend: &MpoBackend,
-        epsilon: f64,
-    ) -> Result<EquivalenceReport, QaecError> {
-        let out = backend.plan.run(&self.mpo_options());
-        let decided = Verdict::decide_bounds(out.f_lo, out.f_hi, epsilon);
-        if let Some(verdict) = decided {
-            let report = EquivalenceReport {
-                verdict,
-                fidelity_bounds: (out.f_lo, out.f_hi),
-                epsilon,
-                algorithm: AlgorithmUsed::Mpo,
-                terms_computed: 1,
-                total_terms: 1,
-                max_nodes: out.bond_max,
-                elapsed: out.elapsed,
-                stats: TddStats::default(),
-                trunc_error: Some(out.trunc_error),
-                bond_max: Some(out.bond_max),
-                cross_check: None,
-            };
-            self.remember(Knowledge::from_mpo(&out));
-            return Ok(report);
-        }
-        // The interval straddles 1 − ε.
-        match &backend.escalation {
-            None => {
-                self.remember(Knowledge::from_mpo(&out));
-                Ok(EquivalenceReport {
-                    verdict: Verdict::Inconclusive,
-                    fidelity_bounds: (out.f_lo, out.f_hi),
-                    epsilon,
-                    algorithm: AlgorithmUsed::Mpo,
-                    terms_computed: 1,
-                    total_terms: 1,
-                    max_nodes: out.bond_max,
-                    elapsed: out.elapsed,
-                    stats: TddStats::default(),
-                    trunc_error: Some(out.trunc_error),
-                    bond_max: Some(out.bond_max),
-                    cross_check: None,
-                })
+            // The exact product, cached: the cached branch above answers.
+            Backend::Product(_) => {
+                self.fidelity()?;
+                return self.check_prevalidated(epsilon);
             }
-            Some(cell) => {
-                let mut state = cell.lock().expect("escalation cell poisoned");
-                let mut report = state.ready(&self.options).check_prevalidated(epsilon)?;
-                drop(state);
-                // Cross-check: two sound fidelity intervals for the
-                // same pair must intersect (the exact bounds are a
-                // point unless Algorithm I early-stopped).
-                let (lo, hi) = report.fidelity_bounds;
-                report.cross_check = Some(lo <= out.f_hi && out.f_lo <= hi);
-                report.trunc_error = Some(out.trunc_error);
-                report.bond_max = Some(out.bond_max);
-                self.remember(Knowledge::from_report(&report));
-                Ok(report)
-            }
-        }
+        };
+        let report = fresh.report(self.algorithm, verdict, epsilon);
+        self.remember(fresh);
+        Ok(report)
     }
 
     /// Decides every threshold in `epsilons` (any order), re-running
@@ -902,7 +914,7 @@ impl CompiledCheck {
                         .unwrap_or_else(|| Verdict::decide(report.fidelity_lower, epsilon)))
                 })
                 .collect(),
-            Backend::Alg2(..) | Backend::Mpo(_) => Ok(self
+            Backend::Alg2(..) | Backend::Mpo(_) | Backend::Product(_) => Ok(self
                 .sweep_noise_prevalidated(epsilon, &points)?
                 .into_iter()
                 .map(|point| point.verdict)
@@ -968,35 +980,25 @@ impl CompiledCheck {
                 .iter()
                 .map(|channels| self.alg2_point(artifacts, cell, channels, epsilon))
                 .collect(),
-            Backend::Mpo(backend) => match &backend.escalation {
-                // `Auto` promised exact per-point fidelities: the whole
-                // sweep escalates to the exact fallback (the compiled
-                // channel sites are the same circuit walk, so the
-                // points substitute one-for-one).
-                Some(cell) => cell
-                    .lock()
-                    .expect("escalation cell poisoned")
-                    .ready(&self.options)
-                    .sweep_noise_prevalidated(epsilon, points),
-                // A forced Algorithm III session sweeps on the compiled
-                // MPO program: per-point midpoint estimates, with
-                // verdicts taken on each point's rigorous interval —
-                // straddling points surface as Inconclusive.
-                None => Ok(points
-                    .iter()
-                    .map(|channels| {
-                        let out = backend.plan.run_channels(&self.mpo_options(), channels);
-                        SweepPoint {
-                            fidelity: out.fidelity,
-                            verdict: Verdict::decide_bounds(out.f_lo, out.f_hi, epsilon)
-                                .unwrap_or(Verdict::Inconclusive),
-                            max_nodes: out.bond_max,
-                            elapsed: out.elapsed,
-                            stats: TddStats::default(),
-                        }
-                    })
-                    .collect()),
-            },
+            // A forced Algorithm III session sweeps on the compiled MPO
+            // program: per-point midpoint estimates, with verdicts taken
+            // on each point's certified interval — straddling points
+            // surface as Inconclusive.
+            Backend::Mpo(plan) => Ok(points
+                .iter()
+                .map(|channels| {
+                    let out = plan.run_channels(&mpo_options(&self.options), channels);
+                    SweepPoint {
+                        fidelity: out.fidelity,
+                        verdict: Verdict::decide_bounds(out.f_lo, out.f_hi, epsilon)
+                            .unwrap_or(Verdict::Inconclusive),
+                        max_nodes: out.bond_max,
+                        elapsed: out.elapsed,
+                        stats: TddStats::default(),
+                    }
+                })
+                .collect()),
+            Backend::Product(product) => product.sweep(epsilon, points),
         }
     }
 
@@ -1070,27 +1072,6 @@ impl CompiledCheck {
             elapsed: report.elapsed,
             stats: report.stats,
         })
-    }
-
-    /// Serves a report from the cached interval: the evidence (bounds,
-    /// counts, statistics, elapsed) is that of the run that established
-    /// it — the query itself did no diagram work.
-    fn report_from_knowledge(&self, verdict: Verdict, epsilon: f64) -> EquivalenceReport {
-        let k = self.knowledge.as_ref().expect("caller checked");
-        EquivalenceReport {
-            verdict,
-            fidelity_bounds: (k.lower, k.upper),
-            epsilon,
-            algorithm: k.algorithm,
-            terms_computed: k.terms_computed,
-            total_terms: k.total_terms,
-            max_nodes: k.max_nodes,
-            elapsed: k.elapsed,
-            stats: k.stats,
-            trunc_error: k.trunc_error,
-            bond_max: k.bond_max,
-            cross_check: k.cross_check,
-        }
     }
 
     /// Records a run's proven interval, keeping the tightest evidence

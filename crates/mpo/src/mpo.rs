@@ -21,18 +21,25 @@
 //! superoperator) is a rigorous bound, not a heuristic. Center moves
 //! use exact QR/LQ factorizations and contribute no error.
 
-use crate::svd::{svd, svd_lowrank, truncation_spec};
+use crate::svd::{orthonormal_columns, svd, svd_lowrank, truncation_spec, Svd};
 use qaec_math::{Matrix, C64};
 
 /// Matrices whose smaller side is at most this use the full Jacobi
 /// SVD; larger ones go through the subspace-iteration low-rank SVD
 /// (whose unresolved residual is measured exactly and charged to the
-/// truncation-error bound, so the choice affects tightness only).
+/// truncation-error bound, so the choice affects tightness only — as
+/// long as its kept vectors are an isometry, which each split checks
+/// before it trusts the result).
 const FULL_SVD_MAX_SIDE: usize = 32;
 
 /// Extra subspace columns beyond `max_bond` in the low-rank SVD, so
 /// the truncation decision sees a few singular values past the cap.
 const OVERSAMPLE: usize = 8;
+
+/// How far the kept left singular vectors of a low-rank SVD may stray
+/// from orthonormal (`‖U†U − I‖_max`) before the split is redone with
+/// the full SVD: every truncation charge assumes an isometry.
+const ISOMETRY_TOL: f64 = 1e-10;
 
 /// Which side of the accumulated operator a superoperator multiplies.
 ///
@@ -182,6 +189,8 @@ pub struct Mpo {
     /// Accumulated truncation error, in units that bound `|ΔF|`.
     err: f64,
     bond_peak: usize,
+    /// Splits the low-rank SVD answered (it passed the isometry check).
+    lowrank_splits: usize,
     threshold: f64,
     max_bond: usize,
 }
@@ -218,6 +227,7 @@ impl Mpo {
             scale: (n as f64).exp2(),
             err: 0.0,
             bond_peak: 1,
+            lowrank_splits: 0,
             threshold: svd_threshold,
             max_bond,
         }
@@ -238,6 +248,13 @@ impl Mpo {
     /// Largest bond dimension reached at any point so far.
     pub fn bond_max(&self) -> usize {
         self.bond_peak
+    }
+
+    /// Bond splits answered by the low-rank SVD so far (the rest used
+    /// the full SVD: small matrices, or a low-rank result whose kept
+    /// vectors failed the isometry check).
+    pub fn lowrank_splits(&self) -> usize {
+        self.lowrank_splits
     }
 
     /// `Tr(M)` of the represented operator, including the global scale.
@@ -374,12 +391,16 @@ impl Mpo {
             let am = Matrix::from_flat(rows, rest, cur);
             let min_side = rows.min(rest);
             let block = (self.max_bond + OVERSAMPLE).min(min_side);
-            let dec = if min_side <= FULL_SVD_MAX_SIDE || block >= min_side {
-                svd(&am)
-            } else {
-                svd_lowrank(&am, block)
+            let (threshold, max_bond) = (self.threshold, self.max_bond);
+            let truncate = |dec: Svd| {
+                let spec = truncation_spec(&dec.sigma, dec.total_sq, threshold, max_bond);
+                (spec, dec)
             };
-            let spec = truncation_spec(&dec.sigma, dec.total_sq, self.threshold, self.max_bond);
+            let lowrank = (min_side > FULL_SVD_MAX_SIDE && block < min_side)
+                .then(|| truncate(svd_lowrank(&am, block)))
+                .filter(|(spec, dec)| orthonormal_columns(&dec.u, spec.keep, ISOMETRY_TOL));
+            self.lowrank_splits += usize::from(lowrank.is_some());
+            let (spec, dec) = lowrank.unwrap_or_else(|| truncate(svd(&am)));
             self.err += spec.discarded;
             let keep = spec.keep;
             self.bond_peak = self.bond_peak.max(keep);

@@ -6,6 +6,7 @@ use crate::mpo::{Mpo, Side};
 use crate::superop::{channel_superop, gate_superop, superop_norm};
 use qaec_circuit::{Circuit, NoiseChannel};
 use qaec_math::Matrix;
+use std::fmt;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for an MPO run.
@@ -62,6 +63,8 @@ pub struct MpoOutcome {
     /// Total accumulated truncation-error bound (half the interval
     /// width before clamping).
     pub trunc_error: f64,
+    /// Bond splits the low-rank SVD answered ([`Mpo::lowrank_splits`]).
+    pub lowrank_splits: usize,
     /// Wall-clock time of the contraction.
     pub elapsed: Duration,
 }
@@ -75,6 +78,15 @@ pub struct MpoPlan {
     n: usize,
     ops: Vec<PlanOp>,
     channels: Vec<NoiseChannel>,
+}
+
+impl fmt::Debug for MpoPlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MpoPlan")
+            .field("n_qubits", &self.n)
+            .field("channels", &self.channels.len())
+            .finish()
+    }
 }
 
 impl MpoPlan {
@@ -206,6 +218,7 @@ impl MpoPlan {
             f_hi: (raw + ferr).clamp(0.0, 1.0),
             bond_max: mpo.bond_max(),
             trunc_error: ferr,
+            lowrank_splits: mpo.lowrank_splits(),
             elapsed: start.elapsed(),
         }
     }

@@ -11,8 +11,9 @@
 //!   for the checker's soundness story, its *error accounting does not
 //!   depend on convergence*: the mass the subspace missed is measured
 //!   exactly as `‖A‖²_F − ‖Q†A‖²_F` and reported alongside the triples,
-//!   so an under-converged iteration only widens the fidelity interval,
-//!   it can never understate the truncation error.
+//!   so an under-converged iteration only widens the fidelity interval.
+//!   That holds only while `Q` is an isometry, so the basis is kept
+//!   orthonormal at every step and the caller checks the kept vectors.
 //!
 //! [`truncation_spec`] turns a singular spectrum plus a total-mass
 //! figure into a keep count and a rigorously discarded Frobenius mass.
@@ -196,8 +197,13 @@ pub fn svd_lowrank(a: &Matrix, block: usize) -> Svd {
     orthonormalize_columns(&mut q);
 
     for _ in 0..POWER_ITERS {
-        // Q ← orth(A·(A†·Q)) — one power step of A·A†.
-        let z = at.mul(&q);
+        // Q ← orth(A·orth(A†·Q)) — one power step of A·A†, with both
+        // half-steps orthonormalised (Halko, Martinsson and Tropp 2011,
+        // Algorithm 4.4). Without the inner step the small-σ directions
+        // are roundoff by the time Gram–Schmidt runs, and `Q` stops
+        // being an isometry.
+        let mut z = at.mul(&q);
+        orthonormalize_columns(&mut z);
         q = a.mul(&z);
         orthonormalize_columns(&mut q);
     }
@@ -214,13 +220,21 @@ pub fn svd_lowrank(a: &Matrix, block: usize) -> Svd {
     }
 }
 
+/// A Gram–Schmidt residual below this fraction of the column's norm
+/// before projection is roundoff, not a new direction.
+const RESIDUAL_FLOOR: f64 = 1e-10;
+
 /// In-place modified Gram–Schmidt with one reorthogonalization pass.
-/// Columns whose residual collapses (rank deficiency) are zeroed — the
-/// projector `Q·Q†` then simply spans less, which the residual
-/// accounting in [`svd_lowrank`] charges as discarded mass.
+/// Columns whose residual collapses (rank deficiency: below
+/// [`RESIDUAL_FLOOR`] of the column's norm before projection) are
+/// zeroed — the projector `Q·Q†` then simply spans less, which the
+/// residual accounting in [`svd_lowrank`] charges as discarded mass.
 fn orthonormalize_columns(q: &mut Matrix) {
     let (m, k) = q.shape();
+    let column_norm =
+        |q: &Matrix, j: usize| (0..m).map(|r| q[(r, j)].norm_sqr()).sum::<f64>().sqrt();
     for j in 0..k {
+        let before = column_norm(q, j);
         for _pass in 0..2 {
             for i in 0..j {
                 let dot: C64 = (0..m).map(|r| q[(r, i)].conj() * q[(r, j)]).sum();
@@ -230,8 +244,8 @@ fn orthonormalize_columns(q: &mut Matrix) {
                 }
             }
         }
-        let norm: f64 = (0..m).map(|r| q[(r, j)].norm_sqr()).sum::<f64>().sqrt();
-        if norm > 1e-150 {
+        let norm = column_norm(q, j);
+        if norm > 1e-150 && norm > RESIDUAL_FLOOR * before {
             let inv = 1.0 / norm;
             for r in 0..m {
                 q[(r, j)] = q[(r, j)] * inv;
@@ -242,6 +256,20 @@ fn orthonormalize_columns(q: &mut Matrix) {
             }
         }
     }
+}
+
+/// Whether the leading `keep` columns of `u` are orthonormal to within
+/// `tol` entrywise (`‖U†U − I‖_max`): the isometry every truncation
+/// charge assumes.
+pub(crate) fn orthonormal_columns(u: &Matrix, keep: usize, tol: f64) -> bool {
+    let rows = u.rows();
+    (0..keep.min(u.cols())).all(|i| {
+        (0..=i).all(|j| {
+            let dot: C64 = (0..rows).map(|r| u[(r, i)].conj() * u[(r, j)]).sum();
+            let target = if i == j { C64::ONE } else { C64::ZERO };
+            (dot - target).abs() <= tol
+        })
+    })
 }
 
 /// A truncation decision: keep the leading `keep` triples, discarding

@@ -129,8 +129,8 @@ impl TddStats {
     /// merge [`crate::SharedTddStore::stats`] exactly once on top. The
     /// store footprints take the max too, which is right for managers
     /// on one shared store and for managers that succeed one another;
-    /// concurrent private managers hold disjoint stores, so a caller
-    /// combining those sums their footprints instead.
+    /// concurrent private managers hold disjoint stores, so those
+    /// combine through [`TddStats::merge_disjoint`] instead.
     ///
     /// # Example
     ///
@@ -157,6 +157,32 @@ impl TddStats {
         // report it, so summing would multiply it by the worker count.
         self.store_bytes = self.store_bytes.max(other.store_bytes);
         self.peak_store_bytes = self.peak_store_bytes.max(other.peak_store_bytes);
+    }
+
+    /// Folds in a run on a store that is disjoint from this one's and
+    /// live at the same time — concurrent private workers, or the
+    /// components of a factorised check. Counts add up as in
+    /// [`TddStats::merge`], and so do the sizes (`peak_nodes` and the
+    /// store footprints), because both stores hold their nodes at once.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use qaec_tdd::TddStats;
+    ///
+    /// let mut total = TddStats { peak_nodes: 10, store_bytes: 64, ..TddStats::default() };
+    /// let other = TddStats { peak_nodes: 25, store_bytes: 32, ..TddStats::default() };
+    /// total.merge_disjoint(&other);
+    /// assert_eq!((total.peak_nodes, total.store_bytes), (35, 96));
+    /// ```
+    pub fn merge_disjoint(&mut self, other: &TddStats) {
+        let peak_nodes = self.peak_nodes + other.peak_nodes;
+        let store_bytes = self.store_bytes + other.store_bytes;
+        let peak_store_bytes = self.peak_store_bytes + other.peak_store_bytes;
+        self.merge(other);
+        self.peak_nodes = peak_nodes;
+        self.store_bytes = store_bytes;
+        self.peak_store_bytes = peak_store_bytes;
     }
 }
 

@@ -1,10 +1,12 @@
 //! The MPO approximate backend (Algorithm III) against the exact
-//! algorithms, and the `Auto` portfolio's escalation contract.
+//! algorithms, and `Auto`'s exact answer on the tiled pairs it used to
+//! send to MPO.
 //!
 //! The contracts under test:
 //!
 //! * **Interval soundness** — on every smoke-class scenario and noise
-//!   strength, the certified interval `[F_lo, F_hi]` of an explicit
+//!   strength, and on wide tiled pairs whose bond splits take the
+//!   low-rank SVD, the certified interval `[F_lo, F_hi]` of an explicit
 //!   `--algorithm mpo` check contains the exact Algorithm II fidelity;
 //! * **Tight-threshold parity** — with the truncation threshold tiny
 //!   and the bond cap generous nothing is discarded, and the midpoint
@@ -12,18 +14,21 @@
 //! * **Verdict agreement** — whenever the interval decides at the
 //!   paper's ε values, the verdict equals the exact one (an interval
 //!   that cannot decide says `Inconclusive`, never the wrong side);
-//! * **Portfolio escalation** — `Auto` on a wide, weakly-coupled pair
-//!   runs the MPO pass; at an ε the interval straddles it escalates to
-//!   an exact backend (recording the agreement cross-check) and never
-//!   returns an inconclusive or interval-straddling verdict.
+//! * **Factorised `Auto`** — a pair whose interaction graph splits into
+//!   disjoint components is answered as the product of its components'
+//!   Algorithm II fidelities: within 1e-12 of forced Algorithm II on
+//!   the whole pair and of the block fidelity to the power of the copy
+//!   count, sweep points included, and bit-identical across thread
+//!   counts and reclamation modes.
 
 use qaec::{
-    check_equivalence, jamiolkowski_fidelity, mpo_favored, AlgorithmChoice, AlgorithmUsed,
-    CheckOptions, Checker, Verdict, MPO_WIDTH_THRESHOLD,
+    check_equivalence, jamiolkowski_fidelity, AlgorithmChoice, AlgorithmUsed, CheckOptions,
+    Checker, StoreReclaimMode, Verdict,
 };
 use qaec_circuit::generators::{ghz, grover_dac21, qft, quantum_volume, tile, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
 use qaec_circuit::{Circuit, NoiseChannel};
+use qaec_mpo::{MpoOptions, MpoPlan};
 
 const SEED: u64 = 0xDAC21;
 
@@ -147,8 +152,8 @@ fn decided_mpo_verdicts_agree_with_exact() {
     }
 }
 
-/// The wide, weakly-coupled fixture the portfolio routes to MPO: eight
-/// independent noisy QFT blocks, 24 qubits in total.
+/// A wide, weakly-coupled pair: eight independent noisy QFT blocks,
+/// 24 qubits in total.
 fn wide_shallow_pair() -> (Circuit, Circuit) {
     let block = qft(3, QftStyle::DecomposedNoSwaps);
     let noisy_block = insert_random_noise(
@@ -158,194 +163,6 @@ fn wide_shallow_pair() -> (Circuit, Circuit) {
         SEED + 33,
     );
     (tile(&block, 8), tile(&noisy_block, 8))
-}
-
-/// `Auto` picks the MPO pass on the wide/shallow pair and answers from
-/// it when the interval decides — and the session records Algorithm III
-/// as the method used.
-#[test]
-fn auto_portfolio_answers_from_mpo_when_decidable() {
-    let (ideal, noisy) = wide_shallow_pair();
-    assert!(ideal.n_qubits() >= MPO_WIDTH_THRESHOLD);
-    assert!(mpo_favored(&noisy), "fixture must be portfolio-favored");
-    let mut compiled = Checker::new(&ideal, &noisy)
-        .options(CheckOptions::default())
-        .compile()
-        .expect("auto compile");
-    // A generous ε: the certified interval decides without escalation.
-    let report = compiled.check(0.5).expect("auto check");
-    assert_eq!(report.algorithm, AlgorithmUsed::Mpo);
-    assert_eq!(report.verdict, Verdict::Equivalent);
-    assert_eq!(
-        report.cross_check, None,
-        "no escalation, nothing to compare"
-    );
-    // The verdict agrees with a cold exact check.
-    let exact = check_equivalence(
-        &ideal,
-        &noisy,
-        0.5,
-        &CheckOptions {
-            algorithm: AlgorithmChoice::AlgorithmII,
-            ..CheckOptions::default()
-        },
-    )
-    .expect("exact comparator");
-    assert_eq!(report.verdict, exact.verdict);
-}
-
-/// The Table I seed: noise placement of the wide24 and ghz8 pairs.
-const NOISE_SEED: u64 = 0xDAC2021;
-
-/// `wide24`: `tile(qft3, 8)`, each block with one depolarizing site
-/// (p = 0.998), checked at ε = 0.2.
-fn wide24() -> (Circuit, Circuit) {
-    let block = qft(3, QftStyle::DecomposedNoSwaps);
-    let noisy_block = insert_random_noise(
-        &block,
-        &NoiseChannel::Depolarizing { p: 0.998 },
-        1,
-        NOISE_SEED + 24,
-    );
-    (tile(&block, 8), tile(&noisy_block, 8))
-}
-
-/// On wide24 the MPO interval decides with Algorithm II's verdict,
-/// holds the exact fidelity and stays on bonds of at most 4; `Auto`
-/// answers from that MPO pass. ghz8, whose one interaction component
-/// spans the register, goes to an exact backend.
-#[test]
-fn wide24_decides_on_mpo_and_ghz8_routes_to_an_exact_backend() {
-    let epsilon = 0.2;
-    let (ideal, noisy) = wide24();
-    let exact_options = CheckOptions {
-        algorithm: AlgorithmChoice::AlgorithmII,
-        ..CheckOptions::default()
-    };
-    let exact = check_equivalence(&ideal, &noisy, epsilon, &exact_options).expect("exact");
-    let mpo = mpo_check(&ideal, &noisy, epsilon, 1e-8, 16);
-    assert_eq!(mpo.algorithm, AlgorithmUsed::Mpo);
-    assert_ne!(mpo.verdict, Verdict::Inconclusive);
-    assert_eq!(mpo.verdict, exact.verdict);
-    let (lo, hi) = mpo.fidelity_bounds;
-    let f = exact.fidelity_bounds.0;
-    assert!(
-        lo - 1e-12 <= f && f <= hi + 1e-12,
-        "exact {f} outside certified [{lo}, {hi}]"
-    );
-    let bond = mpo.bond_max.expect("mpo reports bond_max");
-    assert!(bond <= 4, "bond_max {bond}");
-
-    let auto = |ideal: &Circuit, noisy: &Circuit| {
-        let mut compiled = Checker::new(ideal, noisy)
-            .options(CheckOptions::default())
-            .compile()
-            .expect("auto compile");
-        compiled.check(epsilon).expect("auto check")
-    };
-    assert!(mpo_favored(&noisy));
-    let report = auto(&ideal, &noisy);
-    assert_eq!(report.algorithm, AlgorithmUsed::Mpo);
-    assert_eq!(report.verdict, exact.verdict);
-
-    let ghz8 = ghz(8);
-    let ghz8_noisy = insert_random_noise(
-        &ghz8,
-        &NoiseChannel::Depolarizing { p: 0.999 },
-        2,
-        NOISE_SEED + 25,
-    );
-    assert!(!mpo_favored(&ghz8_noisy));
-    assert_ne!(auto(&ghz8, &ghz8_noisy).algorithm, AlgorithmUsed::Mpo);
-}
-
-/// When the certified interval straddles 1 − ε, `Auto` escalates to an
-/// exact backend end-to-end: the report carries the exact algorithm, a
-/// point (or proven) interval that does not straddle the threshold, and
-/// the recorded cross-check against the MPO pass.
-#[test]
-fn auto_escalates_on_straddling_interval() {
-    let (ideal, noisy) = wide_shallow_pair();
-    // Find an ε the MPO interval cannot decide, from an explicit MPO
-    // run's own bounds (the midpoint puts 1 − ε strictly inside them).
-    let probe = mpo_check(&ideal, &noisy, 0.5, 1e-8, 16);
-    let (lo, hi) = probe.fidelity_bounds;
-    assert!(lo < hi, "truncation must have widened the interval");
-    let epsilon = 1.0 - (lo + hi) / 2.0;
-
-    let mut compiled = Checker::new(&ideal, &noisy)
-        .options(CheckOptions::default())
-        .compile()
-        .expect("auto compile");
-    let report = compiled.check(epsilon).expect("auto check");
-    assert_ne!(
-        report.algorithm,
-        AlgorithmUsed::Mpo,
-        "a straddling interval must escalate to an exact backend"
-    );
-    assert_ne!(report.verdict, Verdict::Inconclusive);
-    // The escalated report still carries the MPO pass's metadata and the
-    // two backends' intervals intersect.
-    assert_eq!(report.cross_check, Some(true));
-    assert!(report.trunc_error.is_some());
-    assert!(report.bond_max.is_some());
-    // And the Auto verdict is the exact verdict.
-    let exact = check_equivalence(
-        &ideal,
-        &noisy,
-        epsilon,
-        &CheckOptions {
-            algorithm: AlgorithmChoice::AlgorithmII,
-            ..CheckOptions::default()
-        },
-    )
-    .expect("exact comparator");
-    assert_eq!(report.verdict, exact.verdict);
-    assert_eq!(
-        report.fidelity_bounds.0.to_bits(),
-        exact.fidelity_bounds.0.to_bits(),
-        "escalated bounds are the exact backend's bounds"
-    );
-}
-
-/// Exact queries on an `Auto` portfolio session keep the exactness
-/// promise: `fidelity()` and whole noise sweeps escalate entirely and
-/// return bit-identical values to a forced exact session.
-#[test]
-fn auto_exact_queries_bypass_the_mpo_estimate() {
-    let (ideal, noisy) = wide_shallow_pair();
-    let exact_opts = CheckOptions {
-        algorithm: AlgorithmChoice::AlgorithmII,
-        ..CheckOptions::default()
-    };
-    let mut auto_session = Checker::new(&ideal, &noisy)
-        .options(CheckOptions::default())
-        .compile()
-        .expect("auto compile");
-    let mut exact_session = Checker::new(&ideal, &noisy)
-        .options(exact_opts)
-        .compile()
-        .expect("exact compile");
-
-    let auto_f = auto_session.fidelity().expect("auto fidelity");
-    let exact_f = exact_session.fidelity().expect("exact fidelity");
-    assert_eq!(
-        auto_f.to_bits(),
-        exact_f.to_bits(),
-        "Auto fidelity() must be the exact value, not an MPO midpoint"
-    );
-
-    let strengths = [0.999, 0.99, 0.95];
-    let auto_sweep = auto_session
-        .sweep_noise(1e-2, &strengths)
-        .expect("auto sweep");
-    let exact_sweep = exact_session
-        .sweep_noise(1e-2, &strengths)
-        .expect("exact sweep");
-    for (a, e) in auto_sweep.iter().zip(&exact_sweep) {
-        assert_eq!(a.fidelity.to_bits(), e.fidelity.to_bits());
-        assert_eq!(a.verdict, e.verdict);
-    }
 }
 
 /// An explicit MPO session sweeps noise per point on re-instantiated
@@ -417,5 +234,194 @@ fn fidelity_past_64_qubits_keeps_its_dimension() {
             lo - 1e-12 <= alg2 && alg2 <= hi + 1e-12,
             "{copies} copies: {alg2} outside certified [{lo}, {hi}]"
         );
+    }
+}
+
+/// `copies` side-by-side copies of one noisy block.
+struct Tiled {
+    label: String,
+    block: Circuit,
+    noisy_block: Circuit,
+    copies: usize,
+}
+
+impl Tiled {
+    fn pair(&self) -> (Circuit, Circuit) {
+        (
+            tile(&self.block, self.copies),
+            tile(&self.noisy_block, self.copies),
+        )
+    }
+}
+
+/// The Table I seed, which places the `lowrank_pairs`' blocks.
+const NOISE_SEED: u64 = 0xDAC2021;
+
+/// Four seeded tiled QV pairs, `(n, d, copies, s)`: the block
+/// `quantum_volume(n, d, 0xDAC2021 ^ s)` with 2 depolarizing sites
+/// (p = 0.999, placement seed 77 + s). Before the low-rank SVD kept its
+/// basis orthonormal, the default MPO interval of each was [1, 1],
+/// excluding the exact value, and `Auto` answered `Equivalent` from it
+/// at ε = (1 − F)/2.
+fn lowrank_pairs() -> Vec<Tiled> {
+    [(4, 4, 6, 1), (5, 3, 2, 7), (5, 3, 2, 11), (5, 4, 2, 12)]
+        .into_iter()
+        .map(|(n, d, copies, s)| {
+            let block = quantum_volume(n, d, NOISE_SEED ^ s);
+            let channel = NoiseChannel::Depolarizing { p: 0.999 };
+            let noisy_block = insert_random_noise(&block, &channel, 2, 77 + s);
+            let label = format!("({n},{d},{copies},{s})");
+            Tiled {
+                label,
+                block,
+                noisy_block,
+                copies,
+            }
+        })
+        .collect()
+}
+
+/// The exact `F_J` of a pair: forced Algorithm II on the whole network.
+fn exact(ideal: &Circuit, noisy: &Circuit) -> f64 {
+    let forced = CheckOptions {
+        algorithm: AlgorithmChoice::AlgorithmII,
+        ..CheckOptions::default()
+    };
+    jamiolkowski_fidelity(ideal, noisy, &forced).expect("forced Algorithm II")
+}
+
+/// On the four `lowrank_pairs`, splits reach the low-rank SVD, and the
+/// forced MPO run (default `MpoOptions`, those of forced MPO sessions)
+/// certifies an interval that holds forced Algorithm II's value.
+#[test]
+fn lowrank_mpo_intervals_contain_the_exact_fidelity() {
+    std::thread::scope(|scope| {
+        for pair in lowrank_pairs() {
+            scope.spawn(move || {
+                let (ideal, noisy) = pair.pair();
+                let out = MpoPlan::compile(&ideal, &noisy).run(&MpoOptions::default());
+                assert!(out.lowrank_splits > 0, "{}: no low-rank split", pair.label);
+                let f = exact(&ideal, &noisy);
+                let (lo, hi) = (out.f_lo, out.f_hi);
+                assert!(
+                    lo <= f && f <= hi,
+                    "{}: {f} outside [{lo}, {hi}]",
+                    pair.label
+                );
+            });
+        }
+    });
+}
+
+/// The tiling relation on `check_suite`'s four tiled shapes (qft3 with
+/// one site at 8, 16 and 20 copies, ghz4 with one at 6) and the
+/// `lowrank_pairs`: `Auto`'s `F_J(tile(b, k))` is within 1e-12 of
+/// forced Algorithm II on the whole pair and of `F_J(b)^k`, equal bit
+/// for bit at 1 and 4 threads, and at ε = (1 − F)/2 the default check
+/// answers `NotEquivalent`, which the `lowrank_pairs`' MPO intervals
+/// used to accept.
+#[test]
+fn auto_fidelity_of_a_tile_is_the_block_fidelity_to_the_power_of_copies() {
+    let qft3 = qft(3, QftStyle::DecomposedNoSwaps);
+    let suite = [
+        (qft3.clone(), 8),
+        (qft3.clone(), 16),
+        (qft3, 20),
+        (ghz(4), 6),
+    ];
+    let suite = suite.into_iter().map(|(block, copies)| {
+        let channel = NoiseChannel::Depolarizing { p: 0.999 };
+        let noisy_block = insert_random_noise(&block, &channel, 1, NOISE_SEED + copies as u64);
+        let label = format!("{}q x{copies}", block.n_qubits());
+        Tiled {
+            label,
+            block,
+            noisy_block,
+            copies,
+        }
+    });
+    for pair in suite.chain(lowrank_pairs()) {
+        let (ideal, noisy) = pair.pair();
+        let auto = |threads| {
+            let options = CheckOptions {
+                threads,
+                ..CheckOptions::default()
+            };
+            jamiolkowski_fidelity(&ideal, &noisy, &options).expect("auto")
+        };
+        let f = auto(1);
+        assert_eq!(f.to_bits(), auto(4).to_bits(), "{}", pair.label);
+        let power = exact(&pair.block, &pair.noisy_block).powi(pair.copies as i32);
+        for reference in [exact(&ideal, &noisy), power] {
+            assert!(
+                (f - reference).abs() <= 1e-12,
+                "{}: {f} vs {reference}",
+                pair.label
+            );
+        }
+        let epsilon = (1.0 - power) / 2.0;
+        let report = check_equivalence(&ideal, &noisy, epsilon, &CheckOptions::default())
+            .expect("auto check");
+        assert_eq!(report.verdict, Verdict::NotEquivalent, "{}", pair.label);
+        assert_eq!(
+            report.algorithm,
+            AlgorithmUsed::AlgorithmII,
+            "{}",
+            pair.label
+        );
+    }
+}
+
+/// A sweep point that gives two copies of one block different strengths
+/// runs both on the block's session and still matches forced Algorithm
+/// II on the whole pair, bit for bit at 1 and 4 threads with store
+/// reclamation on and off. The session reports Algorithm II, and its
+/// sites in the whole pair's order.
+#[test]
+fn auto_sweep_points_with_unequal_copies_match_forced_algorithm_two() {
+    let (ideal, noisy) = wide_shallow_pair();
+    let forced = CheckOptions {
+        algorithm: AlgorithmChoice::AlgorithmII,
+        ..CheckOptions::default()
+    };
+    let whole = Checker::new(&ideal, &noisy)
+        .options(forced)
+        .compile()
+        .expect("forced");
+    let channels = whole.noise_channels().to_vec();
+    let points: Vec<Vec<NoiseChannel>> = [0.998, 0.99]
+        .into_iter()
+        .map(|p| {
+            let mut point = channels.clone();
+            point[3] = point[3].with_strength(p).expect("depolarizing");
+            point[5] = point[5].with_strength(0.97).expect("depolarizing");
+            point
+        })
+        .collect();
+    let reference = whole
+        .sweep_noise_channels(1e-2, &points)
+        .expect("reference");
+    let mut first: Option<Vec<u64>> = None;
+    for (threads, store_reclaim) in [(1, StoreReclaimMode::On), (4, StoreReclaimMode::Off)] {
+        let options = CheckOptions {
+            threads,
+            store_reclaim,
+            ..CheckOptions::default()
+        };
+        let auto = Checker::new(&ideal, &noisy)
+            .options(options)
+            .compile()
+            .expect("auto");
+        assert_eq!(auto.algorithm(), AlgorithmUsed::AlgorithmII);
+        assert_eq!(auto.noise_channels(), &channels[..]);
+        let swept = auto
+            .sweep_noise_channels(1e-2, &points)
+            .expect("auto sweep");
+        for (point, exact) in swept.iter().zip(&reference) {
+            assert!((point.fidelity - exact.fidelity).abs() <= 1e-12);
+            assert_eq!(point.verdict, exact.verdict);
+        }
+        let bits: Vec<u64> = swept.iter().map(|p| p.fidelity.to_bits()).collect();
+        assert_eq!(first.get_or_insert_with(|| bits.clone()), &bits);
     }
 }

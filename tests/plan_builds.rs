@@ -12,7 +12,7 @@ use qaec::{
     check_equivalence, AlgorithmChoice, CheckOptions, Checker, EquivalenceReport, Service,
     ServiceConfig, ServiceQuery, ServiceRequest, StoreReclaimMode,
 };
-use qaec_circuit::generators::{qft, QftStyle};
+use qaec_circuit::generators::{qft, quantum_volume, tile, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
 use qaec_circuit::{Circuit, NoiseChannel};
 use qaec_tensornet::plan::build_count;
@@ -87,10 +87,22 @@ fn sessions_and_the_service_build_one_plan_per_pair() {
         "the sweep must do at most half the cold cont_calls: {sweep_calls} vs {cold_calls}"
     );
 
+    // `Auto` on a pair of disjoint components plans each distinct
+    // component once: one plan for eight identical qft3 blocks, four for
+    // qv6x4_k8's four distinct QV blocks.
+    let qft3 = qft(3, QftStyle::DecomposedNoSwaps);
+    let compile = |ideal: &Circuit, noisy: &Circuit| {
+        counting_builds(|| Checker::new(ideal, noisy).options(opts.clone()).compile()).0
+    };
+    let qft3_block = noisy(&qft3, 0.999, 1, NOISE_SEED + 24);
+    assert_eq!(compile(&tile(&qft3, 8), &tile(&qft3_block, 8)), 1, "qft3x8");
+    let qv6x4 = tile(&quantum_volume(6, 5, NOISE_SEED), 4);
+    let qv6x4_k8 = noisy(&qv6x4, 0.999, 8, NOISE_SEED + 8);
+    assert_eq!(compile(&qv6x4, &qv6x4_k8), 4, "qv6x4_k8");
+
     // 9 check requests over 3 distinct qft3 pairs through one service:
     // one compile, and one plan, per pair; the repeats hit the cache.
     // (Cached answers against cold checks: `tests/service.rs`.)
-    let qft3 = qft(3, QftStyle::DecomposedNoSwaps);
     let requests: Vec<ServiceRequest> = (0..9)
         .map(|k| ServiceRequest {
             ideal: qft3.clone(),

@@ -15,7 +15,7 @@ use qaec::{
     check_equivalence, AlgorithmChoice, CacheOutcome, CheckOptions, Checker, QaecError, Service,
     ServiceConfig, ServiceQuery, ServiceReply, ServiceRequest,
 };
-use qaec_circuit::generators::{qft, QftStyle};
+use qaec_circuit::generators::{qft, tile, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
 use qaec_circuit::{pair_hash, Circuit, NoiseChannel};
 
@@ -231,6 +231,31 @@ fn lru_eviction_respects_the_byte_budget() {
         );
     }
     assert_eq!(tiny.stats().evictions, 2);
+}
+
+/// A factorised `Auto` session holds one Algorithm II store per
+/// distinct component, and the cache meters it: a noise sweep on
+/// `tile(qft3 + 1 site, 8)` leaves a non-zero footprint.
+#[test]
+fn factorised_sessions_meter_their_component_stores() {
+    let block = qft(3, QftStyle::DecomposedNoSwaps);
+    let noisy_block = insert_random_noise(&block, &NoiseChannel::Depolarizing { p: 0.999 }, 1, 5);
+    let service = service(AlgorithmChoice::Auto, 1, None);
+    let response = service.handle(&ServiceRequest {
+        ideal: tile(&block, 8),
+        noisy: tile(&noisy_block, 8),
+        query: ServiceQuery::SweepNoise {
+            epsilon: 1e-2,
+            strengths: vec![0.999, 0.99],
+        },
+        algorithm: None,
+    });
+    assert!(response.result.is_ok());
+    let stats = service.stats();
+    assert!(
+        stats.store_bytes > 0 && stats.peak_store_bytes >= stats.store_bytes,
+        "{stats}"
+    );
 }
 
 #[test]
