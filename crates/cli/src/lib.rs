@@ -30,9 +30,8 @@
 pub mod serve;
 
 use qaec::{
-    check_equivalence, fidelity_alg1, fidelity_alg2, fidelity_monte_carlo, AlgorithmChoice,
-    CheckOptions, Checker, EpsilonPoint, EquivalenceReport, StoreReclaimMode, SweepPoint, TddStats,
-    Verdict,
+    check_equivalence, fidelity_monte_carlo, AlgorithmChoice, AlgorithmUsed, CheckOptions, Checker,
+    EpsilonPoint, EquivalenceReport, StoreReclaimMode, SweepPoint, TddStats, Verdict,
 };
 use qaec_bench::json;
 use qaec_circuit::{qasm, Circuit};
@@ -648,54 +647,30 @@ fn run_inner(command: Command, out: &mut impl std::io::Write) -> Result<i32, Str
                 write_stats(out, options.verbose, &r.stats)?;
                 return Ok(0);
             }
-            // Resolve `auto` up front so every branch carries statistics:
-            // the whole pair on the exact backend `auto_choice` picks.
-            let (resolved, auto_note) = match opts.algorithm {
-                AlgorithmChoice::Auto => match qaec::auto_choice(&noisy) {
-                    qaec::AlgorithmUsed::AlgorithmI => (AlgorithmChoice::AlgorithmI, "auto: "),
-                    qaec::AlgorithmUsed::AlgorithmII | qaec::AlgorithmUsed::Mpo => {
-                        (AlgorithmChoice::AlgorithmII, "auto: ")
-                    }
-                },
-                choice => (choice, ""),
+            // One session, as `check` and the library compile it, so
+            // `auto` answers a pair of disjoint components as the product
+            // of its components here too.
+            let auto_note = match opts.algorithm {
+                AlgorithmChoice::Auto => "auto: ",
+                _ => "",
             };
-            let (fidelity, detail, stats) = match resolved {
-                AlgorithmChoice::AlgorithmI => {
-                    let r =
-                        fidelity_alg1(&ideal, &noisy, None, &opts).map_err(|e| e.to_string())?;
-                    (
-                        r.fidelity_lower,
-                        format!(
-                            "{auto_note}algorithm I, {} terms, {} nodes",
-                            r.terms_computed, r.max_nodes
-                        ),
-                        r.stats,
-                    )
+            let mut session = Checker::new(&ideal, &noisy)
+                .options(opts)
+                .compile()
+                .map_err(|e| e.to_string())?;
+            let fidelity = session.fidelity().map_err(|e| e.to_string())?;
+            let detail = match session.algorithm() {
+                AlgorithmUsed::Mpo => {
+                    "Algorithm III (MPO), midpoint of certified interval".to_string()
                 }
-                AlgorithmChoice::Mpo => {
-                    let mut compiled = Checker::new(&ideal, &noisy)
-                        .options(opts.clone())
-                        .compile()
-                        .map_err(|e| e.to_string())?;
-                    let estimate = compiled.fidelity().map_err(|e| e.to_string())?;
-                    (
-                        estimate,
-                        "algorithm III (MPO), midpoint of certified interval".to_string(),
-                        TddStats::default(),
-                    )
-                }
-                _ => {
-                    let r = fidelity_alg2(&ideal, &noisy, &opts).map_err(|e| e.to_string())?;
-                    (
-                        r.fidelity,
-                        format!("{auto_note}algorithm II, {} nodes", r.max_nodes),
-                        r.stats,
-                    )
-                }
+                exact => format!(
+                    "{auto_note}{exact}, {} nodes",
+                    session.max_nodes().unwrap_or_default()
+                ),
             };
             w(out, format!("F_J = {fidelity:.12}"))?;
             w(out, format!("({detail}, {:.3?})", start.elapsed()))?;
-            write_stats(out, options.verbose, &stats)?;
+            write_stats(out, options.verbose, &session.stats().unwrap_or_default())?;
             Ok(0)
         }
         Command::Check {
@@ -1464,6 +1439,37 @@ mod tests {
         assert_eq!(code, 0);
         assert!(!String::from_utf8_lossy(&out).contains("tdd stats:"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `fidelity` compiles the session `check` compiles, so `auto`
+    /// answers a pair of disjoint components (four qft3 blocks) from the
+    /// product of its components in both: the same fidelity from the
+    /// same `cont` calls.
+    #[test]
+    fn fidelity_and_check_answer_from_one_session() {
+        let fixture =
+            |name: &str| format!("{}/../../fixtures/smoke/{name}", env!("CARGO_MANIFEST_DIR"));
+        let (ideal, noisy) = (fixture("qft3x4.qasm"), fixture("qft3x4_depol.qasm"));
+        let run_verbose = |args: &[&str]| {
+            let mut argv = vec![args[0], &ideal, &noisy, "--threads", "1", "--verbose"];
+            argv.extend_from_slice(&args[1..]);
+            let mut out = Vec::new();
+            let code = run(parse_args(&strings(&argv)).unwrap(), &mut out);
+            let text = String::from_utf8(out).unwrap();
+            assert_eq!(code, 0, "{text}");
+            let cont: u64 = text
+                .split(", cont ")
+                .nth(1)
+                .and_then(|rest| rest.split(' ').next())
+                .and_then(|calls| calls.parse().ok())
+                .unwrap_or_else(|| panic!("no cont count in {text}"));
+            (text, cont)
+        };
+        let (fidelity, fidelity_cont) = run_verbose(&["fidelity"]);
+        let (check, check_cont) = run_verbose(&["check", "--epsilon", "0.05"]);
+        assert!(fidelity.starts_with("F_J = 0.996006296189"), "{fidelity}");
+        assert!(check.contains("F_J ∈ [0.996006, 0.996006]"), "{check}");
+        assert_eq!(fidelity_cont, check_cont, "{fidelity}{check}");
     }
 
     #[test]

@@ -16,9 +16,11 @@
 //! the fidelity and `max_nodes` are **bit-identical for every thread
 //! count** — which is why Algorithm II always contracts on the shared
 //! store, even at one worker (`--threads` stays a pure performance
-//! knob). The shared arenas are append-only, so sessions bound their
-//! footprint by store reclamation ([`crate::StoreReclaimMode`]), not by
-//! the private store's mark-compact GC.
+//! knob). The store is sized to the run: one stripe for one worker, 64
+//! for more ([`SharedTddStore::new`]); values do not depend on it. The
+//! shared arenas are append-only, so sessions bound their footprint by
+//! store reclamation ([`crate::StoreReclaimMode`]), not by the private
+//! store's mark-compact GC.
 //!
 //! ## The fold
 //!
@@ -93,7 +95,7 @@ pub(crate) fn fidelity_alg2_prevalidated(
 ) -> Result<Alg2Report, QaecError> {
     let start = Instant::now();
     let artifacts = Alg2Artifacts::compile(ideal, noisy, options);
-    let mut report = artifacts.run(&SharedTddStore::new(), options)?;
+    let mut report = artifacts.run(&SharedTddStore::new(options.threads), options)?;
     report.elapsed = start.elapsed();
     Ok(report)
 }
@@ -459,22 +461,23 @@ mod tests {
     }
 
     /// On qv6x4_k8, 1 and 4 workers report the same fidelity bits and
-    /// `max_nodes`, and the shared store does the work of the private
-    /// sequential driver on the same network, plan and order: equal
-    /// `cont_calls` and `add_calls`, `nodes_created` within 1%, fidelity
-    /// within 1e-9. Both shared runs account a store footprint whose
-    /// peak is at least what is still held.
+    /// `max_nodes` — on a one-stripe and a 64-stripe store, so the
+    /// identity spans both layouts — and the shared store does the work
+    /// of the private sequential driver on the same network, plan and
+    /// order: equal `cont_calls` and `add_calls`, `nodes_created` within
+    /// 1%, fidelity within 1e-9. Both shared runs account a store
+    /// footprint whose peak is at least what is still held.
     #[test]
     fn qv6x4_shared_store_matches_private_work_at_any_thread_count() {
         let artifacts = qv6x4_k8();
-        let shared = |threads| {
+        let shared = |threads, stripes| {
             let options = CheckOptions {
                 threads,
                 ..CheckOptions::default()
             };
-            artifacts
-                .run(&SharedTddStore::new(), &options)
-                .expect("qv6x4_k8")
+            let store = SharedTddStore::new(threads);
+            assert_eq!(store.stripes(), stripes, "{threads} threads");
+            artifacts.run(&store, &options).expect("qv6x4_k8")
         };
         let private = || {
             let mut manager = TddManager::new();
@@ -496,9 +499,9 @@ mod tests {
         // The three runs are independent (a store each), so they run
         // side by side.
         let (t1, t4, private) = std::thread::scope(|scope| {
-            let t4 = scope.spawn(|| shared(4));
+            let t4 = scope.spawn(|| shared(4, 64));
             let private = scope.spawn(private);
-            let t1 = shared(1);
+            let t1 = shared(1, 1);
             (
                 t1,
                 t4.join().expect("t4 run thread"),

@@ -64,7 +64,7 @@ const GOLDEN_ALG1: &[(&str, Bits)] = &[
 const GOLDEN_ALG2: &[(&str, Bits)] = &[
     ("rb", (0x3fefcefd9cd83b5f, 34, 1647, 427, 701)),
     ("qft2", (0x3fefef9fcb0c026e, 10, 633, 168, 293)),
-    ("grover", (0x3fefdf4a3c06ebff, 26, 9211, 2922, 3927)),
+    ("grover", (0x3fefdf4a3c06ebff, 26, 9211, 2920, 3927)),
     ("qft3", (0x3fefc6d5fd9a5c76, 58, 2702, 977, 1248)),
     ("qv_n3d5", (0x3fefefa006b30117, 16, 5545, 3524, 3281)),
     ("bv4", (0x3fefc6d586e4bc5f, 82, 2300, 1149, 972)),
@@ -79,7 +79,7 @@ const GOLDEN_ALG2: &[(&str, Bits)] = &[
     ("bv9", (0x3fefcef8bc46c124, 22, 2735, 974, 1253)),
     ("qv_n9d5", (0x3fefe772d557017c, 1027, 50278, 118302, 66295)),
     ("qft9", (0x3fefef9fcb0c027b, 58, 24491, 6263, 10388)),
-    ("qft10", (0x3fefef9fcb0c0286, 448, 37493, 10104, 15035)),
+    ("qft10", (0x3fefef9fcb0c0286, 448, 37493, 10102, 15035)),
     ("bv13", (0x3fefdf47f76e36ef, 14, 3313, 1005, 1470)),
     ("bv14", (0x3fefdf47f76e36ee, 14, 3579, 1078, 1582)),
     ("bv16", (0x3fefb692ce0afe8a, 28, 4512, 1363, 2031)),

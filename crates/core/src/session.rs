@@ -23,8 +23,9 @@
 //!
 //! Each algorithm has one store. Algorithm I (and the Monte-Carlo
 //! estimator) contracts every query on fresh private per-worker
-//! managers. An Algorithm II session holds one warm [`SharedTddStore`]
-//! for its whole life: its first noise sweep folds the noise-free part
+//! managers. An Algorithm II session holds one warm [`SharedTddStore`],
+//! striped for `options.threads` workers (one stripe at one thread), for
+//! its whole life: its first noise sweep folds the noise-free part
 //! of the doubled network into that store once, so every later point
 //! contracts only the noise-dependent plan steps (see
 //! [`crate::alg2`]'s fold). Under [`AlgorithmChoice::Auto`], a pair
@@ -623,7 +624,7 @@ impl CompiledCheck {
             }
             AlgorithmUsed::AlgorithmII => Backend::Alg2(
                 Alg2Artifacts::compile(ideal, noisy, &options),
-                StoreCell::new(SharedTddStore::new()),
+                StoreCell::new(SharedTddStore::new(options.threads)),
             ),
             // The MPO engine works on dense site tensors: no
             // decision-diagram store.
@@ -684,6 +685,22 @@ impl CompiledCheck {
     /// across successor swaps), summed over the session's stores.
     pub fn warm_store_peak_bytes(&self) -> usize {
         StoreCell::footprint(&self.warm_store_cells()).1
+    }
+
+    /// Largest intermediate diagram (Table I's `nodes`) of the evaluation
+    /// behind the session's cached fidelity interval — the largest
+    /// part's, for a factorised session — or `None` before the first
+    /// query.
+    pub fn max_nodes(&self) -> Option<usize> {
+        self.knowledge.as_ref().map(|k| k.max_nodes)
+    }
+
+    /// Work counters and store footprint of the evaluation behind the
+    /// session's cached fidelity interval, as its reports carry them
+    /// (summed over a factorised session's parts), or `None` before the
+    /// first query.
+    pub fn stats(&self) -> Option<TddStats> {
+        self.knowledge.as_ref().map(|k| k.stats)
     }
 
     /// The compiled noise channels, in site order — the sites

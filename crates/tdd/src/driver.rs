@@ -87,7 +87,7 @@ fn drive(
     let mut max_nodes = slots
         .iter()
         .flatten()
-        .map(|&e| m.node_count(e))
+        .map(|&e| m.count_nodes(e))
         .max()
         .unwrap_or(1);
     let mut peak_arena = m.arena_len();
@@ -132,7 +132,7 @@ fn drive(
                 e
             }
         };
-        max_nodes = max_nodes.max(m.node_count(result));
+        max_nodes = max_nodes.max(m.count_nodes(result));
         peak_arena = peak_arena.max(m.arena_len());
 
         if let Some(threshold) = options.gc_threshold {

@@ -199,7 +199,7 @@ mod tests {
 
     #[test]
     fn shared_store_collection_is_a_noop() {
-        let store = crate::SharedTddStore::new();
+        let store = crate::SharedTddStore::new(1);
         let mut m = TddManager::new_shared(&store);
         let keep = {
             let l = m.terminal(C64::real(1.0));

@@ -301,6 +301,9 @@ pub struct TddManager {
     probe_budget: u32,
     /// Latched once a probe observes the deadline in the past.
     expired: bool,
+    /// The traversal buffers [`Self::count_nodes`] reuses (visited set,
+    /// stack), so counting each plan step's result allocates nothing.
+    count_buffers: (FxHashSet<NodeId>, Vec<NodeId>),
     pub(crate) stats: TddStats,
 }
 
@@ -394,6 +397,7 @@ impl TddManager {
             deadline: None,
             probe_budget: DEADLINE_PROBE_INTERVAL,
             expired: false,
+            count_buffers: Default::default(),
             stats: TddStats::default(),
         }
     }
@@ -763,8 +767,29 @@ impl TddManager {
 
     /// Number of distinct nodes reachable from `e`, including the terminal.
     pub fn node_count(&self, e: Edge) -> usize {
-        let mut seen = FxHashSet::default();
-        let mut stack = vec![e.node];
+        self.count_reachable(e, &mut FxHashSet::default(), &mut Vec::new())
+    }
+
+    /// [`Self::node_count`] on the manager's reused buffers, for the
+    /// plan drivers, which count every step's result and every
+    /// converted input.
+    pub(crate) fn count_nodes(&mut self, e: Edge) -> usize {
+        let (mut seen, mut stack) = std::mem::take(&mut self.count_buffers);
+        let count = self.count_reachable(e, &mut seen, &mut stack);
+        self.count_buffers = (seen, stack);
+        count
+    }
+
+    /// Counts the nodes reachable from `e` (terminal included) with the
+    /// given visited set and stack, emptying the set first.
+    fn count_reachable(
+        &self,
+        e: Edge,
+        seen: &mut FxHashSet<NodeId>,
+        stack: &mut Vec<NodeId>,
+    ) -> usize {
+        seen.clear();
+        stack.push(e.node);
         while let Some(n) = stack.pop() {
             if !seen.insert(n) {
                 continue;
@@ -998,7 +1023,7 @@ mod tests {
 
     #[test]
     fn shared_managers_hash_cons_across_instances() {
-        let store = SharedTddStore::new();
+        let store = SharedTddStore::new(2);
         let mut a = TddManager::new_shared(&store);
         let mut b = TddManager::new_shared(&store);
         let build = |m: &mut TddManager| {
@@ -1032,7 +1057,7 @@ mod tests {
         // stored as exactly `tol`, normalisation would take the zero
         // sibling as the norm and divide by it (seen on Algorithm I over
         // qv_n6d5 with three depolarizing sites).
-        let store = SharedTddStore::new();
+        let store = SharedTddStore::new(1);
         let mut m = TddManager::new_shared(&store);
         let z = C64::real(m.tolerance() * (1.0 + 1e-6));
         let high = m.terminal(z);
@@ -1044,7 +1069,7 @@ mod tests {
 
     #[test]
     fn shared_normalization_matches_private_semantics() {
-        let store = SharedTddStore::new();
+        let store = SharedTddStore::new(1);
         let mut m = TddManager::new_shared(&store);
         let low = m.terminal(C64::real(0.5));
         let high = m.terminal(C64::real(-1.0));

@@ -434,7 +434,7 @@ pub fn contract_steps_parallel<'t>(
             "slot {slot} is neither produced nor resolved"
         );
         let e = from_tensor(m, inputs(slot), order);
-        *max_nodes = (*max_nodes).max(m.node_count(e));
+        *max_nodes = (*max_nodes).max(m.count_nodes(e));
         e
     };
 
@@ -493,7 +493,7 @@ pub fn contract_steps_parallel<'t>(
                     return Err(timeout);
                 }
             };
-            max_nodes = max_nodes.max(m.node_count(e));
+            max_nodes = max_nodes.max(m.count_nodes(e));
             scheduler.slots[result_slot]
                 .set(e)
                 .expect("step result published twice");
@@ -592,7 +592,7 @@ mod tests {
 
             // Sequential reference on a (fresh) shared store, same
             // interning rule as the parallel workers.
-            let seq_store = SharedTddStore::new();
+            let seq_store = SharedTddStore::new(1);
             let mut seq_m = TddManager::new_shared(&seq_store);
             let seq =
                 contract_network_opts(&mut seq_m, &net, &plan, &order, DriverOptions::default())
@@ -600,7 +600,7 @@ mod tests {
             let seq_value = seq_m.edge_scalar(seq.root).expect("scalar");
 
             for workers in [1usize, 2, 4, 8] {
-                let store = SharedTddStore::new();
+                let store = SharedTddStore::new(workers);
                 let out = contract_network_parallel(
                     &store,
                     &net,
@@ -638,7 +638,7 @@ mod tests {
         let order = VarOrder::from_sequence((0..6).map(IndexId));
         let plan = net.plan(Strategy::MinFill);
         let dense = net.contract_dense(&plan).as_scalar().expect("scalar");
-        let store = SharedTddStore::new();
+        let store = SharedTddStore::new(4);
         let out = contract_network_parallel(
             &store,
             &net,
@@ -668,7 +668,7 @@ mod tests {
         net.close_index(IndexId(5));
         let order = VarOrder::from_sequence([IndexId(0), IndexId(1)]);
         let plan = net.plan(Strategy::Sequential);
-        let store = SharedTddStore::new();
+        let store = SharedTddStore::new(1);
         let out =
             contract_network_parallel(&store, &net, &plan, &order, ParallelOptions::default())
                 .expect("no deadline");
@@ -678,7 +678,7 @@ mod tests {
 
         let empty = TensorNetwork::new();
         let plan = empty.plan(Strategy::MinFill);
-        let store = SharedTddStore::new();
+        let store = SharedTddStore::new(1);
         let out =
             contract_network_parallel(&store, &empty, &plan, &order, ParallelOptions::default())
                 .expect("no deadline");
@@ -691,7 +691,7 @@ mod tests {
         let order = VarOrder::from_sequence((0..8).map(IndexId));
         let plan = net.plan(Strategy::MinFill);
         for workers in [1usize, 4] {
-            let store = SharedTddStore::new();
+            let store = SharedTddStore::new(workers);
             let result = contract_network_parallel(
                 &store,
                 &net,

@@ -15,7 +15,7 @@ use qaec::{
 };
 use qaec_circuit::generators::{qft, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
-use qaec_circuit::{Circuit, NoiseChannel, Operation};
+use qaec_circuit::{qasm, Circuit, NoiseChannel, Operation};
 
 /// The shared fixture: a QFT with a few depolarizing sites — small
 /// enough for exhaustive Algorithm I, wide enough for Algorithm II.
@@ -311,6 +311,29 @@ fn warm_store_stats_are_epoch_fenced_per_point() {
         "point 2's work shows up as unique-table hits: {:?}",
         second.stats
     );
+}
+
+/// A one-thread Algorithm II session holds a store sized for one
+/// worker: after `fidelity()` on the smoke fixture its warm footprint is
+/// one stripe's arena chunks and maps, not the ~2 MB that 64 stripes'
+/// first chunks take for the same few hundred nodes.
+#[test]
+fn one_thread_alg2_session_holds_a_one_stripe_store() {
+    let load = |name: &str| {
+        let path = format!("{}/fixtures/smoke/{name}", env!("CARGO_MANIFEST_DIR"));
+        qasm::parse(&std::fs::read_to_string(path).expect("read fixture")).expect("parse fixture")
+    };
+    let (ideal, noisy) = (load("qft3.qasm"), load("qft3_depol.qasm"));
+    let mut compiled = Checker::new(&ideal, &noisy)
+        .options(CheckOptions {
+            store_reclaim: StoreReclaimMode::Off,
+            ..options(AlgorithmChoice::AlgorithmII, 1)
+        })
+        .compile()
+        .expect("compile");
+    compiled.fidelity().expect("fidelity");
+    let bytes = compiled.warm_store_bytes();
+    assert!(bytes > 0 && bytes < 256 << 10, "{bytes} B");
 }
 
 /// The free functions are wrappers over a single-query session: both

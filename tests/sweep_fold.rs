@@ -412,14 +412,14 @@ fn step_runs_resume_sum_out_plans_with_free_loops_bit_identically() {
                 workers,
                 deadline: None,
             };
-            let store = SharedTddStore::new();
+            let store = SharedTddStore::new(workers);
             let full = contract_network_parallel(&store, &full_network, &plan, &order, parallel)
                 .expect("full run");
             let full_value = TddManager::new_shared(&store)
                 .edge_scalar(full.result.root)
                 .expect("scalar");
 
-            let store = SharedTddStore::new();
+            let store = SharedTddStore::new(workers);
             let inputs = |slot: usize| &network.tensors()[slot];
             let fold = contract_steps_parallel(
                 &store,
