@@ -153,11 +153,11 @@ fn bench_intern(c: &mut Criterion) {
         });
     });
     // A plan driver's pattern: a new weight scope per step, here every
-    // 200 values, on a fresh one-worker store (`store_new_drop_w1` is that part alone).
+    // 200 values, on a fresh owned store — what a one-worker run interns
+    // on.
     group.bench_function("scoped_fresh_scope200", |b| {
         b.iter(|| {
-            let store = SharedTddStore::new(1);
-            let mut m = TddManager::new_shared(&store);
+            let mut m = TddManager::new_owned();
             for scope in values.chunks(200) {
                 m.begin_weight_scope();
                 for &z in scope {
@@ -166,13 +166,10 @@ fn bench_intern(c: &mut Criterion) {
             }
         });
     });
-    // Building and dropping a store: one stripe for one worker, 64 for
-    // several.
-    for workers in [1, 4] {
-        group.bench_function(format!("store_new_drop_w{workers}"), |b| {
-            b.iter(|| drop(std::hint::black_box(SharedTddStore::new(workers))));
-        });
-    }
+    // Building and dropping the store several workers share.
+    group.bench_function("store_new_drop", |b| {
+        b.iter(|| drop(std::hint::black_box(SharedTddStore::new())));
+    });
     group.finish();
 }
 

@@ -778,42 +778,56 @@ fn serve_connection(service: &Service, mut input: impl BufRead, mut out: impl Wr
     }
 }
 
+/// How long the accept loop pauses after a failed accept, so that a
+/// lasting failure — the process out of file descriptors (`EMFILE`)
+/// while connections are open — does not spin a core.
+const ACCEPT_RETRY_PAUSE: std::time::Duration = std::time::Duration::from_millis(50);
+
 /// The socket transports' accept loop: one thread per connection, all
 /// connections sharing one [`Service`] (and therefore one session
-/// cache). `max_connections` bounds the loop for tests; pass `None` to
-/// serve forever.
+/// cache). A failed accept, or a connection that cannot be set up, is
+/// reported on stderr and skipped after a short pause: the loop keeps
+/// serving, and the failure does not count toward `max_connections`,
+/// which bounds the loop for tests (`None` serves until `incoming`
+/// ends).
 fn accept_loop<S: Read + Write + Send + 'static>(
     service: Arc<Service>,
     incoming: impl Iterator<Item = std::io::Result<S>>,
     try_clone: fn(&S) -> std::io::Result<S>,
     max_connections: Option<usize>,
-) -> Result<(), String> {
-    for (accepted, stream) in incoming.enumerate() {
-        let stream = stream.map_err(|e| format!("accept: {e}"))?;
+) {
+    let mut accepted = 0;
+    for stream in incoming {
+        let connection = stream
+            .map_err(|e| format!("accept: {e}"))
+            .and_then(|stream| match try_clone(&stream) {
+                Ok(reader) => Ok((stream, reader)),
+                Err(e) => Err(format!("connection: {e}")),
+            });
+        let (stream, reader) = match connection {
+            Ok(connection) => connection,
+            Err(e) => {
+                eprintln!("qaec serve: {e}");
+                std::thread::sleep(ACCEPT_RETRY_PAUSE);
+                continue;
+            }
+        };
         let service = Arc::clone(&service);
-        let reader = try_clone(&stream).map_err(|e| format!("connection: {e}"))?;
         std::thread::spawn(move || {
             serve_connection(&service, BufReader::new(reader), stream);
         });
-        if max_connections.is_some_and(|max| accepted + 1 >= max) {
-            return Ok(());
+        accepted += 1;
+        if max_connections.is_some_and(|max| accepted >= max) {
+            return;
         }
     }
-    Ok(())
 }
 
 /// Accept loop for the TCP transport: one thread per connection, all
-/// connections sharing one [`Service`]. `max_connections` bounds the
-/// loop for tests; pass `None` to serve forever.
-///
-/// # Errors
-///
-/// Propagates listener accept failures.
-pub fn serve_tcp(
-    service: Arc<Service>,
-    listener: TcpListener,
-    max_connections: Option<usize>,
-) -> Result<(), String> {
+/// connections sharing one [`Service`]. A failed accept is reported on
+/// stderr and the loop goes on. `max_connections` bounds the loop for
+/// tests; pass `None` to serve forever.
+pub fn serve_tcp(service: Arc<Service>, listener: TcpListener, max_connections: Option<usize>) {
     accept_loop(
         service,
         listener.incoming(),
@@ -824,16 +838,12 @@ pub fn serve_tcp(
 
 /// Accept loop for the unix-socket transport — same per-connection
 /// behaviour as [`serve_tcp`].
-///
-/// # Errors
-///
-/// Propagates listener accept failures.
 #[cfg(unix)]
 pub fn serve_unix(
     service: Arc<Service>,
     listener: std::os::unix::net::UnixListener,
     max_connections: Option<usize>,
-) -> Result<(), String> {
+) {
     accept_loop(
         service,
         listener.incoming(),
@@ -866,7 +876,7 @@ pub fn run_serve(args: &ServeArgs, out: &mut impl Write) -> Result<i32, String> 
                 .map(|a| a.to_string())
                 .unwrap_or_else(|_| addr.clone())
         );
-        serve_tcp(Arc::new(service), listener, None)?;
+        serve_tcp(Arc::new(service), listener, None);
         return Ok(0);
     }
     #[cfg(unix)]
@@ -874,7 +884,7 @@ pub fn run_serve(args: &ServeArgs, out: &mut impl Write) -> Result<i32, String> 
         let listener = std::os::unix::net::UnixListener::bind(path)
             .map_err(|e| format!("serve: cannot listen on {path}: {e}"))?;
         eprintln!("qaec serve: listening on {path}");
-        serve_unix(Arc::new(service), listener, None)?;
+        serve_unix(Arc::new(service), listener, None);
         return Ok(0);
     }
     #[cfg(not(unix))]
@@ -1307,8 +1317,34 @@ mod tests {
             .collect();
         assert_hostile_answers(&lines);
         drop(stream);
-        server.join().expect("join").expect("serve_unix");
+        server.join().expect("join");
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A failed accept — here `EMFILE`, what a client that holds enough
+    /// connections open causes — is skipped, not fatal and not counted:
+    /// the loop answers the connection that comes next.
+    #[test]
+    fn accept_loop_survives_a_failed_accept() {
+        use std::os::unix::net::UnixStream;
+        let (server_end, mut client) = UnixStream::pair().expect("socket pair");
+        let incoming = [Err(std::io::Error::from_raw_os_error(24)), Ok(server_end)];
+        let server = std::thread::spawn(move || {
+            accept_loop(
+                Arc::new(service()),
+                incoming.into_iter(),
+                UnixStream::try_clone,
+                Some(1),
+            )
+        });
+        client.write_all(check_line(3).as_bytes()).expect("write");
+        let mut line = String::new();
+        BufReader::new(client.try_clone().expect("clone"))
+            .read_line(&mut line)
+            .expect("read");
+        assert!(line.contains("\"ok\": true"), "{line}");
+        drop(client);
+        server.join().expect("accept loop");
     }
 
     #[test]
@@ -1337,7 +1373,7 @@ mod tests {
             assert!(line.contains(expected), "{line}");
         }
         drop(stream);
-        server.join().expect("join").expect("serve_tcp");
+        server.join().expect("join");
         assert_eq!(service.stats().compiles, 1);
     }
 }

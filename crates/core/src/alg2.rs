@@ -10,17 +10,17 @@
 //! There are no independent trace terms to steal here, so `threads > 1`
 //! parallelises *inside* the contraction: the plan's step DAG is
 //! dispatched critical-path-first to a worker pool over one
-//! [`SharedTddStore`] ([`qaec_tdd::par_driver`]). Because each step is
-//! one weight scope — exact-bits interning, glued only within the
-//! step — every step's result is a pure function of its operands, and
-//! the fidelity and `max_nodes` are **bit-identical for every thread
-//! count** — which is why Algorithm II always contracts on the shared
-//! store, even at one worker (`--threads` stays a pure performance
-//! knob). The store is sized to the run: one stripe for one worker, 64
-//! for more ([`SharedTddStore::new`]); values do not depend on it. The
-//! shared arenas are append-only, so sessions bound their footprint by
-//! store reclamation ([`crate::StoreReclaimMode`]), not by the private
-//! store's mark-compact GC.
+//! [`SharedTddStore`] ([`qaec_tdd::par_driver`]). At one thread the same
+//! scheduler runs inline on a manager that owns its store
+//! ([`TddManager::new_owned`]): the shared store's interning rule on
+//! plain tables, without its atomics, locks or stripes. Both stores
+//! apply one rule — each step is one weight scope, exact-bits
+//! interning glued only within the step — so every step's result is a
+//! pure function of its operands, and the fidelity and `max_nodes` are
+//! **bit-identical for every thread count and store kind** (`--threads`
+//! stays a pure performance knob). Neither store collects garbage in
+//! place, so sessions bound their footprint by store reclamation
+//! ([`crate::StoreReclaimMode`]), which compacts either kind.
 //!
 //! ## The fold
 //!
@@ -49,7 +49,6 @@ use qaec_tdd::{
 use qaec_tensornet::plan::{PlanCost, PlanGraph};
 use qaec_tensornet::{ContractionPlan, PlanStep, Tensor};
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Outcome of an Algorithm II run.
@@ -95,9 +94,21 @@ pub(crate) fn fidelity_alg2_prevalidated(
 ) -> Result<Alg2Report, QaecError> {
     let start = Instant::now();
     let artifacts = Alg2Artifacts::compile(ideal, noisy, options);
-    let mut report = artifacts.run(&SharedTddStore::new(options.threads), options)?;
+    let mut report = artifacts.run(&mut manager(options.threads), options)?;
     report.elapsed = start.elapsed();
     Ok(report)
+}
+
+/// The manager an Algorithm II run on `threads` workers contracts on:
+/// one that owns its store at one worker, a handle onto a store the
+/// workers share at more. One interning rule serves both, so the choice
+/// moves no result bit.
+pub(crate) fn manager(threads: usize) -> TddManager {
+    if threads > 1 {
+        TddManager::new_shared(&SharedTddStore::new())
+    } else {
+        TddManager::new_owned()
+    }
 }
 
 /// The compiled, reusable part of an Algorithm II check: the base
@@ -121,9 +132,9 @@ pub(crate) struct Alg2Artifacts {
 /// one store generation: the edges the folded steps hand to
 /// noise-dependent steps (the *frontier*). It lives beside the store
 /// generation its edges point into; reclamation compacts the store with
-/// the frontier as roots and remaps it ([`Alg2Fold::remapped`]).
+/// the frontier as roots and remaps it ([`Alg2Fold::frontier_mut`]).
 pub(crate) struct Alg2Fold {
-    split: Arc<FoldSplit>,
+    split: FoldSplit,
     /// The edges of `split.frontier`, in order.
     frontier: Vec<Edge>,
     /// Largest diagram among the folded steps and the conversions they
@@ -156,19 +167,11 @@ impl fmt::Debug for Alg2Fold {
 }
 
 impl Alg2Fold {
-    /// The frontier edges, in the fold's store generation.
-    pub(crate) fn frontier(&self) -> &[Edge] {
-        &self.frontier
-    }
-
-    /// The same fold over a compacted store: `frontier` is this fold's
-    /// frontier as [`SharedTddStore::compact`] remapped it.
-    pub(crate) fn remapped(&self, frontier: Vec<Edge>) -> Alg2Fold {
-        Alg2Fold {
-            split: Arc::clone(&self.split),
-            frontier,
-            max_nodes: self.max_nodes,
-        }
+    /// The frontier edges, in the fold's store generation; reclamation
+    /// replaces them with their images in the compacted store
+    /// ([`TddManager::compact`]).
+    pub(crate) fn frontier_mut(&mut self) -> &mut Vec<Edge> {
+        &mut self.frontier
     }
 }
 
@@ -218,57 +221,48 @@ impl Alg2Artifacts {
         }
     }
 
-    /// One contraction of the compiled (base) network on `store`.
+    /// One contraction of the compiled (base) network on `m` (see
+    /// [`manager`]). Its statistics are fenced, so a warm
+    /// (session-reused) manager reports this contraction's work alone.
     pub(crate) fn run(
         &self,
-        store: &Arc<SharedTddStore>,
+        m: &mut TddManager,
         options: &CheckOptions,
     ) -> Result<Alg2Report, QaecError> {
         let start = Instant::now();
-        // Statistics fence: a warm (session-reused) store reports only
-        // this contraction's allocation delta.
-        let epoch = store.reset_between_runs();
         let outcome = contract_network_parallel(
-            store,
+            m,
             &self.built.network,
             &self.plan,
             &self.built.order,
             parallel(options),
         )
         .map_err(|_| QaecError::Timeout)?;
-        let trace = TddManager::new_shared(store)
-            .edge_scalar(outcome.result.root)
-            .expect("closed network");
-        let mut stats = outcome.stats;
-        // Allocation counters are store-owned: merged exactly once.
-        stats.merge(&store.stats_since(epoch));
-        Ok(self.report(trace, outcome.result.max_nodes, stats, start))
+        let trace = m.edge_scalar(outcome.result.root).expect("closed network");
+        Ok(self.report(trace, outcome.result.max_nodes, outcome.stats, start))
     }
 
-    /// One noise-sweep point on `store`: converts the point's
-    /// noise-site tensors and runs the noise-dependent steps from
-    /// `fold`, building the fold first when `fold` is `None` (the
-    /// report's time and statistics then include it). Returns the fold
-    /// for the caller to keep beside `store`.
+    /// One noise-sweep point on `m`: converts the point's noise-site
+    /// tensors and runs the noise-dependent steps from `fold`, building
+    /// the fold into it first when it is `None` (the report's time and
+    /// statistics then include it). The fold's frontier lives in `m`'s
+    /// store, so the caller keeps the two together.
     ///
     /// The fidelity and `max_nodes` are bit-identical to a cold one-shot
     /// check of the pair with these channels, at every thread count.
     pub(crate) fn run_folded(
         &self,
-        store: &Arc<SharedTddStore>,
-        fold: Option<Arc<Alg2Fold>>,
+        m: &mut TddManager,
+        fold: &mut Option<Alg2Fold>,
         channels: &[NoiseChannel],
         options: &CheckOptions,
-    ) -> Result<(Alg2Report, Arc<Alg2Fold>), QaecError> {
+    ) -> Result<Alg2Report, QaecError> {
         let start = Instant::now();
-        // Statistics fence: a warm (session-reused) store reports only
-        // this point's allocation delta.
-        let epoch = store.reset_between_runs();
         let mut stats = TddStats::default();
-        let fold = match fold {
-            Some(fold) => fold,
-            None => Arc::new(self.fold(store, options, &mut stats)?),
-        };
+        if fold.is_none() {
+            *fold = Some(self.fold(m, options, &mut stats)?);
+        }
+        let fold = fold.as_ref().expect("built above");
         let split = &fold.split;
         let noise = self.noise_tensors(channels);
         let inputs = |slot: usize| {
@@ -287,7 +281,7 @@ impl Alg2Artifacts {
             keep: &split.keep,
         };
         let out = contract_steps_parallel(
-            store,
+            m,
             &self.plan,
             &split.graph,
             &inputs,
@@ -301,27 +295,21 @@ impl Alg2Artifacts {
             Some(_) => *out.kept.last().expect("root kept"),
             None => Edge::ONE,
         };
-        let root = scale_free_loops(store, root, self.plan.free_loops, &mut stats);
-        let trace = TddManager::new_shared(store)
-            .edge_scalar(root)
-            .expect("closed network");
-        // Allocation counters are store-owned: merged exactly once.
-        stats.merge(&store.stats_since(epoch));
+        let root = scale_free_loops(m, root, self.plan.free_loops, &mut stats);
+        let trace = m.edge_scalar(root).expect("closed network");
         let max_nodes = fold.max_nodes.max(out.max_nodes).max(1);
-        let report = self.report(trace, max_nodes, stats, start);
-        Ok((report, fold))
+        Ok(self.report(trace, max_nodes, stats, start))
     }
 
     /// Contracts every step whose operands do not depend on a noise site
-    /// on `store`, keeping the frontier edges; merges the work into
-    /// `stats`.
+    /// on `m`, keeping the frontier edges; merges the work into `stats`.
     fn fold(
         &self,
-        store: &Arc<SharedTddStore>,
+        m: &mut TddManager,
         options: &CheckOptions,
         stats: &mut TddStats,
     ) -> Result<Alg2Fold, QaecError> {
-        let split = Arc::new(self.split());
+        let split = self.split();
         let folded: Vec<bool> = split.residual.iter().map(|r| !r).collect();
         let inputs = |slot: usize| &self.built.network.tensors()[slot];
         let run = StepRun {
@@ -330,7 +318,7 @@ impl Alg2Artifacts {
             keep: &split.frontier,
         };
         let out = contract_steps_parallel(
-            store,
+            m,
             &self.plan,
             &split.graph,
             &inputs,
@@ -461,23 +449,23 @@ mod tests {
     }
 
     /// On qv6x4_k8, 1 and 4 workers report the same fidelity bits and
-    /// `max_nodes` — on a one-stripe and a 64-stripe store, so the
-    /// identity spans both layouts — and the shared store does the work
-    /// of the private sequential driver on the same network, plan and
-    /// order: equal `cont_calls` and `add_calls`, `nodes_created` within
-    /// 1%, fidelity within 1e-9. Both shared runs account a store
-    /// footprint whose peak is at least what is still held.
+    /// `max_nodes` — on an owned store and a shared one, so the identity
+    /// spans both store kinds — and the owned store does the work of the
+    /// private sequential driver on the same network, plan and order:
+    /// equal `cont_calls` and `add_calls`, `nodes_created` within 1%,
+    /// fidelity within 1e-9. Both scoped runs account a store footprint
+    /// whose peak is at least what is still held.
     #[test]
     fn qv6x4_shared_store_matches_private_work_at_any_thread_count() {
         let artifacts = qv6x4_k8();
-        let shared = |threads, stripes| {
+        let scoped = |threads, shared| {
             let options = CheckOptions {
                 threads,
                 ..CheckOptions::default()
             };
-            let store = SharedTddStore::new(threads);
-            assert_eq!(store.stripes(), stripes, "{threads} threads");
-            artifacts.run(&store, &options).expect("qv6x4_k8")
+            let mut m = manager(threads);
+            assert_eq!(m.is_shared(), shared, "{threads} threads");
+            artifacts.run(&mut m, &options).expect("qv6x4_k8")
         };
         let private = || {
             let mut manager = TddManager::new();
@@ -499,9 +487,9 @@ mod tests {
         // The three runs are independent (a store each), so they run
         // side by side.
         let (t1, t4, private) = std::thread::scope(|scope| {
-            let t4 = scope.spawn(|| shared(4, 64));
+            let t4 = scope.spawn(|| scoped(4, true));
             let private = scope.spawn(private);
-            let t1 = shared(1, 1);
+            let t1 = scoped(1, false);
             (
                 t1,
                 t4.join().expect("t4 run thread"),
@@ -510,24 +498,24 @@ mod tests {
         });
         assert_eq!(t1.fidelity.to_bits(), t4.fidelity.to_bits());
         assert_eq!((t1.max_nodes, t4.max_nodes), (448, 448));
-        for shared in [&t1, &t4] {
-            let stats = &shared.stats;
+        for scoped in [&t1, &t4] {
+            let stats = &scoped.stats;
             assert!(stats.store_bytes > 0, "{stats:?}");
             assert!(stats.peak_store_bytes >= stats.store_bytes, "{stats:?}");
         }
         assert!(
             (t1.fidelity - private.fidelity).abs() < 1e-9,
-            "shared {} vs private {}",
+            "owned {} vs private {}",
             t1.fidelity,
             private.fidelity
         );
-        let (shared, private) = (&t1.stats, &private.stats);
-        assert_eq!(shared.cont_calls, private.cont_calls);
-        assert_eq!(shared.add_calls, private.add_calls);
+        let (owned, private) = (&t1.stats, &private.stats);
+        assert_eq!(owned.cont_calls, private.cont_calls);
+        assert_eq!(owned.add_calls, private.add_calls);
         assert!(
-            shared.nodes_created.abs_diff(private.nodes_created) * 100 <= private.nodes_created,
-            "nodes created: shared {} vs private {}",
-            shared.nodes_created,
+            owned.nodes_created.abs_diff(private.nodes_created) * 100 <= private.nodes_created,
+            "nodes created: owned {} vs private {}",
+            owned.nodes_created,
             private.nodes_created
         );
     }

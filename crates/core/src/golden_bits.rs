@@ -4,7 +4,9 @@
 //! every point of one folded noise sweep.
 //!
 //! Algorithm I runs on a private store with one thread; Algorithm II
-//! and the sweep run on the shared store, also with one thread. Reclamation is off and
+//! and the sweep run on an owned store, also with one thread, and
+//! Algorithm II again at four threads on the shared store, which must
+//! match every pinned number but `add_calls`. Reclamation is off and
 //! every option is explicit, so the environment variables that steer
 //! [`CheckOptions::default`] cannot move a number. A change to weight
 //! interning, node construction or the recursions that alters a single
@@ -248,6 +250,32 @@ fn algorithm_two_scoped_bits_match_golden() {
         })
         .collect();
     assert_golden(&actual, GOLDEN_ALG2, render_bits);
+}
+
+/// Every [`ALG2_ROWS`] row at four threads — on a shared store, where
+/// one thread runs on an owned one — computes the one-thread golden's
+/// fidelity bits, `max_nodes`, `cont_calls` and `nodes_created`: the two
+/// store kinds compute the same values with the same work. `add_calls`
+/// is left out, because `ops::try_add` breaks exact-value weight ties by
+/// node handle and handles follow the store's layout.
+#[test]
+fn algorithm_two_four_threads_match_the_one_thread_golden() {
+    let options = CheckOptions {
+        threads: 4,
+        ..options(AlgorithmChoice::AlgorithmII)
+    };
+    let moved: Vec<String> = rows(ALG2_ROWS)
+        .into_iter()
+        .zip(GOLDEN_ALG2)
+        .filter_map(|((name, ideal, noisy), (golden_name, golden))| {
+            let r = fidelity_alg2(&ideal, &noisy, &options).expect("alg2 runs");
+            let (f, m, c, _, n) = bits(r.fidelity, r.max_nodes, &r.stats);
+            let (gf, gm, gc, _, gn) = *golden;
+            (name != *golden_name || (f, m, c, n) != (gf, gm, gc, gn))
+                .then(|| format!("{name}: (0x{f:016x}, {m}, {c}, _, {n})"))
+        })
+        .collect();
+    assert!(moved.is_empty(), "four threads moved {moved:?}");
 }
 
 #[test]

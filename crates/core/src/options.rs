@@ -37,9 +37,10 @@ pub enum VarOrderStyle {
 
 /// Has no effect: `Auto` is the only value. Kept so that struct
 /// literals and `--shared-table auto` flags written for the retired
-/// store switch stay valid. Each algorithm has one store: Algorithm I
-/// and the Monte-Carlo estimator contract on private per-worker
-/// managers, Algorithm II on the shared concurrent store (see
+/// store switch stay valid. Each algorithm has one interning rule:
+/// Algorithm I and the Monte-Carlo estimator contract on private
+/// per-worker managers, Algorithm II by the scoped rule — on an owned
+/// store at one thread, on the shared concurrent store at more (see
 /// [`crate::fidelity_alg2`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SharedTableMode {
@@ -48,17 +49,18 @@ pub enum SharedTableMode {
     Auto,
 }
 
-/// When a session retires its shared store for a compact successor
-/// (epoch-based reclamation, [`qaec_tdd::SharedTddStore::successor`]).
+/// When an Algorithm II session compacts its store (epoch-based
+/// reclamation, [`qaec_tdd::TddManager::compact`]: an owned store at one
+/// thread, the shared store at more).
 ///
-/// The shared store's arenas are append-only: without reclamation a
-/// long session — a Table I noise sweep, a service entry answering
-/// queries for hours — pins every node and weight it ever interned
-/// until the session drops. Reclamation swaps the store for a fresh
-/// successor at *quiescent* batch boundaries (between sweep points /
-/// queries, when no contraction holds ids into the store), releasing
-/// the retired arenas while cumulative statistics, epoch fences and
-/// peak high-water marks carry over.
+/// Neither store collects garbage in place: without reclamation a long
+/// session — a Table I noise sweep, a service entry answering queries
+/// for hours — pins every node and weight it ever interned until the
+/// session drops. Reclamation migrates what the session still holds
+/// (the fold's frontier) into a fresh store at *quiescent* batch
+/// boundaries (between sweep points / queries, when no contraction
+/// holds ids into the store), releasing the rest while cumulative
+/// statistics and peak high-water marks carry over.
 ///
 /// Reclamation is value-transparent: interning is a pure function of
 /// each scope's input values (exact bits, glued within the scope), and
@@ -157,7 +159,9 @@ pub struct CheckOptions {
     /// sequential run, and values agree across thread counts within the
     /// interning tolerance (≲1e-9). Algorithm II dispatches independent
     /// contraction *plan steps* to the pool instead (there is only one
-    /// term), with bit-identical results at every thread count. Plan *construction*
+    /// term), whose workers share one store; at one thread it contracts
+    /// on a store it owns, with the same interning rule and no locks.
+    /// Its results are bit-identical at every thread count. Plan *construction*
     /// (one-shot calls and [`crate::Checker::compile`]) also plans
     /// disconnected network components concurrently on this many
     /// workers — the emitted plan is worker-count independent, so this
@@ -167,8 +171,8 @@ pub struct CheckOptions {
     /// just stop tightening.
     pub max_terms: Option<usize>,
     /// Has no effect (see [`SharedTableMode`]): Algorithm I and Monte
-    /// Carlo always run on private per-worker managers, Algorithm II
-    /// always on the shared store.
+    /// Carlo always run on private per-worker managers, Algorithm II on
+    /// an owned store at one thread and the shared store at more.
     pub shared_table: SharedTableMode,
     /// Has no effect. Kept so that struct literals and `--seed-cache`
     /// flags written for the retired cross-worker contraction-cache
@@ -178,9 +182,9 @@ pub struct CheckOptions {
     /// written for the multi-lane noise-sweep engine, which this crate
     /// no longer has, stay valid. Default: 8.
     pub sweep_lanes: usize,
-    /// When the session retires its shared store for a compact
-    /// successor (default: [`StoreReclaimMode::Auto`] — once the store
-    /// passes ~16 MiB of payload — overridable via the
+    /// When an Algorithm II session compacts its store, owned or shared
+    /// (default: [`StoreReclaimMode::Auto`] — once the store passes
+    /// ~16 MiB of payload — overridable via the
     /// `QAEC_STORE_RECLAIM` environment variable). Bit-transparent:
     /// every result is identical with reclamation on, off or auto.
     pub store_reclaim: StoreReclaimMode,

@@ -257,12 +257,12 @@ impl fmt::Display for ServiceStats {
 }
 
 /// What a cache entry's `OnceLock` publishes after the winning request
-/// compiles: the session, plus its swappable store cells (one per
-/// Algorithm II store the session holds) pulled out so eviction can
-/// size entries without taking the (possibly busy) session lock —
-/// through the *cells*, so a reclamation swap inside the session is
-/// immediately visible to the sizing path instead of pinning the
-/// retired store.
+/// compiles: the session, plus its store cells (one per Algorithm II
+/// store the session holds) pulled out so eviction can size entries
+/// without taking the (possibly busy) session lock or any store: each
+/// cell publishes its footprint at quiescent boundaries — after every
+/// run and reclamation swap — so sizing under the cache lock never
+/// waits for a query.
 struct SlotCell {
     session: Mutex<CompiledCheck>,
     stores: Vec<StoreCell>,

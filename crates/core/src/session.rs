@@ -21,37 +21,41 @@
 //!   [`CompiledCheck::sweep_noise`] — which re-weights the noise sites
 //!   on the compiled plan instead of replanning.
 //!
-//! Each algorithm has one store. Algorithm I (and the Monte-Carlo
-//! estimator) contracts every query on fresh private per-worker
-//! managers. An Algorithm II session holds one warm [`SharedTddStore`],
-//! striped for `options.threads` workers (one stripe at one thread), for
-//! its whole life: its first noise sweep folds the noise-free part
-//! of the doubled network into that store once, so every later point
-//! contracts only the noise-dependent plan steps (see
+//! Each algorithm has one interning rule. Algorithm I (and the
+//! Monte-Carlo estimator) contracts every query on fresh private
+//! per-worker managers. An Algorithm II session holds one warm manager
+//! for its whole life — at one thread a manager that owns its store
+//! ([`TddManager::new_owned`]), at more a handle onto the store its
+//! workers share ([`qaec_tdd::SharedTddStore`]) — together with its
+//! computed tables' capacity: its first noise sweep folds the noise-free
+//! part of the doubled network into that store once, so every later
+//! point contracts only the noise-dependent plan steps (see
 //! [`crate::alg2`]'s fold). Under [`AlgorithmChoice::Auto`], a pair
 //! that splits into several disjoint interaction components holds one
 //! such Algorithm II session per distinct component and answers every
 //! query as the exact product of the components' answers.
 //!
-//! Warm-store reuse is value-transparent: the shared store's value-pure
-//! interning makes every contraction a pure function of its inputs, so a
-//! query on a store warmed by earlier queries is **bit-identical** to
-//! the same query on a fresh store — the reuse only saves re-interning
-//! work. Per-query statistics are epoch-fenced
-//! ([`SharedTddStore::reset_between_runs`]) so each report counts its
-//! own work, not the session's history.
+//! Warm-store reuse is value-transparent: the scoped interning both
+//! stores apply makes every contraction a pure function of its inputs,
+//! so a query on a store warmed by earlier queries is
+//! **bit-identical** to the same query on a fresh store — the reuse only
+//! saves re-interning work. Per-query statistics are fenced
+//! ([`qaec_tdd::StepOutcome::stats`]), so each report counts its own
+//! work, not the session's history. A query holds its session's store
+//! for the whole run, so clones of a session, which share it, take
+//! turns.
 //!
 //! The same quiescent boundaries (between queries and sweep points — no
 //! diagram edges survive them but the fold's frontier) drive
 //! **epoch-based store reclamation** ([`crate::StoreReclaimMode`], the
-//! `store_reclaim` knob): the session swaps the warm store for
-//! [`SharedTddStore::compact`] with the frontier as its roots — always
+//! `store_reclaim` knob): the session compacts its store
+//! ([`TddManager::compact`]) with the frontier as its roots — always
 //! (`On`), past a size threshold (`Auto`, the default) or never
 //! (`Off`) — bounding a long session's footprint without moving a
 //! result bit.
-//! [`CompiledCheck::warm_store_bytes`] reports the live footprint,
+//! [`CompiledCheck::warm_store_bytes`] reports the footprint,
 //! [`CompiledCheck::warm_store_peak_bytes`] the high-water mark across
-//! swaps.
+//! compactions, both as of the last quiescent boundary.
 //!
 //! The free functions remain as thin wrappers over a single-query
 //! session, with identical results and error precedence.
@@ -88,7 +92,7 @@
 //! ```
 
 use crate::alg1::{Alg1Artifacts, Alg1Report};
-use crate::alg2::{Alg2Artifacts, Alg2Fold, Alg2Report};
+use crate::alg2::{self, Alg2Artifacts, Alg2Fold, Alg2Report};
 use crate::checker::{auto_choice, components};
 use crate::error::QaecError;
 use crate::options::{AlgorithmChoice, CheckOptions, StoreReclaimMode};
@@ -96,84 +100,106 @@ use crate::report::{AlgorithmUsed, EquivalenceReport, Verdict};
 use crate::{validate, validate_epsilon};
 use qaec_circuit::{Circuit, NoiseChannel, Operation};
 use qaec_mpo::{MpoOptions, MpoOutcome, MpoPlan};
-use qaec_tdd::{SharedTddStore, TddStats};
+use qaec_tdd::{TddManager, TddStats};
 use std::sync::Arc;
 
+use qaec_tdd::sync::atomic::{AtomicUsize, Ordering};
 use qaec_tdd::sync::Mutex;
 use std::time::Duration;
 
-/// A swappable handle to an Algorithm II session's warm shared store,
-/// together with the fold whose frontier edges live in it.
+/// A session's Algorithm II store — the manager every query runs on, one
+/// that owns its store at one thread or a handle onto the workers'
+/// shared store at more (see [`crate::alg2`]) — together with the fold
+/// whose frontier edges live in that store.
 ///
-/// Epoch-based reclamation retires the store for a compact successor
-/// ([`SharedTddStore::compact`], with the fold's frontier as its roots)
-/// at *quiescent* boundaries — between queries and sweep points, when
-/// no contraction holds ids into the arenas. Every holder of the cell
-/// (the session, its clones, the service cache's sizing path) observes
-/// the swap through this shared handle, so the retired store's arenas
-/// free as soon as the last in-flight reference drops. The store and
-/// its fold always swap together: a fold never outlives the generation
-/// it points into.
+/// A query holds the store for its whole run ([`StoreCell::run`]), so
+/// the store and its fold always change together: a fold never
+/// outlives the generation it points into. Clones of a session share
+/// one cell, so their queries take turns on it.
 ///
-/// Cloning shares the cell — exactly the sharing the session's `Clone`
-/// had when it cloned the store `Arc` directly.
+/// The store's footprint is published at quiescent boundaries — when
+/// the cell is built and after every run and reclamation swap — so
+/// [`StoreCell::footprint`] answers without taking the store: the
+/// service layer sizes its cache entries under its global cache lock,
+/// and must not wait there for a query to finish.
 #[derive(Clone, Debug)]
-pub(crate) struct StoreCell(Arc<Mutex<Warm>>);
+pub(crate) struct StoreCell(Arc<Cell>);
 
-/// One store generation and the fold built on it, if any.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
+struct Cell {
+    warm: Mutex<Warm>,
+    /// The store's bytes at the last quiescent boundary.
+    bytes: AtomicUsize,
+    /// Its high-water mark, across reclamation swaps.
+    peak_bytes: AtomicUsize,
+}
+
+/// The manager a session's queries run on and the fold built on its
+/// store, if any.
+#[derive(Debug)]
 struct Warm {
-    store: Arc<SharedTddStore>,
-    fold: Option<Arc<Alg2Fold>>,
+    manager: TddManager,
+    fold: Option<Alg2Fold>,
 }
 
 impl StoreCell {
-    fn new(store: Arc<SharedTddStore>) -> StoreCell {
-        StoreCell(Arc::new(Mutex::new(Warm { store, fold: None })))
+    fn new(manager: TddManager) -> StoreCell {
+        let (bytes, peak) = manager.store_bytes();
+        StoreCell(Arc::new(Cell {
+            bytes: AtomicUsize::new(bytes),
+            peak_bytes: AtomicUsize::new(peak),
+            warm: Mutex::new(Warm {
+                manager,
+                fold: None,
+            }),
+        }))
     }
 
-    /// The current store (an owned handle — safe across a concurrent
-    /// swap; the handle keeps the generation it observed alive).
-    pub(crate) fn get(&self) -> Arc<SharedTddStore> {
-        self.warm().store
-    }
-
-    fn warm(&self) -> Warm {
-        self.0.lock().expect("store cell poisoned").clone()
-    }
-
-    /// Keeps `fold`, built on `store`, beside it — unless reclamation
-    /// has already retired that generation.
-    fn keep_fold(&self, store: &Arc<SharedTddStore>, fold: Arc<Alg2Fold>) {
-        let mut warm = self.0.lock().expect("store cell poisoned");
-        if Arc::ptr_eq(&warm.store, store) {
-            warm.fold = Some(fold);
+    /// Runs one query on the session's manager and fold, holding the
+    /// store throughout. Then, at the quiescent boundary, reclaims when
+    /// `mode` says so — [`TddManager::compact`] with the fold's frontier
+    /// as roots, keeping only the frontier, remapped — and publishes the
+    /// footprint. Reclamation is value-transparent (interning is pure,
+    /// no engine value depends on an id, and the frontier migrates
+    /// bit-exactly), so results are bit-identical whether or when swaps
+    /// happen.
+    fn run<T>(
+        &self,
+        mode: StoreReclaimMode,
+        query: impl FnOnce(&mut TddManager, &mut Option<Alg2Fold>) -> Result<T, QaecError>,
+    ) -> Result<T, QaecError> {
+        let mut warm = self.0.warm.lock().expect("store cell poisoned");
+        let Warm { manager, fold } = &mut *warm;
+        let result = query(manager, fold);
+        if mode.should_reclaim(manager.approx_data_bytes()) {
+            let mut no_roots = Vec::new();
+            let frontier = fold.as_mut().map_or(&mut no_roots, Alg2Fold::frontier_mut);
+            *frontier = manager.compact(frontier);
         }
+        self.publish(manager);
+        result
     }
 
-    /// The quiescent-boundary reclamation hook, called between queries
-    /// and sweep points, when no contraction holds ids into the store:
-    /// when `mode` says so, swaps the store for a compact successor that
-    /// keeps only the fold's frontier, remapped. Value-transparent
-    /// (interning is pure, no engine value depends on an id, and the
-    /// frontier migrates bit-exactly), so results are bit-identical
-    /// whether or when swaps happen.
-    fn reclaim(&self, mode: StoreReclaimMode) {
-        let Warm { store, fold } = self.warm();
-        if !mode.should_reclaim(store.approx_data_bytes()) {
-            return;
-        }
-        let roots = fold.as_ref().map_or(&[][..], |fold| fold.frontier());
-        let (store, frontier) = store.compact(roots);
-        let fold = fold.map(|fold| Arc::new(fold.remapped(frontier)));
-        *self.0.lock().expect("store cell poisoned") = Warm { store, fold };
+    /// Publishes `manager`'s store footprint for [`Self::footprint`].
+    fn publish(&self, manager: &TddManager) {
+        let (bytes, peak) = manager.store_bytes();
+        // ordering: Relaxed (×2) — statistics snapshots; the readers
+        // want a recent value, and nothing is published through them.
+        self.0.bytes.store(bytes, Ordering::Relaxed);
+        self.0.peak_bytes.store(peak, Ordering::Relaxed);
     }
 
-    /// The summed current footprint and high-water mark of `cells`.
+    /// The summed footprint and high-water mark of `cells` as of their
+    /// last quiescent boundaries. Takes no store, so it answers while
+    /// queries run.
     pub(crate) fn footprint(cells: &[StoreCell]) -> (usize, usize) {
-        let stores = cells.iter().map(StoreCell::get);
-        stores.fold((0, 0), |(now, peak), s| {
-            (now + s.bytes_used(), peak + s.peak_bytes_used())
+        cells.iter().fold((0, 0), |(now, peak), cell| {
+            // ordering: Relaxed (×2) — statistics snapshots (see
+            // `publish`).
+            (
+                now + cell.0.bytes.load(Ordering::Relaxed),
+                peak + cell.0.peak_bytes.load(Ordering::Relaxed),
+            )
         })
     }
 }
@@ -259,11 +285,10 @@ impl Checker {
 #[derive(Clone, Debug)]
 enum Backend {
     Alg1(Alg1Artifacts),
-    /// The doubled network and the session's warm shared store, reused
-    /// across every query and sweep point: later queries hash-cons
-    /// against everything earlier ones interned. Held through a
-    /// swappable cell so `options.store_reclaim` can retire the store
-    /// for a compact successor at quiescent boundaries.
+    /// The doubled network and the session's warm store, reused across
+    /// every query and sweep point: later queries hash-cons against
+    /// everything earlier ones interned, and `options.store_reclaim`
+    /// compacts the store at quiescent boundaries.
     Alg2(Alg2Artifacts, StoreCell),
     /// A forced Algorithm III session's compiled MPO program.
     Mpo(Arc<MpoPlan>),
@@ -624,7 +649,7 @@ impl CompiledCheck {
             }
             AlgorithmUsed::AlgorithmII => Backend::Alg2(
                 Alg2Artifacts::compile(ideal, noisy, &options),
-                StoreCell::new(SharedTddStore::new(options.threads)),
+                StoreCell::new(alg2::manager(options.threads)),
             ),
             // The MPO engine works on dense site tensors: no
             // decision-diagram store.
@@ -649,9 +674,9 @@ impl CompiledCheck {
         &self.options
     }
 
-    /// The swappable cells of the session's Algorithm II stores (one per
-    /// distinct component of a factorised session), for holders that must
-    /// observe reclamation swaps instead of pinning one generation.
+    /// The cells of the session's Algorithm II stores (one per distinct
+    /// component of a factorised session), for holders that size the
+    /// session without taking its lock.
     pub(crate) fn warm_store_cells(&self) -> Vec<StoreCell> {
         match &self.backend {
             Backend::Alg2(_, cell) => vec![cell.clone()],
@@ -665,14 +690,14 @@ impl CompiledCheck {
     }
 
     /// Bytes of backing storage held by the session's warm stores
-    /// ([`SharedTddStore::bytes_used`], summed over a factorised
-    /// session's components) — the footprint a byte-budgeted session
-    /// cache accounts against. 0 for sessions without one (Algorithm I,
-    /// whose per-query private arenas die with each query, and MPO).
+    /// ([`TddManager::store_bytes`], summed over a factorised session's
+    /// components) as of the last quiescent boundary — the footprint a
+    /// byte-budgeted session cache accounts against. 0 for sessions
+    /// without one (Algorithm I, whose per-query private arenas die with
+    /// each query, and MPO).
     ///
-    /// Steps down when `options.store_reclaim` retires a store for a
-    /// compact successor at a quiescent boundary; with reclamation off
-    /// the shared arenas are append-only and the number is monotone
+    /// Steps down when `options.store_reclaim` compacts a store at a
+    /// quiescent boundary; with reclamation off the stores only grow
     /// until the session drops. [`CompiledCheck::warm_store_peak_bytes`]
     /// keeps the high-water mark either way.
     pub fn warm_store_bytes(&self) -> usize {
@@ -681,8 +706,8 @@ impl CompiledCheck {
 
     /// High-water mark of [`CompiledCheck::warm_store_bytes`] across the
     /// session's life, *including* every store generation reclamation
-    /// has since retired ([`SharedTddStore::peak_bytes_used`] carries
-    /// across successor swaps), summed over the session's stores.
+    /// has since retired (the peak carries across compactions), summed
+    /// over the session's stores.
     pub fn warm_store_peak_bytes(&self) -> usize {
         StoreCell::footprint(&self.warm_store_cells()).1
     }
@@ -741,8 +766,9 @@ impl CompiledCheck {
         let fresh = match &mut self.backend {
             Backend::Alg1(artifacts) => Knowledge::from_alg1(&artifacts.run(None, &self.options)?),
             Backend::Alg2(artifacts, cell) => {
-                let report = artifacts.run(&cell.get(), &self.options)?;
-                cell.reclaim(self.options.store_reclaim);
+                let report = cell.run(self.options.store_reclaim, |m, _| {
+                    artifacts.run(m, &self.options)
+                })?;
                 Knowledge::from_alg2(&report)
             }
             Backend::Mpo(plan) => Knowledge::from_mpo(&plan.run(&mpo_options(&self.options))),
@@ -813,8 +839,9 @@ impl CompiledCheck {
                 (Knowledge::from_alg1(&report), verdict)
             }
             Backend::Alg2(artifacts, cell) => {
-                let report = artifacts.run(&cell.get(), &self.options)?;
-                cell.reclaim(self.options.store_reclaim);
+                let report = cell.run(self.options.store_reclaim, |m, _| {
+                    artifacts.run(m, &self.options)
+                })?;
                 let verdict = Verdict::decide(report.fidelity, epsilon);
                 (Knowledge::from_alg2(&report), verdict)
             }
@@ -1078,10 +1105,9 @@ impl CompiledCheck {
         channels: &[NoiseChannel],
         epsilon: f64,
     ) -> Result<SweepPoint, QaecError> {
-        let Warm { store, fold } = cell.warm();
-        let (report, fold) = artifacts.run_folded(&store, fold, channels, &self.options)?;
-        cell.keep_fold(&store, fold);
-        cell.reclaim(self.options.store_reclaim);
+        let report = cell.run(self.options.store_reclaim, |m, fold| {
+            artifacts.run_folded(m, fold, channels, &self.options)
+        })?;
         Ok(SweepPoint {
             fidelity: report.fidelity,
             verdict: Verdict::decide(report.fidelity, epsilon),
@@ -1100,5 +1126,42 @@ impl CompiledCheck {
             Some(old) if old.width() <= fresh.width() => {}
             _ => self.knowledge = Some(fresh),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::{mpsc, Barrier};
+
+    /// Sizing never waits for a query: while a run holds a one-thread
+    /// session's owned store, [`StoreCell::footprint`] — the service's
+    /// sizing path under its cache lock — still answers, with the bytes
+    /// published at the last quiescent boundary.
+    #[test]
+    fn footprint_answers_while_a_run_holds_the_store() {
+        let cell = StoreCell::new(alg2::manager(1));
+        let published = StoreCell::footprint(std::slice::from_ref(&cell));
+        assert!(published.0 > 0, "{published:?}");
+        let held = Barrier::new(2);
+        let (release, released) = mpsc::channel::<()>();
+        let (sized, size) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let (cell, held) = (&cell, &held);
+            scope.spawn(move || {
+                cell.run(StoreReclaimMode::Off, |_, _| {
+                    held.wait();
+                    released.recv().expect("released");
+                    Ok(())
+                })
+                .expect("run");
+            });
+            held.wait();
+            let sizer = cell.clone();
+            scope.spawn(move || sized.send(StoreCell::footprint(&[sizer])));
+            let answer = size.recv_timeout(Duration::from_secs(10));
+            release.send(()).expect("release the run");
+            assert_eq!(answer, Ok(published), "sizing waited for the run");
+        });
     }
 }

@@ -136,8 +136,8 @@ fn drive(
         peak_arena = peak_arena.max(m.arena_len());
 
         if let Some(threshold) = options.gc_threshold {
-            // Shared stores are append-only: collection is unavailable,
-            // memory is bounded by cross-thread sharing instead.
+            // Scoped stores do not collect: they reclaim by compaction
+            // at quiescent boundaries instead (`TddManager::compact`).
             if m.supports_gc() && m.arena_len() > threshold {
                 let roots: Vec<Edge> = slots.iter().flatten().copied().collect();
                 let kept = gc::collect(m, &roots);

@@ -5,13 +5,13 @@
 //! (their keys hold stale node ids), so the driver triggers it only
 //! between plan steps and re-registers the live roots.
 //!
-//! **Shared stores are append-only** (other workers hold live ids into
-//! the same arena, so nothing can move or be freed): for a manager
-//! attached to a [`crate::SharedTddStore`], [`collect`] is a documented
-//! no-op that returns the roots unchanged. Memory under sharing is
-//! bounded by cross-thread structure sharing instead of collection;
-//! callers can check [`TddManager::supports_gc`] to skip the call
-//! entirely.
+//! **Scoped stores do not collect.** A [`crate::SharedTddStore`] is
+//! append-only (other workers hold live ids into the same arena, so
+//! nothing can move or be freed), and both it and an owned store reclaim
+//! by [`TddManager::compact`], which migrates weights as well as nodes.
+//! For their managers [`collect`] is a documented no-op that returns the
+//! roots unchanged; callers can check [`TddManager::supports_gc`] to
+//! skip the call entirely.
 
 use crate::fxhash::FxHashMap;
 use crate::manager::{Edge, Node, NodeId, TddManager, TERMINAL_VAR};
@@ -21,9 +21,9 @@ use crate::manager::{Edge, Node, NodeId, TddManager, TERMINAL_VAR};
 /// Returns the remapped roots (same order). All previously held [`Edge`]s
 /// other than the returned ones become invalid. Weight ids remain valid.
 ///
-/// On a shared-store manager this is a no-op (see the module docs): the
-/// roots come back unchanged, still valid, and `gc_runs` does not
-/// advance.
+/// On a scoped (owned or shared) manager this is a no-op (see the
+/// module docs): the roots come back unchanged, still valid, and
+/// `gc_runs` does not advance.
 ///
 /// # Example
 ///
@@ -49,7 +49,7 @@ use crate::manager::{Edge, Node, NodeId, TddManager, TERMINAL_VAR};
 /// ```
 pub fn collect(m: &mut TddManager, roots: &[Edge]) -> Vec<Edge> {
     if !m.supports_gc() {
-        // Shared arenas never move: every root stays valid as-is.
+        // Scoped stores never move here: every root stays valid as-is.
         return roots.to_vec();
     }
     // Collection is the only event that shrinks a private store mid-run:
@@ -199,7 +199,7 @@ mod tests {
 
     #[test]
     fn shared_store_collection_is_a_noop() {
-        let store = crate::SharedTddStore::new(1);
+        let store = crate::SharedTddStore::new();
         let mut m = TddManager::new_shared(&store);
         let keep = {
             let l = m.terminal(C64::real(1.0));

@@ -15,10 +15,10 @@
 //!   so that edges are two `u32`s and table lookups are exact, and the
 //!   one first-come tolerance rule every interner uses;
 //! * [`manager`] — normalization rules and the `TddStore` storage
-//!   abstraction: a private per-manager arena + unique table (the
-//!   sequential fast path) or a handle onto a shared concurrent store,
-//!   whose managers glue weights within one scope per leaf conversion
-//!   and per plan step;
+//!   abstraction: a per-manager arena + unique table (the sequential
+//!   fast path) or a handle onto a shared concurrent store. Private
+//!   managers intern weights first come; owned and shared ones glue
+//!   weights within one scope per leaf conversion and per plan step;
 //! * [`store`] — the [`SharedTddStore`]: a lock-striped unique table and
 //!   sharded exact-bits weight interning over append-only arenas, so the
 //!   worker managers of a parallel run hash-cons sub-diagrams *across*
@@ -33,13 +33,15 @@
 //!   amortised probe in the `cont` recursion);
 //! * [`par_driver`] — the plan-level parallel driver: a DAG scheduler
 //!   dispatching independent plan steps critical-path-first to a worker
-//!   pool over one shared store, bit-identical to sequential execution
-//!   for every worker count — for a whole plan, or for a subset of its
+//!   pool over one shared store (or, for one worker, inline on the
+//!   caller's owned store), bit-identical to sequential execution for
+//!   every worker count — for a whole plan, or for a subset of its
 //!   steps resumed from edges an earlier run kept;
 //! * [`fxhash`] — the dependency-free Fx-style hasher behind every hot
 //!   table (unique, computed, interning);
 //! * [`gc`] — mark-compact garbage collection for long Algorithm I runs
-//!   (a documented no-op on shared stores, whose arenas are append-only).
+//!   (a documented no-op on scoped stores, which reclaim by
+//!   [`TddManager::compact`]).
 //!
 //! # Example
 //!

@@ -1,23 +1,30 @@
 //! The TDD node arena, normalization rules and unique table.
 //!
-//! Node and weight storage sit behind the `TddStore` abstraction with
-//! two implementations: the default **private** store (a plain arena +
-//! unique table + [`WeightTable`], exactly the sequential fast path) and
-//! the **shared** [`crate::SharedTddStore`] (lock-striped concurrent
-//! tables over append-only arenas), which several managers — one per
-//! worker thread — can attach to so sub-diagrams hash-cons *across*
-//! threads. Computed tables (`add`/`cont` memoization) always stay
-//! per-manager; only `make_node`, weight interning/arithmetic and
-//! elimination-set interning route through the store. A shared-store
-//! manager glues almost-equal weights within one weight scope (see
-//! [`TddManager::begin_weight_scope`]) and interns each scope's
-//! representatives by exact bits.
+//! Node and weight storage sit behind the `TddStore` abstraction. A
+//! manager either holds its store alone — a plain arena, unique table
+//! and weight table, the sequential fast path — or is a worker handle
+//! onto a [`crate::SharedTddStore`] (lock-striped concurrent tables over
+//! append-only arenas), which several managers — one per worker thread —
+//! attach to so sub-diagrams hash-cons *across* threads. Computed tables
+//! (`add`/`cont` memoization) always stay per-manager; only `make_node`,
+//! weight interning/arithmetic and elimination-set interning route
+//! through the store.
+//!
+//! Weights intern by one of two rules. A **private** store
+//! ([`TddManager::new`]) merges values first come within tolerance for
+//! its whole life. The **scoped** rule glues almost-equal weights within
+//! one weight scope (see [`TddManager::begin_weight_scope`]) and interns
+//! each scope's representatives by exact bits; it makes every scope a
+//! pure function of its operand values. Shared-store managers use it,
+//! and so does an **owned** store ([`TddManager::new_owned`]): the
+//! private store's arena and unique table with the shared store's
+//! interning rule, and none of its atomics, locks or stripes — what a
+//! run with one worker contracts on.
 
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::store::SharedTddStore;
-use crate::weight::{ToleranceIndex, WeightId, WeightTable};
+use crate::store::{SharedTddStore, StoreEpoch};
+use crate::weight::{exact_bits, WeightId, WeightScope, WeightTable};
 use qaec_math::C64;
-use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// Handle to a node in the manager's arena. `NodeId::TERMINAL` (id 0) is
@@ -95,7 +102,8 @@ pub struct TddStats {
     pub unique_hits: u64,
     /// Unique-table hits that resolved to a node created by a *different*
     /// worker — the cross-thread structure sharing a shared store exists
-    /// to create. Always 0 for private stores.
+    /// to create. Always 0 for a store one manager holds alone (private
+    /// or owned), so always 0 for a one-worker Algorithm II run.
     pub cross_unique_hits: u64,
     /// `add` invocations / computed-table hits.
     pub add_calls: u64,
@@ -110,15 +118,17 @@ pub struct TddStats {
     /// Largest arena size observed (live + dead nodes, excluding terminal).
     pub peak_nodes: usize,
     /// Bytes of backing storage held at report time: the shared store's
-    /// [`crate::SharedTddStore::bytes_used`], or a private manager's own
-    /// arenas and tables. For warm sessions this is the footprint the
-    /// service layer's byte-budgeted eviction accounts against.
+    /// [`crate::SharedTddStore::bytes_used`], or the arenas and tables of
+    /// a store the manager holds alone. For warm sessions this is the
+    /// footprint the service layer's byte-budgeted eviction accounts
+    /// against.
     pub store_bytes: u64,
-    /// High-water mark of `store_bytes` over the run (and, for shared
-    /// stores, over every retired predecessor in a reclamation chain —
-    /// see [`crate::SharedTddStore::peak_bytes_used`]). With reclamation
-    /// off this equals the final `store_bytes`; with it on, the gap
-    /// between the two is the memory reclamation returned.
+    /// High-water mark of `store_bytes` over the run and every retired
+    /// predecessor in a reclamation chain (see
+    /// [`crate::SharedTddStore::peak_bytes_used`] and
+    /// [`TddManager::compact`]). With reclamation off this equals the
+    /// final `store_bytes`; with it on, the gap between the two is the
+    /// memory reclamation returned.
     pub peak_store_bytes: u64,
 }
 
@@ -184,6 +194,32 @@ impl TddStats {
         self.store_bytes = store_bytes;
         self.peak_store_bytes = peak_store_bytes;
     }
+
+    /// The work counted since `earlier`, an earlier snapshot of the same
+    /// counters: counts subtract, sizes (`peak_nodes` and the store
+    /// footprints) are this snapshot's.
+    fn since(&self, earlier: &TddStats) -> TddStats {
+        TddStats {
+            nodes_created: self.nodes_created - earlier.nodes_created,
+            unique_hits: self.unique_hits - earlier.unique_hits,
+            cross_unique_hits: self.cross_unique_hits - earlier.cross_unique_hits,
+            add_calls: self.add_calls - earlier.add_calls,
+            add_hits: self.add_hits - earlier.add_hits,
+            cont_calls: self.cont_calls - earlier.cont_calls,
+            cont_hits: self.cont_hits - earlier.cont_hits,
+            gc_runs: self.gc_runs - earlier.gc_runs,
+            ..*self
+        }
+    }
+}
+
+/// A statistics fence over a manager and its store, taken with
+/// [`TddManager::fence`] before a run so [`TddManager::stats_since`]
+/// reports that run's work alone.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct StatsFence {
+    local: TddStats,
+    store: StoreEpoch,
 }
 
 impl std::fmt::Display for TddStats {
@@ -213,58 +249,153 @@ impl std::fmt::Display for TddStats {
     }
 }
 
-/// The private (per-manager) node/weight store: the sequential fast
-/// path, unchanged from the original single-threaded engine.
+/// A node/weight store one manager holds alone: a plain arena and
+/// unique table, the sequential fast path. A *private* store interns
+/// weights first come in its [`WeightTable`]; an *owned* store differs
+/// only there, interning by the scoped rule, each representative keyed
+/// by its exact bits in `exact` and stored in the table's arena.
 #[derive(Debug)]
 pub(crate) struct PrivateStore {
     pub(crate) weights: WeightTable,
     pub(crate) nodes: Vec<Node>,
     pub(crate) unique: FxHashMap<Node, NodeId>,
+    /// An owned store's exact-bits ids; `None` for a private store.
+    exact: Option<FxHashMap<(u64, u64), WeightId>>,
 }
 
 impl PrivateStore {
-    /// Bytes of backing storage this private store holds: arena and
-    /// unique-table capacity plus the weight table — the private
-    /// counterpart of [`SharedTddStore::bytes_used`], so shared-vs-
-    /// private memory is actually comparable in reports. Capacity-based
-    /// like the shared estimate (hash-table entries count one control
-    /// byte per bucket, the std layout).
+    /// An empty private store merging weights within `tol`.
+    fn private(tol: f64) -> Self {
+        PrivateStore {
+            weights: WeightTable::new(tol),
+            nodes: vec![Node {
+                var: TERMINAL_VAR,
+                low: Edge::ZERO,
+                high: Edge::ZERO,
+            }], // slot 0 = terminal sentinel
+            unique: FxHashMap::default(),
+            exact: None,
+        }
+    }
+
+    /// An empty owned store: weight ids follow insertion order from the
+    /// exact 0 and 1, and 1 is pre-seeded under its bits, as a shared
+    /// store seeds it.
+    fn owned(tol: f64) -> Self {
+        let mut ids = FxHashMap::default();
+        ids.insert(exact_bits(C64::ONE), WeightId::ONE);
+        PrivateStore {
+            exact: Some(ids),
+            ..PrivateStore::private(tol)
+        }
+    }
+
+    /// Bytes of backing storage this store holds: arena and
+    /// unique-table capacity plus the weights — the counterpart of
+    /// [`SharedTddStore::bytes_used`], so shared and unshared memory
+    /// are comparable in reports. Capacity-based like the shared
+    /// estimate (hash-table entries count one control byte per bucket,
+    /// the std layout).
     pub(crate) fn bytes_used(&self) -> usize {
+        let exact_entry = std::mem::size_of::<(u64, u64)>() + std::mem::size_of::<WeightId>();
         self.nodes.capacity() * std::mem::size_of::<Node>()
             + self.unique.capacity()
                 * (std::mem::size_of::<Node>() + std::mem::size_of::<NodeId>() + 1)
             + self.weights.bytes_used()
+            + self
+                .exact
+                .as_ref()
+                .map_or(0, |ids| ids.capacity() * (exact_entry + 1))
+    }
+
+    /// The id of `z`'s exact bits in an owned store, minted on first
+    /// sight: the owned counterpart of
+    /// [`SharedTddStore::intern_weight_exact`].
+    fn intern_exact(
+        ids: &mut FxHashMap<(u64, u64), WeightId>,
+        weights: &mut WeightTable,
+        z: C64,
+    ) -> WeightId {
+        *ids.entry(exact_bits(z)).or_insert_with(|| weights.push(z))
+    }
+
+    /// Appends a node the unique table does not hold.
+    fn insert(&mut self, key: Node) -> NodeId {
+        let id = NodeId(self.nodes.len() as u32);
+        self.nodes.push(key);
+        self.unique.insert(key, id);
+        id
+    }
+
+    /// Migrates the diagrams reachable from `roots` into a fresh owned
+    /// store, returning it and the remapped roots: the owned store's
+    /// [`SharedTddStore::compact`], visiting edges in the same order
+    /// (each edge's weight, then its node's low and high edges, then the
+    /// node). Every weight but 0 and 1 re-interns by its exact bits, so
+    /// values migrate bit-exactly and a later intern of the same bits
+    /// finds the migrated id.
+    fn compact(&self, roots: &[Edge]) -> (Self, Vec<Edge>) {
+        let mut next = PrivateStore::owned(self.weights.tolerance());
+        let mut maps = MigrationMaps::default();
+        let remapped = roots
+            .iter()
+            .map(|&root| self.migrate_edge(&mut next, root, &mut maps))
+            .collect();
+        (next, remapped)
+    }
+
+    fn migrate_edge(&self, next: &mut Self, edge: Edge, maps: &mut MigrationMaps) -> Edge {
+        let weight = if edge.weight.is_zero() || edge.weight.is_one() {
+            edge.weight
+        } else {
+            let ids = next.exact.as_mut().expect("a compacted store is owned");
+            let weights = &mut next.weights;
+            *maps.0.entry(edge.weight).or_insert_with(|| {
+                Self::intern_exact(ids, weights, self.weights.value(edge.weight))
+            })
+        };
+        Edge {
+            node: self.migrate_node(next, edge.node, maps),
+            weight,
+        }
+    }
+
+    fn migrate_node(&self, next: &mut Self, id: NodeId, maps: &mut MigrationMaps) -> NodeId {
+        if id.is_terminal() {
+            return id;
+        }
+        if let Some(&mapped) = maps.1.get(&id) {
+            return mapped;
+        }
+        let old = self.nodes[id.0 as usize];
+        let low = self.migrate_edge(next, old.low, maps);
+        let high = self.migrate_edge(next, old.high, maps);
+        let mapped = next.insert(Node {
+            var: old.var,
+            low,
+            high,
+        });
+        maps.1.insert(id, mapped);
+        mapped
     }
 }
 
-/// Where a manager keeps its nodes and weights: its own [`PrivateStore`]
-/// or a handle onto a cross-thread [`SharedTddStore`].
+/// Both halves of a migration's memo: old → new weight and node ids.
+type MigrationMaps = (FxHashMap<WeightId, WeightId>, FxHashMap<NodeId, NodeId>);
+
+/// Where a manager keeps its nodes and weights: a store it holds alone
+/// (private or owned), or a handle onto a cross-thread
+/// [`SharedTddStore`].
 #[derive(Debug)]
 pub(crate) enum TddStore {
-    /// Exclusive storage owned by this manager.
+    /// Storage this manager alone holds.
     Private(PrivateStore),
-    /// A worker handle onto storage shared with other managers.
-    ///
-    /// Within one weight scope (one leaf conversion, one plan step — see
-    /// [`TddManager::begin_weight_scope`]) the first value seen in a
-    /// tolerance neighbourhood becomes its representative, by the same
-    /// [`ToleranceIndex`] rule as a private [`WeightTable`]; the
-    /// representative's bits intern globally by identity
-    /// ([`SharedTddStore::intern_weight_exact`]). A value resolves in
-    /// three tiers: the scope memo (its exact bits seen before in this
-    /// scope), then the tolerance index, then — for a new representative
-    /// — the store's exact-bits map. The first two are cleared at every
-    /// scope boundary; the third is the store's and never is, so equal
-    /// bits get one id across scopes and managers. Results stay
-    /// bit-identical across schedules because each scope is a pure
-    /// function of its operand values.
+    /// A worker handle onto storage shared with other managers; weights
+    /// intern by the scoped rule, their exact bits in the store
+    /// ([`SharedTddStore::intern_weight_exact`]).
     Shared {
         store: Arc<SharedTddStore>,
         worker: u32,
-        /// Scope-local representatives. Cleared at every scope boundary.
-        glue: ToleranceIndex,
-        /// Scope-local bits → already-glued id (probe short-circuit).
-        resolved: FxHashMap<(u64, u64), WeightId>,
     },
 }
 
@@ -289,9 +420,15 @@ pub(crate) enum TddStore {
 #[derive(Debug)]
 pub struct TddManager {
     pub(crate) store: TddStore,
+    /// The weight-interning tolerance.
+    tol: f64,
+    /// The scoped rule's per-scope state (owned and shared stores; a
+    /// private store leaves it empty).
+    scope: WeightScope,
     pub(crate) add_cache: FxHashMap<(Edge, Edge), Edge>,
     pub(crate) cont_cache: FxHashMap<ContCacheKey, Edge>,
-    /// Private-mode elimination sets (shared mode interns store-side).
+    /// Elimination sets of a store the manager holds alone (a shared
+    /// store interns them store-side).
     elim_sets: Vec<Vec<u32>>,
     elim_set_ids: FxHashMap<Vec<u32>, u32>,
     /// Deadline probed inside the `add`/`cont` recursions (see
@@ -313,6 +450,9 @@ pub struct TddManager {
 /// this many node constructions plus one in-flight leaf operation.
 pub const DEADLINE_PROBE_INTERVAL: u32 = 1024;
 
+/// The default weight-interning tolerance.
+const DEFAULT_TOLERANCE: f64 = 1e-10;
+
 impl Default for TddManager {
     fn default() -> Self {
         Self::new()
@@ -323,7 +463,7 @@ impl TddManager {
     /// A manager with a private store and the default weight tolerance
     /// (`1e-10`).
     pub fn new() -> Self {
-        Self::with_tolerance(1e-10)
+        Self::with_tolerance(DEFAULT_TOLERANCE)
     }
 
     /// A manager with a private store and a custom weight-interning
@@ -333,15 +473,37 @@ impl TddManager {
     ///
     /// Panics if `tol` is not strictly positive and finite.
     pub fn with_tolerance(tol: f64) -> Self {
-        Self::with_store(TddStore::Private(PrivateStore {
-            weights: WeightTable::new(tol),
-            nodes: vec![Node {
-                var: TERMINAL_VAR,
-                low: Edge::ZERO,
-                high: Edge::ZERO,
-            }], // slot 0 = terminal sentinel
-            unique: FxHashMap::default(),
-        }))
+        Self::with_store(TddStore::Private(PrivateStore::private(tol)), tol)
+    }
+
+    /// A manager with an owned store and the default weight tolerance:
+    /// the private store's arena and unique table, with weights interned
+    /// by the shared store's scoped rule on plain tables. A run on it
+    /// computes the same values as the same run on a [`SharedTddStore`],
+    /// without its atomics, locks or stripes; this is what a one-worker
+    /// Algorithm II run contracts on. Ids follow insertion order — node
+    /// 0 is the terminal, weights 0 and 1 the exact constants. Callers
+    /// own the scope boundaries, as on a shared store.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use qaec_math::C64;
+    /// use qaec_tdd::TddManager;
+    ///
+    /// let mut m = TddManager::new_owned();
+    /// m.begin_weight_scope();
+    /// let a = m.terminal(C64::real(0.5));
+    /// m.begin_weight_scope();
+    /// // A new scope elects a new representative: within tolerance but
+    /// // not bit-equal, so a different weight.
+    /// let b = m.terminal(C64::real(0.5 + 1e-12));
+    /// assert_ne!(a, b);
+    /// assert_eq!(m.terminal(C64::real(0.5 + 2e-12)), b, "glued within the scope");
+    /// ```
+    pub fn new_owned() -> Self {
+        let store = PrivateStore::owned(DEFAULT_TOLERANCE);
+        Self::with_store(TddStore::Private(store), DEFAULT_TOLERANCE)
     }
 
     /// A worker manager attached to a [`SharedTddStore`]: nodes, weights
@@ -355,17 +517,16 @@ impl TddManager {
     /// [`crate::convert::from_tensor`] do), and results are
     /// bit-identical whatever the schedule or thread count.
     pub fn new_shared(store: &Arc<SharedTddStore>) -> Self {
-        Self::with_store(TddStore::Shared {
+        let shared = TddStore::Shared {
             store: Arc::clone(store),
             worker: store.register_worker(),
-            glue: ToleranceIndex::new(store.tolerance()),
-            resolved: FxHashMap::default(),
-        })
+        };
+        Self::with_store(shared, store.tolerance())
     }
 
-    /// Opens a new weight scope on a shared-store manager: empties the
-    /// scope memo and the tolerance index in place (keeping their
-    /// capacity) so the next tolerance neighbourhood elects a fresh
+    /// Opens a new weight scope on a scoped (owned or shared) manager:
+    /// empties the scope memo and the tolerance index in place (keeping
+    /// their capacity) so the next tolerance neighbourhood elects a fresh
     /// representative, and clears the computed tables (their entries
     /// embed the outgoing scope's representative ids). A no-op for
     /// private managers, so generic call sites — `from_tensor`, the plan
@@ -375,21 +536,20 @@ impl TddManager {
     /// scope, representative election follows the deterministic
     /// recursion order, and across scopes only exact bits persist (via
     /// the store's exact-bits interning). That is the determinism
-    /// invariant that keeps shared-store runs bit-identical for every
-    /// thread count.
+    /// invariant that keeps scoped runs bit-identical for every thread
+    /// count and store kind.
     pub fn begin_weight_scope(&mut self) {
-        if let TddStore::Shared { glue, resolved, .. } = &mut self.store {
-            glue.clear();
-            resolved.clear();
-        } else {
-            return;
+        if self.is_scoped() {
+            self.scope.clear();
+            self.clear_computed_tables();
         }
-        self.clear_computed_tables();
     }
 
-    fn with_store(store: TddStore) -> Self {
+    fn with_store(store: TddStore, tol: f64) -> Self {
         TddManager {
             store,
+            tol,
+            scope: WeightScope::new(tol),
             add_cache: FxHashMap::default(),
             cont_cache: FxHashMap::default(),
             elim_sets: Vec::new(),
@@ -443,22 +603,54 @@ impl TddManager {
 
     /// Whether this manager is attached to a shared store.
     pub fn is_shared(&self) -> bool {
-        matches!(self.store, TddStore::Shared { .. })
+        self.shared_store().is_some()
     }
 
-    /// Whether mark-compact garbage collection is available. Shared
-    /// stores are append-only (other workers hold live ids into the
-    /// arena), so [`crate::gc::collect`] is a no-op for them.
+    /// The shared store this manager is attached to, if any.
+    pub(crate) fn shared_store(&self) -> Option<&Arc<SharedTddStore>> {
+        match &self.store {
+            TddStore::Shared { store, .. } => Some(store),
+            TddStore::Private(_) => None,
+        }
+    }
+
+    /// Whether weights intern by the scoped rule: on an owned or a
+    /// shared store.
+    fn is_scoped(&self) -> bool {
+        match &self.store {
+            TddStore::Private(p) => p.exact.is_some(),
+            TddStore::Shared { .. } => true,
+        }
+    }
+
+    /// The weight table of a private store, which does its own weight
+    /// arithmetic; `None` on a scoped manager.
+    #[inline]
+    fn first_come(&mut self) -> Option<&mut WeightTable> {
+        match &mut self.store {
+            TddStore::Private(PrivateStore {
+                weights,
+                exact: None,
+                ..
+            }) => Some(weights),
+            _ => None,
+        }
+    }
+
+    /// Whether mark-compact garbage collection is available: on a
+    /// private store only. Shared stores are append-only (other workers
+    /// hold live ids into the arena), and both scoped stores reclaim by
+    /// [`Self::compact`], so [`crate::gc::collect`] is a no-op for them.
     pub fn supports_gc(&self) -> bool {
-        !self.is_shared()
+        !self.is_scoped()
     }
 
     /// The private store, for the collector.
     ///
     /// # Panics
     ///
-    /// Panics on a shared-store manager (callers check
-    /// [`Self::supports_gc`] first).
+    /// Panics on a scoped manager (callers check [`Self::supports_gc`]
+    /// first).
     pub(crate) fn private_mut(&mut self) -> &mut PrivateStore {
         match &mut self.store {
             TddStore::Private(p) => p,
@@ -469,9 +661,9 @@ impl TddManager {
     /// Operation statistics so far. For shared-store managers this holds
     /// only the manager-local counters (computed tables);
     /// allocation counters and store footprint live in
-    /// [`crate::SharedTddStore::stats`]. Private-store managers report
-    /// their own arena/table footprint here, so shared-vs-private
-    /// memory is comparable in merged reports.
+    /// [`crate::SharedTddStore::stats`]. A manager that holds its store
+    /// alone reports the store's counters and footprint here too, so
+    /// shared and unshared memory are comparable in merged reports.
     pub fn stats(&self) -> TddStats {
         let mut stats = self.stats;
         if let TddStore::Private(p) = &self.store {
@@ -481,10 +673,95 @@ impl TddManager {
         stats
     }
 
-    /// Records the current private-store footprint into the
-    /// `peak_store_bytes` high-water mark. Called before garbage
-    /// collection, which is the only event that can shrink a private
-    /// store mid-run.
+    /// Fences the statistics before a run: [`Self::stats_since`] then
+    /// reports the run's work alone, however warm the manager and its
+    /// store are.
+    pub(crate) fn fence(&self) -> StatsFence {
+        StatsFence {
+            local: self.stats,
+            store: self
+                .shared_store()
+                .map_or_else(StoreEpoch::default, |store| store.reset_between_runs()),
+        }
+    }
+
+    /// The statistics of the work since `fence`: this manager's counters
+    /// and, on a shared store, the store's allocation and sharing
+    /// counters — every manager's, since the store counts them once.
+    /// Sizes (`peak_nodes`, the store footprints) are the current ones.
+    pub(crate) fn stats_since(&self, fence: &StatsFence) -> TddStats {
+        let mut stats = self.stats().since(&fence.local);
+        if let Some(store) = self.shared_store() {
+            stats.merge(&store.stats_since(fence.store));
+        }
+        stats
+    }
+
+    /// The store's current and peak bytes of backing storage (see
+    /// [`TddStats::store_bytes`]); for a shared store, every attached
+    /// manager's.
+    pub fn store_bytes(&self) -> (usize, usize) {
+        let stats = self
+            .shared_store()
+            .map_or_else(|| self.stats(), |store| store.stats());
+        (stats.store_bytes as usize, stats.peak_store_bytes as usize)
+    }
+
+    /// A lower-bound estimate of the store's payload bytes (node and
+    /// weight entries), cheap enough to poll at every quiescent
+    /// boundary: the reclamation trigger.
+    pub fn approx_data_bytes(&self) -> usize {
+        match &self.store {
+            TddStore::Private(p) => {
+                (p.nodes.len() - 1) * std::mem::size_of::<Node>()
+                    + p.weights.len() * std::mem::size_of::<C64>()
+            }
+            TddStore::Shared { store, .. } => store.approx_data_bytes(),
+        }
+    }
+
+    /// Reclaims a scoped store at a quiescent boundary: migrates exactly
+    /// the diagrams reachable from `roots` — nodes *and* weights — into
+    /// a fresh store of the same kind and returns the remapped roots, in
+    /// order. An owned store is replaced in place; a shared-store manager
+    /// swaps to [`SharedTddStore::compact`]'s successor. Values migrate
+    /// bit-exactly, so no result moves. Every other edge the caller
+    /// holds becomes invalid, and the computed tables and scope are
+    /// emptied. Statistics stay continuous: the store's peak footprint
+    /// carries over, and migration counts no work.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a private store, whose first-come weights cannot
+    /// re-intern by exact bits ([`crate::gc::collect`] compacts those).
+    pub fn compact(&mut self, roots: &[Edge]) -> Vec<Edge> {
+        self.note_store_peak();
+        let remapped = match &mut self.store {
+            TddStore::Private(p) => {
+                assert!(
+                    p.exact.is_some(),
+                    "a private store compacts with gc::collect"
+                );
+                let (next, remapped) = p.compact(roots);
+                *p = next;
+                remapped
+            }
+            TddStore::Shared { store, worker } => {
+                let (next, remapped) = store.compact(roots);
+                *worker = next.register_worker();
+                *store = next;
+                remapped
+            }
+        };
+        self.scope.clear();
+        self.clear_computed_tables();
+        remapped
+    }
+
+    /// Records the current footprint of a store the manager holds alone
+    /// into the `peak_store_bytes` high-water mark. Called before garbage
+    /// collection and compaction, the only events that shrink such a
+    /// store.
     pub(crate) fn note_store_peak(&mut self) {
         if let TddStore::Private(p) = &self.store {
             self.stats.peak_store_bytes = self.stats.peak_store_bytes.max(p.bytes_used() as u64);
@@ -493,10 +770,7 @@ impl TddManager {
 
     /// The weight-interning tolerance.
     pub fn tolerance(&self) -> f64 {
-        match &self.store {
-            TddStore::Private(p) => p.weights.tolerance(),
-            TddStore::Shared { store, .. } => store.tolerance(),
-        }
+        self.tol
     }
 
     /// Number of arena slots currently allocated (live + dead, excluding
@@ -513,31 +787,16 @@ impl TddManager {
     #[inline]
     pub fn intern_weight(&mut self, z: C64) -> WeightId {
         match &mut self.store {
-            TddStore::Private(p) => p.weights.intern(z),
-            TddStore::Shared {
-                store,
-                glue,
-                resolved,
+            TddStore::Private(PrivateStore {
+                weights,
+                exact: Some(ids),
                 ..
-            } => {
-                debug_assert!(z.is_finite(), "non-finite weight {z}");
-                if glue.is_zero(z) {
-                    return WeightId::ZERO;
-                }
-                // Bits new to this scope take the id of the first
-                // representative within tol; a first sighting in its
-                // neighbourhood becomes the representative, interned
-                // globally by exact bits — so every id a shared-store
-                // manager hands out is *the* global id of its stored bits,
-                // making id equality equivalent to value-bit equality (the
-                // id-equality fast paths of `wdiv` and `make_node` rely on
-                // this).
-                match resolved.entry((z.re.to_bits(), z.im.to_bits())) {
-                    Entry::Occupied(seen) => *seen.get(),
-                    Entry::Vacant(slot) => {
-                        *slot.insert(glue.find_or_insert_with(z, || store.intern_weight_exact(z)))
-                    }
-                }
+            }) => self
+                .scope
+                .intern(z, |z| PrivateStore::intern_exact(ids, weights, z)),
+            TddStore::Private(p) => p.weights.intern(z),
+            TddStore::Shared { store, .. } => {
+                self.scope.intern(z, |z| store.intern_weight_exact(z))
             }
         }
     }
@@ -553,8 +812,8 @@ impl TddManager {
 
     /// Interned product `a·b`.
     pub(crate) fn wmul(&mut self, a: WeightId, b: WeightId) -> WeightId {
-        if let TddStore::Private(p) = &mut self.store {
-            return p.weights.mul(a, b);
+        if let Some(table) = self.first_come() {
+            return table.mul(a, b);
         }
         if a.is_zero() || b.is_zero() {
             WeightId::ZERO
@@ -569,8 +828,8 @@ impl TddManager {
 
     /// Interned sum `a + b`.
     pub(crate) fn wadd(&mut self, a: WeightId, b: WeightId) -> WeightId {
-        if let TddStore::Private(p) = &mut self.store {
-            return p.weights.add(a, b);
+        if let Some(table) = self.first_come() {
+            return table.add(a, b);
         }
         if a.is_zero() {
             b
@@ -587,8 +846,8 @@ impl TddManager {
     ///
     /// Panics if `b` is the zero weight.
     pub(crate) fn wdiv(&mut self, a: WeightId, b: WeightId) -> WeightId {
-        if let TddStore::Private(p) = &mut self.store {
-            return p.weights.div(a, b);
+        if let Some(table) = self.first_come() {
+            return table.div(a, b);
         }
         assert!(!b.is_zero(), "division by the zero weight");
         if a.is_zero() {
@@ -604,8 +863,8 @@ impl TddManager {
 
     /// Interned scalar multiple by a real factor.
     pub(crate) fn wscale_real(&mut self, a: WeightId, factor: f64) -> WeightId {
-        if let TddStore::Private(p) = &mut self.store {
-            return p.weights.scale_real(a, factor);
+        if let Some(table) = self.first_come() {
+            return table.scale_real(a, factor);
         }
         if factor == 0.0 {
             WeightId::ZERO
@@ -675,7 +934,7 @@ impl TddManager {
         }
         let ml = self.wmagnitude(low.weight);
         let mh = self.wmagnitude(high.weight);
-        let norm = if ml + self.tolerance() >= mh {
+        let norm = if ml + self.tol >= mh {
             low.weight
         } else {
             high.weight
@@ -708,9 +967,7 @@ impl TddManager {
                     id
                 }
                 None => {
-                    let id = NodeId(p.nodes.len() as u32);
-                    p.nodes.push(key);
-                    p.unique.insert(key, id);
+                    let id = p.insert(key);
                     self.stats.nodes_created += 1;
                     self.stats.peak_nodes = self.stats.peak_nodes.max(p.nodes.len() - 1);
                     id
@@ -718,7 +975,7 @@ impl TddManager {
             },
             // Allocation counters are store-owned under sharing (merged
             // once per run), so nothing is added to the local stats here.
-            TddStore::Shared { store, worker, .. } => store.unique_node(key, *worker),
+            TddStore::Shared { store, worker } => store.unique_node(key, *worker),
         };
         Edge { node, weight: norm }
     }
@@ -1023,7 +1280,7 @@ mod tests {
 
     #[test]
     fn shared_managers_hash_cons_across_instances() {
-        let store = SharedTddStore::new(2);
+        let store = SharedTddStore::new();
         let mut a = TddManager::new_shared(&store);
         let mut b = TddManager::new_shared(&store);
         let build = |m: &mut TddManager| {
@@ -1057,7 +1314,7 @@ mod tests {
         // stored as exactly `tol`, normalisation would take the zero
         // sibling as the norm and divide by it (seen on Algorithm I over
         // qv_n6d5 with three depolarizing sites).
-        let store = SharedTddStore::new(1);
+        let store = SharedTddStore::new();
         let mut m = TddManager::new_shared(&store);
         let z = C64::real(m.tolerance() * (1.0 + 1e-6));
         let high = m.terminal(z);
@@ -1067,9 +1324,85 @@ mod tests {
         assert_eq!(m.eval(e, &[1]), z);
     }
 
+    /// A small diagram whose weights glue within one scope, built the
+    /// same way on any scoped manager.
+    fn scoped_sample(m: &mut TddManager) -> Edge {
+        m.begin_weight_scope();
+        let l = m.terminal(C64::new(0.5, -0.25));
+        let h = m.terminal(C64::new(0.5 + 1e-12, -0.25));
+        let x = m.terminal(C64::real(1.0 / 3.0));
+        let inner = m.make_node(1, l, x);
+        let other = m.make_node(1, h, x);
+        let weight = m.wscale_real(other.weight, 3.0);
+        m.make_node(0, inner, Edge { weight, ..other })
+    }
+
+    fn values(m: &TddManager, e: Edge) -> Vec<(u64, u64)> {
+        [[0, 0], [0, 1], [1, 0], [1, 1]]
+            .iter()
+            .map(|a| {
+                let z = m.eval(e, a);
+                (z.re.to_bits(), z.im.to_bits())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn owned_store_interns_by_the_shared_rule() {
+        let mut owned = TddManager::new_owned();
+        let mut shared = TddManager::new_shared(&SharedTddStore::new());
+        let (a, b) = (scoped_sample(&mut owned), scoped_sample(&mut shared));
+        assert_eq!(values(&owned, a), values(&shared, b), "same bits");
+        assert!(owned.is_scoped() && !owned.is_shared() && !owned.supports_gc());
+        // The store is the manager's own: it counts its allocations, and
+        // no hit can cross workers.
+        let stats = owned.stats();
+        assert_eq!(stats.nodes_created, owned.arena_len() as u64);
+        assert_eq!(stats.cross_unique_hits, 0);
+        assert!(stats.store_bytes > 0);
+    }
+
+    #[test]
+    fn owned_compaction_migrates_nodes_and_weights_bit_exactly() {
+        let mut m = TddManager::new_owned();
+        let root = scoped_sample(&mut m);
+        // Garbage the compaction must drop: nodes and weights no root
+        // reaches.
+        for k in 1..50 {
+            m.begin_weight_scope();
+            let l = m.terminal(C64::real(k as f64 * 0.01));
+            let _ = m.make_node(2, l, Edge::ONE);
+        }
+        let (before, data, expected) = (m.stats(), m.approx_data_bytes(), values(&m, root));
+        let kept = m.compact(&[root]);
+        assert_eq!(values(&m, kept[0]), expected, "values migrate bit-exactly");
+        assert_eq!(
+            m.arena_len(),
+            m.node_count(kept[0]) - 1,
+            "only live nodes stay"
+        );
+        assert!(m.approx_data_bytes() < data, "dead weights go too");
+        let after = m.stats();
+        assert_eq!(
+            after.nodes_created, before.nodes_created,
+            "migration is not work"
+        );
+        assert!(after.peak_store_bytes >= before.store_bytes);
+        // A later intern of a migrated value's bits finds its id.
+        m.begin_weight_scope();
+        let bits = m.weight_value(kept[0].weight);
+        assert_eq!(m.intern_weight(bits), kept[0].weight);
+    }
+
+    #[test]
+    #[should_panic(expected = "gc::collect")]
+    fn private_store_does_not_compact() {
+        TddManager::new().compact(&[]);
+    }
+
     #[test]
     fn shared_normalization_matches_private_semantics() {
-        let store = SharedTddStore::new(1);
+        let store = SharedTddStore::new();
         let mut m = TddManager::new_shared(&store);
         let low = m.terminal(C64::real(0.5));
         let high = m.terminal(C64::real(-1.0));

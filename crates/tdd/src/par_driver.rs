@@ -8,23 +8,28 @@
 //! operands have resolved are independent. This driver extracts that DAG
 //! ([`ContractionPlan::graph`]), keeps a critical-path-first ready heap,
 //! and dispatches runnable steps to a pool of workers that all hash-cons
-//! into one [`SharedTddStore`].
+//! into one [`crate::SharedTddStore`]. With one worker the same
+//! scheduler runs inline on the caller's manager — typically one that
+//! owns its store ([`TddManager::new_owned`]), which applies the shared
+//! store's interning rule without its atomics, locks or stripes.
 //!
 //! ## Why any schedule gives the same answer, bit for bit
 //!
 //! Workers attach to the store with [`TddManager::new_shared`], whose
-//! interning is **scoped**: each leaf conversion and each plan step
-//! opens a fresh weight scope, whose tolerance gluing and computed
-//! tables start empty. Within a scope the computation is the
-//! deterministic `cont` recursion over the operand *values* — glue
-//! representatives are elected in recursion order, interned globally by
-//! exact bits, and `ops::add` orders its operands by weight value — so a
-//! step's result edge (value bits and node shape) is a pure function of
-//! its operands and the elimination set. Nothing value-bearing leaks
-//! between scopes except the exact-bits store itself, which is a global
-//! find-or-insert keyed by bit pattern. Each step's result is therefore
+//! interning is **scoped** (an owned store's is the same rule): each
+//! leaf conversion and each plan step opens a fresh weight scope, whose
+//! tolerance gluing and computed tables start empty. Within a scope the
+//! computation is the deterministic `cont` recursion over the operand
+//! *values* — glue representatives are elected in recursion order,
+//! interned store-wide by exact bits, and `ops::add` orders its operands
+//! by weight value — so a step's result edge (value bits and node shape)
+//! is a pure function of its operands and the elimination set. Nothing
+//! value-bearing leaks between scopes except the exact-bits ids
+//! themselves, a store-wide find-or-insert keyed by bit pattern. Each
+//! step's result is therefore
 //! the same in every topological execution order, including the fully
-//! sequential one; scheduling affects only which worker computes what.
+//! sequential one, and on an owned store as on a shared one; scheduling
+//! affects only which worker computes what.
 //! The reported `max_nodes` is a max over per-step
 //! [`TddManager::node_count`] values of those scheduling-independent
 //! edges, so it is deterministic too.
@@ -38,13 +43,12 @@
 use crate::convert::from_tensor;
 use crate::driver::{ContractionResult, DriverTimeout};
 use crate::manager::{Edge, TddManager, TddStats};
-use crate::store::SharedTddStore;
 use qaec_tensornet::{ContractionPlan, PlanGraph, PlanStep, Tensor, TensorNetwork, VarOrder};
 use std::collections::BinaryHeap;
 // The pool scheduler's ready-queue uses Condvar, which has no model twin, so
 // its Mutex stays `std::sync` (see `crate::sync`); the atomics go through the
 // shim and are model-checkable.
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -53,7 +57,10 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug)]
 pub struct ParallelOptions {
     /// Worker threads. `1` runs the scheduler inline on the calling
-    /// thread (no spawn) — same code path, bit-identical results.
+    /// thread and the caller's manager (no spawn) — same code path,
+    /// bit-identical results. More than one needs a caller's manager on
+    /// a shared store, which the other workers attach to; a manager that
+    /// holds its store alone runs the plan on one worker.
     pub workers: usize,
     /// Abort with [`DriverTimeout`] once this instant passes (probed
     /// between steps and, amortised, inside every `cont` recursion).
@@ -72,13 +79,10 @@ impl Default for ParallelOptions {
 /// What a parallel contraction produced.
 #[derive(Clone, Copy, Debug)]
 pub struct ParallelOutcome {
-    /// The contraction result (root edge handles are valid in any
-    /// manager attached to the run's store).
+    /// The contraction result (root edge handles are valid in the
+    /// caller's manager, and in any manager attached to its store).
     pub result: ContractionResult,
-    /// Worker-local statistics merged across the pool. Store-owned
-    /// allocation counters are *not* included — merge
-    /// [`SharedTddStore::stats`] exactly once on top, as with the term
-    /// engine.
+    /// The run's statistics (see [`StepOutcome::stats`]).
     pub stats: TddStats,
 }
 
@@ -286,16 +290,18 @@ pub struct StepOutcome {
     pub kept: Vec<Edge>,
     /// Largest diagram among the steps run and the inputs converted.
     pub max_nodes: usize,
-    /// Worker-local statistics merged across the pool (store-owned
-    /// counters excluded, as in [`ParallelOutcome::stats`]).
+    /// The call's statistics: every worker's counters and, once, the
+    /// store's — fenced, so a warm manager or store reports this call's
+    /// work alone.
     pub stats: TddStats,
 }
 
-/// Executes `plan` over `network` on a pool of workers sharing `store`.
+/// Executes `plan` over `network` on the caller's manager `m` and, for
+/// more than one worker, a pool of workers attached to its shared store.
 ///
 /// Results are **bit-identical** to executing the same plan sequentially
-/// on a manager attached to the same kind of store, for every worker
-/// count (see the module docs for the purity argument).
+/// on a scoped manager (owned or shared), for every worker count (see
+/// the module docs for the purity argument).
 ///
 /// # Errors
 ///
@@ -307,7 +313,7 @@ pub struct StepOutcome {
 /// Panics if the plan does not match the network or an index is missing
 /// from `order`.
 pub fn contract_network_parallel(
-    store: &Arc<SharedTddStore>,
+    m: &mut TddManager,
     network: &TensorNetwork,
     plan: &ContractionPlan,
     order: &VarOrder,
@@ -325,18 +331,18 @@ pub fn contract_network_parallel(
         keep: &keep,
     };
     let inputs = |slot: usize| &network.tensors()[slot];
-    let out = contract_steps_parallel(store, plan, &graph, &inputs, order, run, options)?;
+    let out = contract_steps_parallel(m, plan, &graph, &inputs, order, run, options)?;
     let root = match graph.root_slot {
         Some(_) => *out.kept.last().expect("root kept"),
         None => Edge::ONE,
     };
     let mut stats = out.stats;
-    let root = scale_free_loops(store, root, plan.free_loops, &mut stats);
+    let root = scale_free_loops(m, root, plan.free_loops, &mut stats);
     Ok(ParallelOutcome {
         result: ContractionResult {
             root,
             max_nodes: out.max_nodes.max(1),
-            peak_arena: store.arena_len(),
+            peak_arena: m.arena_len(),
             steps: plan.steps.len(),
         },
         stats,
@@ -344,11 +350,11 @@ pub fn contract_network_parallel(
 }
 
 /// Multiplies a plan's root by `2^free_loops` (closed indices no tensor
-/// touches) in a weight scope of its own — the close-out of every run
-/// that ends at the root, whether full or resumed from a fold. Merges
-/// the scaling's statistics into `stats`.
+/// touches) on the run's manager, in a weight scope of its own — the
+/// close-out of every run that ends at the root, whether full or
+/// resumed from a fold. Merges the scaling's statistics into `stats`.
 pub fn scale_free_loops(
-    store: &Arc<SharedTddStore>,
+    m: &mut TddManager,
     root: Edge,
     free_loops: u32,
     stats: &mut TddStats,
@@ -356,23 +362,24 @@ pub fn scale_free_loops(
     if free_loops == 0 {
         return root;
     }
-    let mut m = TddManager::new_shared(store);
+    let fence = m.fence();
     m.begin_weight_scope();
     let weight = m.wscale_real(root.weight, (free_loops as f64).exp2());
-    stats.merge(&m.stats());
+    stats.merge(&m.stats_since(&fence));
     Edge {
         node: root.node,
         weight,
     }
 }
 
-/// Executes the steps `run` selects on a pool of workers sharing
-/// `store`: the one driver behind a full run
-/// ([`contract_network_parallel`]), the fold of a plan's fixed part and
-/// every run resumed from that fold. `inputs(slot)` supplies the tensor
-/// of an input slot (`slot < n_inputs`) a running step or `run.keep`
-/// reads without a resolved edge; `graph` is `plan.graph(network)` of
-/// the network the plan was built for.
+/// Executes the steps `run` selects on the caller's manager `m` — inline
+/// for one worker, with a pool attached to `m`'s shared store for more:
+/// the one driver behind a full run ([`contract_network_parallel`]), the
+/// fold of a plan's fixed part and every run resumed from that fold.
+/// `inputs(slot)` supplies the tensor of an input slot (`slot <
+/// n_inputs`) a running step or `run.keep` reads without a resolved
+/// edge; `graph` is `plan.graph(network)` of the network the plan was
+/// built for.
 ///
 /// Each slot's edge is bit-identical to the one a full sequential run
 /// computes, for every worker count and every split of the plan (see
@@ -388,7 +395,7 @@ pub fn scale_free_loops(
 /// Panics if a running step's operand is neither produced, resolved nor
 /// an input, or an index is missing from `order`.
 pub fn contract_steps_parallel<'t>(
-    store: &Arc<SharedTddStore>,
+    m: &mut TddManager,
     plan: &ContractionPlan,
     graph: &PlanGraph,
     inputs: &(dyn Fn(usize) -> &'t Tensor + Sync),
@@ -438,11 +445,16 @@ pub fn contract_steps_parallel<'t>(
         e
     };
 
-    let workers = options.workers.max(1).min(n_run.max(1));
-    let worker = |_w: usize| -> Result<(usize, TddStats), DriverTimeout> {
-        let _panic_guard = PanicGuard(&scheduler);
-        let mut m = TddManager::new_shared(store);
-        m.set_deadline(options.deadline);
+    // Workers beyond the caller's manager attach to its shared store; a
+    // manager that holds its store alone runs the plan by itself.
+    let workers = match m.shared_store() {
+        Some(_) => options.workers.max(1).min(n_run.max(1)),
+        None => 1,
+    };
+    let fence = m.fence();
+    // One worker's loop on manager `m`, returning the largest diagram it
+    // converted or produced.
+    let work = |m: &mut TddManager| -> Result<usize, DriverTimeout> {
         let mut max_nodes = 0usize;
         // Resolves one operand slot: produced and resolved slots read
         // the published edge, input slots convert the tensor here (each
@@ -467,8 +479,8 @@ pub fn contract_steps_parallel<'t>(
                     eliminate,
                     result,
                 } => {
-                    let ea = fetch(&mut m, &mut max_nodes, *a);
-                    let eb = fetch(&mut m, &mut max_nodes, *b);
+                    let ea = fetch(m, &mut max_nodes, *a);
+                    let eb = fetch(m, &mut max_nodes, *b);
                     ((ea, eb), eliminate, *result)
                 }
                 PlanStep::SumOut {
@@ -476,7 +488,7 @@ pub fn contract_steps_parallel<'t>(
                     eliminate,
                     result,
                 } => {
-                    let et = fetch(&mut m, &mut max_nodes, *t);
+                    let et = fetch(m, &mut max_nodes, *t);
                     ((et, Edge::ONE), eliminate, *result)
                 }
             };
@@ -486,7 +498,7 @@ pub fn contract_steps_parallel<'t>(
             // One plan step = one weight scope, mirroring the sequential
             // driver exactly (the purity unit of the module docs).
             m.begin_weight_scope();
-            let e = match crate::ops::try_cont(&mut m, operands.0, operands.1, set) {
+            let e = match crate::ops::try_cont(m, operands.0, operands.1, set) {
                 Ok(e) => e,
                 Err(timeout) => {
                     scheduler.halt();
@@ -499,42 +511,55 @@ pub fn contract_steps_parallel<'t>(
                 .expect("step result published twice");
             follow = scheduler.finish_step(step, graph, run.steps);
         }
-        Ok((max_nodes, m.stats()))
+        Ok(max_nodes)
     };
-
-    let hauls = run_on_workers(workers, worker);
 
     let mut max_nodes = 0usize;
     let mut stats = TddStats::default();
-    let mut error = None;
-    for haul in hauls {
-        match haul {
-            Ok((nodes, worker_stats)) => {
-                max_nodes = max_nodes.max(nodes);
-                stats.merge(&worker_stats);
+    if workers == 1 {
+        let armed = m.deadline();
+        m.set_deadline(options.deadline);
+        let result = work(m);
+        m.set_deadline(armed);
+        max_nodes = result?;
+    } else {
+        let store = m.shared_store().expect("several workers share a store");
+        let hauls = run_on_workers(workers, |_| {
+            let _panic_guard = PanicGuard(&scheduler);
+            let mut worker = TddManager::new_shared(store);
+            worker.set_deadline(options.deadline);
+            work(&mut worker).map(|nodes| (nodes, worker.stats()))
+        });
+        let mut error = None;
+        for haul in hauls {
+            match haul {
+                Ok((nodes, worker_stats)) => {
+                    max_nodes = max_nodes.max(nodes);
+                    stats.merge(&worker_stats);
+                }
+                Err(e) => error = Some(e),
             }
-            Err(e) => error = Some(e),
+        }
+        if let Some(e) = error {
+            return Err(e);
         }
     }
-    if let Some(e) = error {
-        return Err(e);
-    }
     // ordering: Acquire (pairs with `halt`'s Release) — read after the
-    // worker join, which already ordered everything; Acquire keeps the
-    // site self-documenting and uniform with `next_step`.
+    // workers finished, which already ordered everything; Acquire keeps
+    // the site self-documenting and uniform with `next_step`.
     if scheduler.stop.load(Ordering::Acquire) {
         return Err(DriverTimeout);
     }
 
     // Close out: read the kept slots, converting any input no running
     // step consumed (published, so a slot kept twice converts once).
-    let mut m = TddManager::new_shared(store);
     let kept = run
         .keep
         .iter()
-        .map(|&slot| *scheduler.slots[slot].get_or_init(|| convert(&mut m, &mut max_nodes, slot)))
+        .map(|&slot| *scheduler.slots[slot].get_or_init(|| convert(m, &mut max_nodes, slot)))
         .collect();
-    stats.merge(&m.stats());
+    // The caller's manager counts its own work and, once, its store's.
+    stats.merge(&m.stats_since(&fence));
     Ok(StepOutcome {
         kept,
         max_nodes,
@@ -546,6 +571,7 @@ pub fn contract_steps_parallel<'t>(
 mod tests {
     use super::*;
     use crate::driver::{contract_network_opts, DriverOptions};
+    use crate::SharedTddStore;
     use qaec_math::{Matrix, C64};
     use qaec_tensornet::{IndexId, Strategy, Tensor};
     use rand::rngs::StdRng;
@@ -592,17 +618,27 @@ mod tests {
 
             // Sequential reference on a (fresh) shared store, same
             // interning rule as the parallel workers.
-            let seq_store = SharedTddStore::new(1);
+            let seq_store = SharedTddStore::new();
             let mut seq_m = TddManager::new_shared(&seq_store);
             let seq =
                 contract_network_opts(&mut seq_m, &net, &plan, &order, DriverOptions::default())
                     .expect("no deadline");
             let seq_value = seq_m.edge_scalar(seq.root).expect("scalar");
 
-            for workers in [1usize, 2, 4, 8] {
-                let store = SharedTddStore::new(workers);
+            // One worker on an owned store, then 1–8 on a shared one.
+            for (workers, owned) in [
+                (1usize, true),
+                (1, false),
+                (2, false),
+                (4, false),
+                (8, false),
+            ] {
+                let mut m = match owned {
+                    true => TddManager::new_owned(),
+                    false => TddManager::new_shared(&SharedTddStore::new()),
+                };
                 let out = contract_network_parallel(
-                    &store,
+                    &mut m,
                     &net,
                     &plan,
                     &order,
@@ -612,7 +648,6 @@ mod tests {
                     },
                 )
                 .expect("no deadline");
-                let m = TddManager::new_shared(&store);
                 let value = m.edge_scalar(out.result.root).expect("scalar");
                 assert_eq!(
                     value.re.to_bits(),
@@ -638,9 +673,9 @@ mod tests {
         let order = VarOrder::from_sequence((0..6).map(IndexId));
         let plan = net.plan(Strategy::MinFill);
         let dense = net.contract_dense(&plan).as_scalar().expect("scalar");
-        let store = SharedTddStore::new(4);
+        let mut m = TddManager::new_shared(&SharedTddStore::new());
         let out = contract_network_parallel(
-            &store,
+            &mut m,
             &net,
             &plan,
             &order,
@@ -650,7 +685,6 @@ mod tests {
             },
         )
         .expect("no deadline");
-        let m = TddManager::new_shared(&store);
         let got = m.edge_scalar(out.result.root).expect("scalar");
         assert!(
             (got - dense).abs() < 1e-8,
@@ -668,19 +702,18 @@ mod tests {
         net.close_index(IndexId(5));
         let order = VarOrder::from_sequence([IndexId(0), IndexId(1)]);
         let plan = net.plan(Strategy::Sequential);
-        let store = SharedTddStore::new(1);
+        let mut m = TddManager::new_owned();
         let out =
-            contract_network_parallel(&store, &net, &plan, &order, ParallelOptions::default())
+            contract_network_parallel(&mut m, &net, &plan, &order, ParallelOptions::default())
                 .expect("no deadline");
-        let m = TddManager::new_shared(&store);
         // tr(I)·2 = 4.
         assert!((m.edge_scalar(out.result.root).unwrap() - C64::real(4.0)).abs() < 1e-9);
 
         let empty = TensorNetwork::new();
         let plan = empty.plan(Strategy::MinFill);
-        let store = SharedTddStore::new(1);
+        let mut m = TddManager::new_owned();
         let out =
-            contract_network_parallel(&store, &empty, &plan, &order, ParallelOptions::default())
+            contract_network_parallel(&mut m, &empty, &plan, &order, ParallelOptions::default())
                 .expect("no deadline");
         assert_eq!(out.result.root, Edge::ONE);
     }
@@ -691,9 +724,12 @@ mod tests {
         let order = VarOrder::from_sequence((0..8).map(IndexId));
         let plan = net.plan(Strategy::MinFill);
         for workers in [1usize, 4] {
-            let store = SharedTddStore::new(workers);
+            let mut m = match workers {
+                1 => TddManager::new_owned(),
+                _ => TddManager::new_shared(&SharedTddStore::new()),
+            };
             let result = contract_network_parallel(
-                &store,
+                &mut m,
                 &net,
                 &plan,
                 &order,

@@ -6,7 +6,10 @@
 //! worker thread — hash-cons nodes and intern weights into *one* set of
 //! tables, so common sub-diagrams built by different workers are stored
 //! once and cross-thread `NodeId`/`WeightId` handles stay valid
-//! everywhere. Four design rules make this safe and fast:
+//! everywhere. It is the store for runs with more than one worker; a
+//! run with one worker contracts on an owned store
+//! ([`crate::TddManager::new_owned`]), which applies the same interning
+//! rule on plain tables. Four design rules make this safe and fast:
 //!
 //! * **Append-only arenas.** Nodes, weights and elimination sets live in
 //!   append-only arenas that never move or free entries, so `node(id)` and
@@ -20,23 +23,19 @@
 //!   roots) or [`SharedTddStore::compact`] (live roots migrated
 //!   bit-exactly) and drops the retired store, freeing every
 //!   unreachable chunk at once.
-//! * **Lock striping sized to the workers, with a lock-free hit path.**
-//!   Find-or-insert goes through one of the store's mutex-guarded
-//!   hash-map shards selected by the key's hash (a node, or a weight's
-//!   bit pattern). The stripe count is fixed when the store is built
-//!   ([`SharedTddStore::new`]): 64 for a store that several workers
-//!   share, so concurrent inserts rarely meet on one lock, and one for a
-//!   store with a single worker, whose run then fills one arena, one
-//!   map and one probe table instead of spreading over 64 of each. In
-//!   front of each node stripe sits a fixed-size probe table of
-//!   single-word atomic slots: the dominant case — a lookup that *hits*
-//!   — verifies its candidate against the immutable arena entry and
-//!   returns without ever taking the stripe mutex, which only
-//!   insertions and probe misses touch. Managers reach the weight
-//!   stripes only for a scope's new representatives (see below).
+//! * **Lock striping with a lock-free hit path.** Find-or-insert goes
+//!   through one of 64 mutex-guarded hash-map shards selected by the
+//!   key's hash (a node, or a weight's bit pattern), so concurrent
+//!   inserts rarely meet on one lock. In front of each node stripe sits
+//!   a fixed-size probe table of single-word atomic slots: the dominant
+//!   case — a lookup that *hits* — verifies its candidate against the
+//!   immutable arena entry and returns without ever taking the stripe
+//!   mutex, which only insertions and probe misses touch. Managers reach
+//!   the weight stripes only for a scope's new representatives (see
+//!   below).
 //! * **No global hot lines.** Each stripe owns its *own* arena shard —
 //!   an id is `(stripe, index)` packed into a `u32`, the shard in the
-//!   high bits and the index in every bit the shard does not use — so
+//!   high 6 bits and the index in the low 26 — so
 //!   allocation happens under the stripe lock the inserter already
 //!   holds, and sharing statistics live inside the stripe too. There is
 //!   no global allocation lock, counter or length for every worker to
@@ -52,20 +51,21 @@
 //!   bit pattern is both the key and the stored value, a pure function
 //!   of the value. Gluing of almost-equal values is layered on top by
 //!   the *managers*, inside per-operation scopes (see
-//!   `TddManager::begin_weight_scope`): one leaf conversion or one plan
-//!   step is one scope, whose first value seen in a tolerance
-//!   neighbourhood becomes its representative by the private table's
-//!   rule (`weight::ToleranceIndex`). A manager resolves a value through
-//!   its scope memo (exact bits seen in this scope), then its tolerance
-//!   index, and only a new representative reaches this store's map —
-//!   the one place an exact-bits id is kept across scopes and managers.
+//!   `TddManager::begin_weight_scope` and `weight::WeightScope`): one
+//!   leaf conversion or one plan step is one scope, whose first value
+//!   seen in a tolerance neighbourhood becomes its representative by the
+//!   private table's rule (`weight::ToleranceIndex`). A manager resolves
+//!   a value through its scope memo (exact bits seen in this scope),
+//!   then its tolerance index, and only a new representative reaches
+//!   this store's map — the one place an exact-bits id is kept across
+//!   scopes and managers.
 //!   Each scope is a pure function of its operand values, so every
 //!   arithmetic result is identical whatever the thread interleaving,
 //!   which is what makes shared-store parallel runs **bit-identical**
-//!   to sequential ones. (Ids themselves are scheduling-dependent —
-//!   which stripe index a node lands on depends on who inserts first —
-//!   and follow the stripe layout, but no value ever depends on an id,
-//!   so results are bit-identical across stripe layouts too.)
+//!   to sequential ones, and to one-worker runs on an owned store. (Ids
+//!   themselves are scheduling-dependent — which stripe index a node
+//!   lands on depends on who inserts first — and follow the stripe
+//!   layout, but no value ever depends on an id.)
 
 use crate::fxhash::{self, FxHashMap};
 use crate::manager::{Edge, Node, NodeId, TddStats, TERMINAL_VAR};
@@ -79,56 +79,52 @@ use std::sync::{Arc, OnceLock};
 use crate::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::Mutex;
 
-/// log2 of the stripe count of a store built for more than one worker:
-/// 64 mutex stripes per concurrent table. A store for one worker has a
-/// single stripe. Stripe counts are powers of two, so stripe selection
-/// is a mask.
-const SHARED_STRIPE_BITS: u32 = 6;
+/// log2 of the stripe count: 64 mutex stripes per concurrent table (a
+/// power of two, so stripe selection is a mask).
+const STRIPE_BITS: u32 = 6;
+/// Number of lock stripes (and arena shards) per table.
+const STRIPES: usize = 1 << STRIPE_BITS;
+/// Bits of an id left to the in-shard index.
+const INDEX_BITS: u32 = u32::BITS - STRIPE_BITS;
 
 /// log2 of the per-stripe probe-table size: 4096 slots × 8 B = 32 KiB
-/// per stripe, so 32 KiB for a one-worker store and 2 MiB for a
-/// 64-stripe one — a fixed cache overhead, deliberately *excluded* from
-/// [`SharedTddStore::bytes_used`] (it neither grows with the workload
-/// nor is reclaimed before the store drops).
+/// per stripe, 2 MiB per store — a fixed cache overhead, deliberately
+/// *excluded* from [`SharedTddStore::bytes_used`] (it neither grows with
+/// the workload nor is reclaimed before the store drops).
 const PROBE_BITS: u32 = 12;
 /// Slots in each stripe's lock-free probe table.
 const PROBE_SLOTS: usize = 1 << PROBE_BITS;
 
-/// Packs a `(shard, index)` pair into an id of a store with
-/// `2^stripe_bits` stripes: the shard takes the high `stripe_bits` bits
-/// and the index every other bit (all 32 at one stripe).
+/// Packs a `(shard, index)` pair into an id: the shard takes the high
+/// [`STRIPE_BITS`] bits and the index the low [`INDEX_BITS`].
 ///
 /// # Panics
 ///
 /// Panics if `index` does not fit its bits — the shard is full. Only
 /// insertions pack ids, so reads never pay for the check.
 #[inline]
-fn encode(stripe_bits: u32, shard: usize, index: usize) -> u32 {
-    let index_bits = u32::BITS - stripe_bits;
+fn encode(shard: usize, index: usize) -> u32 {
     assert!(
-        (index as u64) >> index_bits == 0,
-        "arena shard full: index {index} needs more than {index_bits} bits"
+        index >> INDEX_BITS == 0,
+        "arena shard full: index {index} needs more than {INDEX_BITS} bits"
     );
-    (((shard as u64) << index_bits) | index as u64) as u32
+    ((shard << INDEX_BITS) | index) as u32
 }
 
-/// Unpacks an id of a store with `2^stripe_bits` stripes into its
-/// `(shard, index)` pair.
+/// Unpacks an id into its `(shard, index)` pair.
 #[inline]
-fn decode(stripe_bits: u32, id: u32) -> (usize, usize) {
-    let index_bits = u32::BITS - stripe_bits;
-    let id = u64::from(id);
+fn decode(id: u32) -> (usize, usize) {
     (
-        (id >> index_bits) as usize,
-        (id & ((1 << index_bits) - 1)) as usize,
+        (id >> INDEX_BITS) as usize,
+        (id & ((1 << INDEX_BITS) - 1)) as usize,
     )
 }
 
 /// log2 of the first arena chunk's capacity.
 const FIRST_BITS: u32 = 10;
-/// Spine length: chunk sizes double (1024, 1024, 2048, …), so 23 chunks
-/// cover the 2^32 indices of a one-stripe shard.
-const SPINE: usize = 23;
+/// Spine length: chunk `c` holds `2^(10 + c)` slots, so 17 chunks cover
+/// the 2^26 indices of a shard.
+const SPINE: usize = 17;
 
 /// One lazily-allocated chunk of arena slots.
 type Chunk<T> = Box<[UnsafeCell<MaybeUninit<T>>]>;
@@ -314,14 +310,14 @@ impl NodeStripe {
         }
     }
 
-    /// The probe slot and tag for a key hash in a store with
-    /// `2^stripe_bits` stripes. The slot skips the low `stripe_bits`
-    /// bits (they are constant within a stripe) and the tag takes the
-    /// high 32, so slot and tag are nearly independent.
+    /// The probe slot and tag for a key hash. The slot skips the low
+    /// [`STRIPE_BITS`] bits (they select the stripe, so are constant
+    /// within it) and the tag takes the high 32, so slot and tag are
+    /// nearly independent.
     #[inline]
-    fn probe_coords(stripe_bits: u32, hash: u64) -> (usize, u32) {
+    fn probe_coords(hash: u64) -> (usize, u32) {
         (
-            ((hash >> stripe_bits) as usize) & (PROBE_SLOTS - 1),
+            ((hash >> STRIPE_BITS) as usize) & (PROBE_SLOTS - 1),
             (hash >> 32) as u32,
         )
     }
@@ -337,8 +333,7 @@ impl NodeStripe {
 /// worker managers of one parallel run.
 ///
 /// Create one per run with [`SharedTddStore::new`] (or
-/// [`SharedTddStore::with_tolerance`]), sized for the workers that will
-/// attach, and hand clones of the `Arc` to
+/// [`SharedTddStore::with_tolerance`]) and hand clones of the `Arc` to
 /// [`crate::TddManager::new_shared`]. All handles minted by any attached
 /// manager are valid in every other attached manager.
 ///
@@ -348,7 +343,7 @@ impl NodeStripe {
 /// use qaec_math::C64;
 /// use qaec_tdd::{SharedTddStore, TddManager};
 ///
-/// let store = SharedTddStore::new(2);
+/// let store = SharedTddStore::new();
 /// let mut a = TddManager::new_shared(&store);
 /// let mut b = TddManager::new_shared(&store);
 /// let ea = {
@@ -369,10 +364,6 @@ impl NodeStripe {
 pub struct SharedTddStore {
     /// The merging radius the attached managers glue weights within.
     tol: f64,
-    /// log2 of the stripe count: 0 for a one-worker store,
-    /// [`SHARED_STRIPE_BITS`] otherwise. Fixed for the store's life and
-    /// passed on to its successors.
-    stripe_bits: u32,
     /// One node arena shard per stripe, pushed under that stripe's lock.
     nodes: Vec<AppendArena<NodeEntry>>,
     node_stripes: Vec<NodeStripe>,
@@ -410,47 +401,36 @@ impl std::fmt::Debug for SharedTddStore {
 }
 
 impl SharedTddStore {
-    /// A shared store for `workers` concurrent managers, with the default
-    /// weight tolerance (`1e-10`), matching [`crate::TddManager::new`].
-    ///
-    /// A store for one worker (`workers ≤ 1`) has one stripe; a store
-    /// for more has 64. Any number of managers may attach either way —
-    /// the count only sizes the lock striping — and values are
-    /// bit-identical across stripe layouts.
-    pub fn new(workers: usize) -> Arc<Self> {
-        Self::with_tolerance(1e-10, workers)
+    /// A shared store with the default weight tolerance (`1e-10`),
+    /// matching [`crate::TddManager::new`].
+    pub fn new() -> Arc<Self> {
+        Self::with_tolerance(1e-10)
     }
 
-    /// A shared store for `workers` concurrent managers with a custom
-    /// weight tolerance.
+    /// A shared store with a custom weight tolerance.
     ///
     /// # Panics
     ///
     /// Panics if `tol` is not strictly positive and finite.
-    pub fn with_tolerance(tol: f64, workers: usize) -> Arc<Self> {
+    pub fn with_tolerance(tol: f64) -> Arc<Self> {
         assert!(tol > 0.0 && tol.is_finite(), "tolerance must be positive");
-        let stripe_bits = if workers > 1 { SHARED_STRIPE_BITS } else { 0 };
-        Self::build(tol, stripe_bits, StoreEpoch::default(), 0, 0)
+        Self::build(tol, StoreEpoch::default(), 0, 0)
     }
 
-    /// The shared constructor: a fresh store of `2^stripe_bits` stripes
-    /// carrying `base` counter offsets from a retired predecessor (all
-    /// zero for a first store).
+    /// The shared constructor: a fresh store carrying `base` counter
+    /// offsets from a retired predecessor (all zero for a first store).
     fn build(
         tol: f64,
-        stripe_bits: u32,
         base: StoreEpoch,
         base_peak_nodes: usize,
         peak_bytes_seed: usize,
     ) -> Arc<Self> {
-        let stripes = 1usize << stripe_bits;
         let store = SharedTddStore {
             tol,
-            stripe_bits,
-            nodes: (0..stripes).map(|_| AppendArena::new()).collect(),
-            node_stripes: (0..stripes).map(|_| NodeStripe::new()).collect(),
-            weights: (0..stripes).map(|_| AppendArena::new()).collect(),
-            exact_stripes: (0..stripes)
+            nodes: (0..STRIPES).map(|_| AppendArena::new()).collect(),
+            node_stripes: (0..STRIPES).map(|_| NodeStripe::new()).collect(),
+            weights: (0..STRIPES).map(|_| AppendArena::new()).collect(),
+            exact_stripes: (0..STRIPES)
                 .map(|_| Mutex::new(FxHashMap::default()))
                 .collect(),
             elim_sets: AppendArena::new(),
@@ -490,16 +470,10 @@ impl SharedTddStore {
         self.tol
     }
 
-    /// Number of lock stripes (and arena shards) per table: 1 for a
-    /// store built for one worker, 64 otherwise.
-    pub fn stripes(&self) -> usize {
-        1 << self.stripe_bits
-    }
-
     /// The stripe of a key hash.
     #[inline]
     fn stripe_of_hash(&self, hash: u64) -> usize {
-        (hash as usize) & (self.stripes() - 1)
+        (hash as usize) & (STRIPES - 1)
     }
 
     /// The stripe of a hashable key (Fx-hashed: these tables see no
@@ -546,11 +520,10 @@ impl SharedTddStore {
     /// stores for compact successors (see [`Self::successor`] and
     /// [`Self::compact`]), so the per-store number can step down across
     /// a swap while [`Self::peak_bytes_used`] keeps the high-water mark.
-    /// The fixed-size probe tables (32 KiB per stripe: 32 KiB for a
-    /// one-worker store, 2 MiB for 64 stripes) are deliberately
-    /// excluded: they neither grow with the workload nor free before the
-    /// store drops, and the service layer's byte budget meters workload
-    /// growth.
+    /// The fixed-size probe tables (32 KiB per stripe, 2 MiB per store)
+    /// are deliberately excluded: they neither grow with the workload
+    /// nor free before the store drops, and the service layer's byte
+    /// budget meters workload growth.
     pub fn bytes_used(&self) -> usize {
         let map_bytes = |capacity: usize, entry: usize| capacity * (entry + 1);
         let mut bytes = 0usize;
@@ -705,7 +678,7 @@ impl SharedTddStore {
         if let Some(&id) = stripe.get(&key) {
             return id;
         }
-        let id = WeightId(encode(self.stripe_bits, shard, self.weights[shard].push(z)));
+        let id = WeightId(encode(shard, self.weights[shard].push(z)));
         stripe.insert(key, id);
         id
     }
@@ -713,7 +686,7 @@ impl SharedTddStore {
     /// The value behind a weight handle (lock-free).
     #[inline]
     pub(crate) fn weight_value(&self, w: WeightId) -> C64 {
-        let (shard, index) = decode(self.stripe_bits, w.0);
+        let (shard, index) = decode(w.0);
         *self.weights[shard].get(index)
     }
 
@@ -733,14 +706,14 @@ impl SharedTddStore {
         let hash = fxhash::hash_one(&key);
         let shard = self.stripe_of_hash(hash);
         let stripe = &self.node_stripes[shard];
-        let (slot, tag) = NodeStripe::probe_coords(self.stripe_bits, hash);
+        let (slot, tag) = NodeStripe::probe_coords(hash);
         // ordering: Acquire pairs with the Release publication below — a
         // non-zero slot implies the publisher's arena push (and its release
         // of `len`) happened-before, so `get` below cannot miss the entry.
         let seen = stripe.probe[slot].load(Ordering::Acquire);
         if seen != 0 && (seen >> 32) as u32 == tag {
             let id = NodeId(seen as u32);
-            let (s, index) = decode(self.stripe_bits, id.0);
+            let (s, index) = decode(id.0);
             let entry = self.nodes[s].get(index);
             if entry.node == key {
                 // ordering: Relaxed — statistics counters; nothing reads
@@ -758,7 +731,7 @@ impl SharedTddStore {
             Some(&id) => {
                 // ordering: Relaxed — statistics counters (see fast path).
                 stripe.hits.fetch_add(1, Ordering::Relaxed);
-                let (s, index) = decode(self.stripe_bits, id.0);
+                let (s, index) = decode(id.0);
                 if self.nodes[s].get(index).creator != worker {
                     // ordering: Relaxed — statistics counter.
                     stripe.cross_hits.fetch_add(1, Ordering::Relaxed);
@@ -771,7 +744,6 @@ impl SharedTddStore {
             }
             None => {
                 let id = NodeId(encode(
-                    self.stripe_bits,
                     shard,
                     self.nodes[shard].push(NodeEntry {
                         node: key,
@@ -791,7 +763,7 @@ impl SharedTddStore {
     /// The node behind an id (lock-free).
     #[inline]
     pub(crate) fn node(&self, n: NodeId) -> Node {
-        let (shard, index) = decode(self.stripe_bits, n.0);
+        let (shard, index) = decode(n.0);
         self.nodes[shard].get(index).node
     }
 
@@ -816,8 +788,8 @@ impl SharedTddStore {
     /// An empty successor store for epoch-based reclamation with **no**
     /// live roots — the sweep-point boundary case, where every result
     /// has been extracted as plain numbers and nothing in the arenas is
-    /// reachable any more. The successor inherits this store's stripe
-    /// count, cumulative counters, peak occupancy and peak bytes, so
+    /// reachable any more. The successor inherits this store's
+    /// cumulative counters, peak occupancy and peak bytes, so
     /// epochs, session statistics and high-water marks remain
     /// continuous; the retired store's arenas free when its last `Arc`
     /// drops.
@@ -831,8 +803,7 @@ impl SharedTddStore {
 
     /// Epoch-based reclamation with live roots: migrates exactly the
     /// sub-diagrams reachable from `roots` into a fresh successor store
-    /// of the same stripe count and returns the successor plus the
-    /// remapped roots (in order).
+    /// and returns the successor plus the remapped roots (in order).
     /// Everything unreachable — dead intermediate nodes, weights only
     /// they referenced, the find-or-insert maps' dead entries — is
     /// retired with the old store once its last `Arc` drops.
@@ -872,7 +843,6 @@ impl SharedTddStore {
         };
         let next = Self::build(
             self.tol,
-            self.stripe_bits,
             base,
             self.base_peak_nodes.max(self.arena_len()),
             self.peak_bytes_used(),
@@ -926,7 +896,7 @@ impl SharedTddStore {
         let low = self.migrate_edge(next, old.low, weight_map, node_map);
         let high = self.migrate_edge(next, old.high, weight_map, node_map);
         let creator = {
-            let (shard, index) = decode(self.stripe_bits, id.0);
+            let (shard, index) = decode(id.0);
             self.nodes[shard].get(index).creator
         };
         let mapped = next.unique_node(
@@ -949,36 +919,20 @@ mod tests {
 
     #[test]
     fn id_encoding_round_trips() {
-        for stripe_bits in [0, SHARED_STRIPE_BITS] {
-            let last = (1usize << stripe_bits) - 1;
-            let largest = (u32::MAX >> stripe_bits) as usize;
-            for (shard, index) in [
-                (0, 0),
-                (0, 1),
-                (last, 5),
-                (last / 2, 12345),
-                (0, largest),
-                (last, largest),
-            ] {
-                let id = encode(stripe_bits, shard, index);
-                assert_eq!(decode(stripe_bits, id), (shard, index), "{stripe_bits}");
-            }
-            assert_eq!(encode(stripe_bits, 0, 0), 0, "terminal/zero must stay id 0");
-            assert_eq!(
-                encode(stripe_bits, 0, 1),
-                1,
-                "the unit weight must stay id 1"
-            );
+        let largest = (1usize << INDEX_BITS) - 1;
+        for (shard, index) in [
+            (0, 0),
+            (0, 1),
+            (STRIPES - 1, 5),
+            (STRIPES / 2, 12345),
+            (0, largest),
+            (STRIPES - 1, largest),
+        ] {
+            assert_eq!(decode(encode(shard, index)), (shard, index));
         }
-        // One stripe gives the index all 32 bits; 64 stripes leave it 26.
-        assert_eq!(encode(0, 0, u32::MAX as usize), u32::MAX);
-        assert_eq!(decode(SHARED_STRIPE_BITS, u32::MAX), (63, (1 << 26) - 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "arena shard full")]
-    fn encode_panics_past_one_stripe_capacity() {
-        encode(0, 0, 1 << 32);
+        assert_eq!(encode(0, 0), 0, "terminal/zero must stay id 0");
+        assert_eq!(encode(0, 1), 1, "the unit weight must stay id 1");
+        assert_eq!(decode(u32::MAX), (63, (1 << 26) - 1));
     }
 
     #[test]
@@ -986,24 +940,7 @@ mod tests {
     fn encode_panics_past_64_stripe_capacity() {
         // Index 2^26 would carry into the shard bits: id (63, 2^26)
         // would decode as shard 0 once the shard bits wrapped.
-        encode(SHARED_STRIPE_BITS, 63, 1 << 26);
-    }
-
-    #[test]
-    fn stripe_count_follows_the_workers_and_survives_reclamation() {
-        for (workers, stripes) in [(0, 1), (1, 1), (2, 64), (4, 64)] {
-            let store = SharedTddStore::new(workers);
-            assert_eq!(store.stripes(), stripes, "{workers} workers");
-            let w = store.register_worker();
-            let root = sample_root(&store, w);
-            let (next, remapped) = store.compact(&[root]);
-            assert_eq!(next.stripes(), stripes, "compact keeps the stripe count");
-            assert_eq!(next.successor().stripes(), stripes, "and so does successor");
-            let (mut old_print, mut new_print) = (Vec::new(), Vec::new());
-            fingerprint(&store, root, &mut old_print);
-            fingerprint(&next, remapped[0], &mut new_print);
-            assert_eq!(old_print, new_print);
-        }
+        encode(63, 1 << 26);
     }
 
     #[test]
@@ -1015,8 +952,8 @@ mod tests {
         assert_eq!(locate(3072), (2, 0));
         assert_eq!(locate(7167), (2, 4095));
         assert_eq!(locate(7168), (3, 0));
-        // The spine covers the whole index space of a one-stripe shard.
-        let (chunk, _) = locate(u32::MAX as usize);
+        // The spine covers the whole index space of a shard.
+        let (chunk, _) = locate((1 << INDEX_BITS) - 1);
         assert_eq!(chunk, SPINE - 1);
     }
 
@@ -1056,7 +993,7 @@ mod tests {
         // Hammer the store from several threads with overlapping values:
         // every thread must resolve each value to one id and one stored
         // representative.
-        let store = SharedTddStore::new(4);
+        let store = SharedTddStore::new();
         let ids: Vec<Vec<WeightId>> = std::thread::scope(|scope| {
             (0..4)
                 .map(|_| {
@@ -1080,7 +1017,7 @@ mod tests {
 
     #[test]
     fn zero_and_one_stay_exact() {
-        let store = SharedTddStore::new(1);
+        let store = SharedTddStore::new();
         // The exact map does not snap values near zero; managers do.
         let mut m = TddManager::new_shared(&store);
         assert_eq!(m.intern_weight(C64::ZERO), WeightId::ZERO);
@@ -1092,7 +1029,7 @@ mod tests {
 
     #[test]
     fn exact_interning_is_pure_and_bit_preserving() {
-        let store = SharedTddStore::new(1);
+        let store = SharedTddStore::new();
         let z = C64::new(0.1 + 0.2, -0.3); // bits deliberately inexact
         let a = store.intern_weight_exact(z);
         let b = store.intern_weight_exact(z);
@@ -1107,7 +1044,7 @@ mod tests {
 
     #[test]
     fn compact_migrates_exact_weights_through_the_exact_family() {
-        let store = SharedTddStore::new(1);
+        let store = SharedTddStore::new();
         let z = C64::new(0.1 + 0.2, -0.3);
         let root = Edge {
             node: NodeId::TERMINAL,
@@ -1122,7 +1059,7 @@ mod tests {
 
     #[test]
     fn elim_sets_are_globally_consistent() {
-        let store = SharedTddStore::new(1);
+        let store = SharedTddStore::new();
         let a = store.intern_elim_set(vec![1, 4, 9]);
         let b = store.intern_elim_set(vec![1, 4, 9]);
         let c = store.intern_elim_set(vec![1, 4]);
@@ -1133,7 +1070,7 @@ mod tests {
 
     #[test]
     fn epochs_fence_statistics_between_runs() {
-        let store = SharedTddStore::new(1);
+        let store = SharedTddStore::new();
         let w = store.register_worker();
         let node = |k: u32, low: WeightId| Node {
             var: k,
@@ -1174,7 +1111,7 @@ mod tests {
 
     #[test]
     fn bytes_used_is_monotone_and_tracks_growth() {
-        let store = SharedTddStore::new(1);
+        let store = SharedTddStore::new();
         let baseline = store.bytes_used();
         // A fresh store already holds the sentinel chunks (node shard 0,
         // weight shard 0) — the floor a budget has to stay above.
@@ -1202,7 +1139,7 @@ mod tests {
 
     #[test]
     fn cross_worker_hits_are_attributed() {
-        let store = SharedTddStore::new(2);
+        let store = SharedTddStore::new();
         let w0 = store.register_worker();
         let w1 = store.register_worker();
         let one = WeightId::ONE;
@@ -1283,14 +1220,8 @@ mod tests {
     #[test]
     fn probe_fast_path_agrees_with_the_map() {
         // Re-find the same keys many times: every id must be stable and
-        // the hit counters exact, whichever path served the lookup, at
-        // either stripe layout.
-        for workers in [1, 4] {
-            probe_round_trip(&SharedTddStore::new(workers));
-        }
-    }
-
-    fn probe_round_trip(store: &SharedTddStore) {
+        // the hit counters exact, whichever path served the lookup.
+        let store = SharedTddStore::new();
         let w = store.register_worker();
         let half = store.intern_weight_exact(C64::real(0.5));
         let key = |k: u32| Node {
@@ -1317,7 +1248,7 @@ mod tests {
 
     #[test]
     fn successor_keeps_counters_and_peaks_continuous() {
-        let store = SharedTddStore::new(1);
+        let store = SharedTddStore::new();
         let w = store.register_worker();
         let root = sample_root(&store, w);
         let _again = sample_root(&store, w); // re-finds: hits
@@ -1346,7 +1277,7 @@ mod tests {
 
     #[test]
     fn compact_migrates_live_roots_bit_exactly() {
-        let store = SharedTddStore::new(1);
+        let store = SharedTddStore::new();
         let w = store.register_worker();
         let root = sample_root(&store, w);
         // Garbage the compaction must drop: nodes unreachable from root.
@@ -1401,7 +1332,7 @@ mod tests {
 
     #[test]
     fn peak_bytes_survive_a_swap_chain() {
-        let store = SharedTddStore::new(1);
+        let store = SharedTddStore::new();
         for k in 0..4000 {
             store.intern_weight_exact(C64::new(k as f64 * 0.25, 1.0));
         }

@@ -8,8 +8,10 @@
 //! unique-table and computed-table keys exact and cheap to hash.
 //!
 //! The tolerance rule itself lives in one place, `ToleranceIndex`: the
-//! private table and the shared store's scoped glue (see
-//! `crate::manager`) both find representatives through it.
+//! private table and the scoped glue (see `crate::manager`) both find
+//! representatives through it. The scoped rule's per-scope state is one
+//! type, `WeightScope`, whichever store keeps the exact-bits ids behind
+//! it: an owned store's map or the shared store's striped ones.
 
 use crate::fxhash::FxHashMap;
 use qaec_math::C64;
@@ -117,6 +119,15 @@ impl WeightTable {
         })
     }
 
+    /// Appends `z` under the next id without consulting the tolerance
+    /// index: the arena of an owned store, whose exact-bits ids key the
+    /// values themselves (see `crate::manager`).
+    pub(crate) fn push(&mut self, z: C64) -> WeightId {
+        let id = WeightId(self.values.len() as u32);
+        self.values.push(z);
+        id
+    }
+
     /// Interned product `a·b`.
     pub fn mul(&mut self, a: WeightId, b: WeightId) -> WeightId {
         if a.is_zero() || b.is_zero() {
@@ -192,6 +203,65 @@ impl WeightTable {
     /// store's byte accounting.
     pub fn bytes_used(&self) -> usize {
         self.values.capacity() * std::mem::size_of::<C64>() + self.index.bytes_used()
+    }
+}
+
+/// The exact bit pattern of a value: the key of exact-bits interning.
+#[inline]
+pub(crate) fn exact_bits(z: C64) -> (u64, u64) {
+    (z.re.to_bits(), z.im.to_bits())
+}
+
+/// The per-scope half of the scoped rule, which owned and shared stores
+/// both apply: within one weight scope (one leaf conversion, one plan
+/// step) the first value seen in a tolerance neighbourhood becomes its
+/// representative, and each representative interns store-wide by exact
+/// bits. A value resolves in three tiers: the scope memo (its exact bits
+/// seen before in this scope), then the tolerance index, then — for a
+/// new representative — the store's exact-bits ids. [`Self::clear`]
+/// empties the first two at every scope boundary; the third is the
+/// store's, so equal bits get one id across scopes (and, on a shared
+/// store, across managers). Each scope is a pure function of its operand
+/// values, so results are bit-identical whatever the schedule, the
+/// thread count or the store kind.
+#[derive(Clone, Debug)]
+pub(crate) struct WeightScope {
+    /// The scope's representatives.
+    glue: ToleranceIndex,
+    /// Exact bits already resolved in this scope.
+    resolved: FxHashMap<(u64, u64), WeightId>,
+}
+
+impl WeightScope {
+    /// An empty scope merging within `tol`.
+    pub(crate) fn new(tol: f64) -> Self {
+        WeightScope {
+            glue: ToleranceIndex::new(tol),
+            resolved: FxHashMap::default(),
+        }
+    }
+
+    /// Opens a fresh scope, keeping the allocated capacity.
+    pub(crate) fn clear(&mut self) {
+        self.glue.clear();
+        self.resolved.clear();
+    }
+
+    /// The id of `z` in this scope: `exact` interns a new
+    /// representative's bits store-wide and is called only for one.
+    /// Every id handed out is the store-wide id of its stored bits, so
+    /// id equality is value-bit equality (the id-equality fast paths of
+    /// `wdiv` and `make_node` rely on this).
+    #[inline]
+    pub(crate) fn intern(&mut self, z: C64, exact: impl FnOnce(C64) -> WeightId) -> WeightId {
+        debug_assert!(z.is_finite(), "non-finite weight {z}");
+        if self.glue.is_zero(z) {
+            return WeightId::ZERO;
+        }
+        match self.resolved.entry(exact_bits(z)) {
+            Entry::Occupied(seen) => *seen.get(),
+            Entry::Vacant(slot) => *slot.insert(self.glue.find_or_insert_with(z, || exact(z))),
+        }
     }
 }
 

@@ -2,9 +2,10 @@
 //! agreement and deadline behaviour of the DAG-scheduled contraction.
 //!
 //! The properties under test mirror the Algorithm I engine suite: runs
-//! on the shared store must be **bit-identical** for every thread count
-//! (the scheduler's purity argument), `--threads` must not change what
-//! `check` reports, and deadlines must fire on every worker count.
+//! must be **bit-identical** for every thread count — one thread on an
+//! owned store, more on the shared one (the scheduler's purity
+//! argument) — `--threads` must not change what `check` reports, and
+//! deadlines must fire on every worker count.
 
 use qaec::{
     check_equivalence, fidelity_alg1, fidelity_alg2, AlgorithmChoice, CheckOptions, TermOrder,

@@ -3,7 +3,7 @@
 //!
 //! The acceptance bar (ISSUE 6): cache hits answer bit-identically to
 //! cold compiles, the LRU respects the warm-store byte budget measured
-//! through `SharedTddStore::bytes_used`, a concurrent cold herd
+//! through `CompiledCheck::warm_store_bytes`, a concurrent cold herd
 //! compiles once, and a malformed serve request is a structured JSON
 //! error — never a crash.
 //!

@@ -242,10 +242,10 @@ fn noise_sweep_matches_cold_checks_bitwise() {
                 let cold_verdict = check_equivalence(&ideal, &cold_noisy, eps, &opts)
                     .expect("cold check")
                     .verdict;
-                // Algorithm II's exhaustive sums on the shared store are
-                // bit-deterministic at every thread count, and so is
-                // sequential Algorithm I; parallel Algorithm I drifts
-                // within the interning tolerance.
+                // Algorithm II's exhaustive sums, on the owned store or the
+                // shared one, are bit-deterministic at every thread count,
+                // and so is sequential Algorithm I; parallel Algorithm I
+                // drifts within the interning tolerance.
                 let bit_deterministic = algorithm == AlgorithmChoice::AlgorithmII || threads == 1;
                 if bit_deterministic {
                     assert_eq!(
@@ -281,8 +281,8 @@ fn noise_sweep_matches_cold_checks_bitwise() {
 #[test]
 fn warm_store_stats_are_epoch_fenced_per_point() {
     let (ideal, noisy) = fixture(4, 3);
-    // Algorithm II with the shared store at one worker: deterministic
-    // and warm across the whole batch (reclamation off, whatever the
+    // Algorithm II on its owned store at one worker: deterministic and
+    // warm across the whole batch (reclamation off, whatever the
     // environment sets).
     let compiled = Checker::new(&ideal, &noisy)
         .options(CheckOptions {
@@ -313,12 +313,12 @@ fn warm_store_stats_are_epoch_fenced_per_point() {
     );
 }
 
-/// A one-thread Algorithm II session holds a store sized for one
-/// worker: after `fidelity()` on the smoke fixture its warm footprint is
-/// one stripe's arena chunks and maps, not the ~2 MB that 64 stripes'
-/// first chunks take for the same few hundred nodes.
+/// A one-thread Algorithm II session holds an owned store: after
+/// `fidelity()` on the smoke fixture its warm footprint is the plain
+/// arena and maps of its 796 nodes (45,251 B in a 64-bit build), not the
+/// ~2 MB that a shared store's 64 stripes take for the same nodes.
 #[test]
-fn one_thread_alg2_session_holds_a_one_stripe_store() {
+fn one_thread_alg2_session_holds_an_owned_store() {
     let load = |name: &str| {
         let path = format!("{}/fixtures/smoke/{name}", env!("CARGO_MANIFEST_DIR"));
         qasm::parse(&std::fs::read_to_string(path).expect("read fixture")).expect("parse fixture")

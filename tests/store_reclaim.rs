@@ -1,8 +1,8 @@
 //! Epoch-based store reclamation (`CheckOptions::store_reclaim`) is a
 //! pure memory knob.
 //!
-//! The contract under test: retiring the session's shared store for a
-//! compact successor at quiescent boundaries changes *nothing*
+//! The contract under test: compacting the session's store — owned at
+//! one thread, shared at more — at quiescent boundaries changes *nothing*
 //! observable but the footprint — every sweep fidelity and verdict is
 //! bit-identical with reclamation on, off or auto, at every thread
 //! count; and on a multi-point sweep the reclaim-on peak

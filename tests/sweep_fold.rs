@@ -348,8 +348,9 @@ fn verdicts_sweep_matches_exact_sweep_and_point_by_point_runs() {
 /// single-tensor components (each closed by a `SumOut` step, stitched
 /// by a `Contract`) plus a free loop. Folding the steps that do not
 /// read the varying tensor and resuming from their edges gives the
-/// full run's root and `max_nodes`, bit for bit, at 1 and 4 workers —
-/// for the original tensor and for a replacement over the same indices.
+/// full run's root and `max_nodes`, bit for bit, at 1 worker on an
+/// owned store and 4 on a shared one — for the original tensor and for
+/// a replacement over the same indices.
 #[test]
 fn step_runs_resume_sum_out_plans_with_free_loops_bit_identically() {
     let matrix = |a: f64, b: f64| {
@@ -412,17 +413,19 @@ fn step_runs_resume_sum_out_plans_with_free_loops_bit_identically() {
                 workers,
                 deadline: None,
             };
-            let store = SharedTddStore::new(workers);
-            let full = contract_network_parallel(&store, &full_network, &plan, &order, parallel)
+            let manager = || match workers {
+                1 => TddManager::new_owned(),
+                _ => TddManager::new_shared(&SharedTddStore::new()),
+            };
+            let mut m = manager();
+            let full = contract_network_parallel(&mut m, &full_network, &plan, &order, parallel)
                 .expect("full run");
-            let full_value = TddManager::new_shared(&store)
-                .edge_scalar(full.result.root)
-                .expect("scalar");
+            let full_value = m.edge_scalar(full.result.root).expect("scalar");
 
-            let store = SharedTddStore::new(workers);
+            let mut m = manager();
             let inputs = |slot: usize| &network.tensors()[slot];
             let fold = contract_steps_parallel(
-                &store,
+                &mut m,
                 &plan,
                 &graph,
                 &inputs,
@@ -445,7 +448,7 @@ fn step_runs_resume_sum_out_plans_with_free_loops_bit_identically() {
                 &tensor
             };
             let rest = contract_steps_parallel(
-                &store,
+                &mut m,
                 &plan,
                 &graph,
                 &inputs,
@@ -459,10 +462,8 @@ fn step_runs_resume_sum_out_plans_with_free_loops_bit_identically() {
             )
             .expect("residual");
             let mut stats = rest.stats;
-            let root = scale_free_loops(&store, rest.kept[0], plan.free_loops, &mut stats);
-            let value = TddManager::new_shared(&store)
-                .edge_scalar(root)
-                .expect("scalar");
+            let root = scale_free_loops(&mut m, rest.kept[0], plan.free_loops, &mut stats);
+            let value = m.edge_scalar(root).expect("scalar");
             assert_eq!(value.re.to_bits(), full_value.re.to_bits(), "w{workers}");
             assert_eq!(value.im.to_bits(), full_value.im.to_bits(), "w{workers}");
             assert_eq!(
