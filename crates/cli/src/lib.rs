@@ -108,7 +108,7 @@ pub struct CliOptions {
     /// Worker threads (`--threads`): Algorithm I / Monte Carlo terms,
     /// Algorithm II plan steps.
     pub threads: usize,
-    /// Shared-store reclamation at quiescent boundaries
+    /// Algorithm II store reclamation at quiescent boundaries
     /// (`--store-reclaim`).
     pub store_reclaim: StoreReclaimMode,
     /// MPO singular-value truncation threshold (`--svd-threshold`;
@@ -214,8 +214,9 @@ OPTIONS:
                                trace terms (composes with --epsilon
                                early termination), Algorithm II runs
                                independent contraction-plan steps.
-                               Algorithm II runs on one shared TDD
-                               store and is bit-identical at any count;
+                               Algorithm II contracts on an owned TDD
+                               store at 1, on one shared store at more,
+                               and is bit-identical at any count;
                                Algorithm I / MC workers keep private
                                managers, take the same decisions and
                                agree within the interning tolerance
@@ -226,15 +227,16 @@ OPTIONS:
     --lanes <n>                accepted, no effect (the retired
                                multi-lane sweep width)
     --store-reclaim <on|off|auto>
-                               retire shared-store arenas at quiescent
+                               compact an Algorithm II session's TDD
+                               store to what it still holds at quiescent
                                boundaries (between sweep points / serve
-                               queries): on reclaims at every boundary,
-                               auto only once the store passes a size
-                               threshold, off never (the bit-exact
-                               escape hatch — though reclamation itself
-                               is value-transparent, results are
-                               bit-identical either way; default:
-                               QAEC_STORE_RECLAIM env var, else auto)
+                               queries): on at every boundary, auto
+                               once its payload reaches 256 KiB at
+                               --threads 1 or 16 MiB at more, off never
+                               (reclamation is value-transparent:
+                               results are bit-identical either way;
+                               default: QAEC_STORE_RECLAIM env var,
+                               else auto)
     --seed-cache <on|off>      accepted, no effect (the retired
                                cross-worker contraction-cache seeding)
     --svd-threshold <t>        MPO (algorithm mpo only): discard

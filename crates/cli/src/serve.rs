@@ -600,6 +600,7 @@ fn render_stats(id: &Option<String>, stats: &ServiceStats) -> String {
         .int("sessions", stats.sessions as u64)
         .int("store_bytes", stats.store_bytes)
         .int("peak_store_bytes", stats.peak_store_bytes)
+        .int("reclaims", stats.reclaims)
         .render()
 }
 

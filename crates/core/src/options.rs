@@ -1,5 +1,6 @@
 //! Configuration of the equivalence checker.
 
+use qaec_tdd::TddManager;
 use qaec_tensornet::Strategy;
 use std::time::Instant;
 
@@ -70,9 +71,12 @@ pub enum SharedTableMode {
 /// unconditional.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StoreReclaimMode {
-    /// Reclaim when the store's payload passes a size threshold
-    /// (~16 MiB): small sessions keep their warm store intact, big
-    /// sweeps stop peaking at full-arena memory. The default.
+    /// Reclaim once the store's payload reaches its kind's budget
+    /// ([`TddManager::reclaim_budget`]): 256 KiB for the owned store of
+    /// a one-thread session, 16 MiB for a shared store. Small sessions
+    /// keep their warm store intact; a sweep whose points outgrow the
+    /// budget returns to the fold's frontier at each boundary instead
+    /// of holding every point's nodes and weights. The default.
     #[default]
     Auto,
     /// Reclaim at every quiescent boundary — minimal footprint, no
@@ -83,18 +87,14 @@ pub enum StoreReclaimMode {
     Off,
 }
 
-/// The `Auto` reclamation trigger: retire the store once its payload
-/// arenas pass this many bytes.
-pub(crate) const RECLAIM_AUTO_THRESHOLD_BYTES: usize = 16 << 20;
-
 impl StoreReclaimMode {
-    /// Whether a store whose payload measures `approx_bytes` should be
-    /// retired at the current quiescent boundary.
-    pub fn should_reclaim(self, approx_bytes: usize) -> bool {
+    /// Whether `manager`'s store should be compacted at the current
+    /// quiescent boundary.
+    pub fn should_reclaim(self, manager: &TddManager) -> bool {
         match self {
             StoreReclaimMode::On => true,
             StoreReclaimMode::Off => false,
-            StoreReclaimMode::Auto => approx_bytes >= RECLAIM_AUTO_THRESHOLD_BYTES,
+            StoreReclaimMode::Auto => manager.approx_data_bytes() >= manager.reclaim_budget(),
         }
     }
 }
@@ -183,8 +183,8 @@ pub struct CheckOptions {
     /// no longer has, stay valid. Default: 8.
     pub sweep_lanes: usize,
     /// When an Algorithm II session compacts its store, owned or shared
-    /// (default: [`StoreReclaimMode::Auto`] — once the store passes
-    /// ~16 MiB of payload — overridable via the
+    /// (default: [`StoreReclaimMode::Auto`] — once the store's payload
+    /// reaches 256 KiB owned or 16 MiB shared — overridable via the
     /// `QAEC_STORE_RECLAIM` environment variable). Bit-transparent:
     /// every result is identical with reclamation on, off or auto.
     pub store_reclaim: StoreReclaimMode,
@@ -289,12 +289,34 @@ mod tests {
         assert_eq!(o.sweep_lanes, 8);
     }
 
+    /// `Auto`'s budget follows the store kind: 256 KiB for the owned
+    /// store a one-thread session contracts on, 16 MiB for the shared
+    /// store of `threads > 1`. An owned store compacts once its payload
+    /// reaches the budget, not before.
+    #[test]
+    fn auto_reclaim_budget_is_256_kib_owned_and_16_mib_shared() {
+        let shared = crate::alg2::manager(2);
+        assert!(shared.is_shared());
+        assert_eq!(shared.reclaim_budget(), 16 << 20);
+        assert!(!StoreReclaimMode::Auto.should_reclaim(&shared));
+
+        let mut owned = crate::alg2::manager(1);
+        assert!(!owned.is_shared());
+        assert_eq!(owned.reclaim_budget(), 256 << 10);
+        owned.begin_weight_scope();
+        let mut value = 0.0;
+        while owned.approx_data_bytes() < owned.reclaim_budget() {
+            assert!(!StoreReclaimMode::Auto.should_reclaim(&owned));
+            value += 1.0;
+            owned.terminal(qaec_math::C64::real(value));
+        }
+        assert!(StoreReclaimMode::Auto.should_reclaim(&owned));
+        assert!(StoreReclaimMode::On.should_reclaim(&shared));
+        assert!(!StoreReclaimMode::Off.should_reclaim(&owned));
+    }
+
     #[test]
     fn store_reclaim_resolution() {
-        assert!(StoreReclaimMode::On.should_reclaim(0));
-        assert!(!StoreReclaimMode::Off.should_reclaim(usize::MAX));
-        assert!(!StoreReclaimMode::Auto.should_reclaim(0));
-        assert!(StoreReclaimMode::Auto.should_reclaim(RECLAIM_AUTO_THRESHOLD_BYTES));
         // Unless the env override is active, the default is Auto; the
         // CI reclamation leg forces on/off for the whole suite.
         let expected = match std::env::var("QAEC_STORE_RECLAIM").as_deref() {

@@ -238,20 +238,25 @@ pub struct ServiceStats {
     /// carried across reclamation swaps, so this reports true peaks
     /// even after stores stepped down; never below `store_bytes`).
     pub peak_store_bytes: u64,
+    /// Store compactions the cached sessions have run
+    /// ([`crate::CompiledCheck::store_reclaims`], summed; an evicted
+    /// session's count leaves with it).
+    pub reclaims: u64,
 }
 
 impl fmt::Display for ServiceStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} hits, {} misses, {} compiles, {} evictions; {} session(s) holding {} B (peak {} B)",
+            "{} hits, {} misses, {} compiles, {} evictions; {} session(s) holding {} B (peak {} B, {} reclaims)",
             self.hits,
             self.misses,
             self.compiles,
             self.evictions,
             self.sessions,
             self.store_bytes,
-            self.peak_store_bytes
+            self.peak_store_bytes,
+            self.reclaims
         )
     }
 }
@@ -282,6 +287,13 @@ impl Slot {
         self.cell
             .get()
             .map_or((0, 0), |cell| StoreCell::footprint(&cell.stores))
+    }
+
+    /// The compactions the session's stores have run.
+    fn reclaims(&self) -> u64 {
+        self.cell
+            .get()
+            .map_or(0, |cell| StoreCell::reclaims(&cell.stores))
     }
 }
 
@@ -469,6 +481,7 @@ impl Service {
             sessions: cache.entries.len(),
             store_bytes: store_bytes as u64,
             peak_store_bytes: peak_store_bytes as u64,
+            reclaims: cache.entries.values().map(|e| e.slot.reclaims()).sum(),
         }
     }
 

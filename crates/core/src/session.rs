@@ -50,12 +50,13 @@
 //! **epoch-based store reclamation** ([`crate::StoreReclaimMode`], the
 //! `store_reclaim` knob): the session compacts its store
 //! ([`TddManager::compact`]) with the frontier as its roots — always
-//! (`On`), past a size threshold (`Auto`, the default) or never
-//! (`Off`) — bounding a long session's footprint without moving a
-//! result bit.
+//! (`On`), once the store's payload reaches its kind's budget (`Auto`,
+//! the default: 256 KiB owned, 16 MiB shared) or never (`Off`) —
+//! bounding a long session's footprint without moving a result bit.
 //! [`CompiledCheck::warm_store_bytes`] reports the footprint,
 //! [`CompiledCheck::warm_store_peak_bytes`] the high-water mark across
-//! compactions, both as of the last quiescent boundary.
+//! compactions, both as of the last quiescent boundary, and
+//! [`CompiledCheck::store_reclaims`] the number of compactions.
 //!
 //! The free functions remain as thin wrappers over a single-query
 //! session, with identical results and error precedence.
@@ -132,6 +133,8 @@ struct Cell {
     bytes: AtomicUsize,
     /// Its high-water mark, across reclamation swaps.
     peak_bytes: AtomicUsize,
+    /// Compactions run so far.
+    reclaims: AtomicUsize,
 }
 
 /// The manager a session's queries run on and the fold built on its
@@ -148,6 +151,7 @@ impl StoreCell {
         StoreCell(Arc::new(Cell {
             bytes: AtomicUsize::new(bytes),
             peak_bytes: AtomicUsize::new(peak),
+            reclaims: AtomicUsize::new(0),
             warm: Mutex::new(Warm {
                 manager,
                 fold: None,
@@ -157,12 +161,12 @@ impl StoreCell {
 
     /// Runs one query on the session's manager and fold, holding the
     /// store throughout. Then, at the quiescent boundary, reclaims when
-    /// `mode` says so — [`TddManager::compact`] with the fold's frontier
-    /// as roots, keeping only the frontier, remapped — and publishes the
-    /// footprint. Reclamation is value-transparent (interning is pure,
-    /// no engine value depends on an id, and the frontier migrates
-    /// bit-exactly), so results are bit-identical whether or when swaps
-    /// happen.
+    /// `mode` says so for this store's kind — [`TddManager::compact`]
+    /// with the fold's frontier as roots, keeping only the frontier,
+    /// remapped — counts the compaction and publishes the footprint.
+    /// Reclamation is value-transparent (interning is pure, no engine
+    /// value depends on an id, and the frontier migrates bit-exactly),
+    /// so results are bit-identical whether or when swaps happen.
     fn run<T>(
         &self,
         mode: StoreReclaimMode,
@@ -171,10 +175,12 @@ impl StoreCell {
         let mut warm = self.0.warm.lock().expect("store cell poisoned");
         let Warm { manager, fold } = &mut *warm;
         let result = query(manager, fold);
-        if mode.should_reclaim(manager.approx_data_bytes()) {
+        if mode.should_reclaim(manager) {
             let mut no_roots = Vec::new();
             let frontier = fold.as_mut().map_or(&mut no_roots, Alg2Fold::frontier_mut);
             *frontier = manager.compact(frontier);
+            // ordering: Relaxed — a statistics counter (see `publish`).
+            self.0.reclaims.fetch_add(1, Ordering::Relaxed);
         }
         self.publish(manager);
         result
@@ -201,6 +207,15 @@ impl StoreCell {
                 peak + cell.0.peak_bytes.load(Ordering::Relaxed),
             )
         })
+    }
+
+    /// The compactions `cells` have run, summed. Takes no store.
+    pub(crate) fn reclaims(cells: &[StoreCell]) -> u64 {
+        cells
+            .iter()
+            // ordering: Relaxed — a statistics counter (see `publish`).
+            .map(|cell| cell.0.reclaims.load(Ordering::Relaxed) as u64)
+            .sum()
     }
 }
 
@@ -710,6 +725,13 @@ impl CompiledCheck {
     /// over the session's stores.
     pub fn warm_store_peak_bytes(&self) -> usize {
         StoreCell::footprint(&self.warm_store_cells()).1
+    }
+
+    /// How many times `options.store_reclaim` has compacted the
+    /// session's warm stores, summed over a factorised session's
+    /// components. 0 for sessions without one.
+    pub fn store_reclaims(&self) -> u64 {
+        StoreCell::reclaims(&self.warm_store_cells())
     }
 
     /// Largest intermediate diagram (Table I's `nodes`) of the evaluation

@@ -720,6 +720,20 @@ impl TddManager {
         }
     }
 
+    /// The payload ([`Self::approx_data_bytes`]) from which a session's
+    /// size-triggered reclamation compacts this store ([`Self::compact`]).
+    /// A store this manager holds alone compacts from 256 KiB, so a
+    /// sweep keeps about one point's nodes and weights and its unique
+    /// and exact-bits tables stay cache-sized; its fresh successor costs
+    /// little. A shared store waits for 16 MiB, because its successor
+    /// allocates a probe table per stripe up front.
+    pub fn reclaim_budget(&self) -> usize {
+        match &self.store {
+            TddStore::Private(_) => 256 << 10,
+            TddStore::Shared { .. } => 16 << 20,
+        }
+    }
+
     /// Reclaims a scoped store at a quiescent boundary: migrates exactly
     /// the diagrams reachable from `roots` — nodes *and* weights — into
     /// a fresh store of the same kind and returns the remapped roots, in

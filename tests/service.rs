@@ -13,9 +13,9 @@
 
 use qaec::{
     check_equivalence, AlgorithmChoice, CacheOutcome, CheckOptions, Checker, QaecError, Service,
-    ServiceConfig, ServiceQuery, ServiceReply, ServiceRequest,
+    ServiceConfig, ServiceQuery, ServiceReply, ServiceRequest, StoreReclaimMode,
 };
-use qaec_circuit::generators::{qft, tile, QftStyle};
+use qaec_circuit::generators::{qft, quantum_volume, tile, QftStyle};
 use qaec_circuit::noise_insertion::insert_random_noise;
 use qaec_circuit::{pair_hash, Circuit, NoiseChannel};
 
@@ -256,6 +256,53 @@ fn factorised_sessions_meter_their_component_stores() {
         stats.store_bytes > 0 && stats.peak_store_bytes >= stats.store_bytes,
         "{stats}"
     );
+}
+
+/// Reclamation is visible in the `stats` reply: a one-thread
+/// Algorithm II service under `Auto` counts the compactions of its
+/// cached sessions' stores. The `fixtures/smoke/qft3` pair stays under
+/// the owned store's 256 KiB budget and keeps its store (0); one check
+/// on a 4-qubit QV pair passes the budget, so the store compacts at the
+/// query boundary (1).
+#[test]
+fn stats_count_the_compactions_of_stores_past_their_budget() {
+    let service = Service::new(ServiceConfig {
+        options: CheckOptions {
+            store_reclaim: StoreReclaimMode::Auto,
+            ..options(AlgorithmChoice::AlgorithmII, 1)
+        },
+        cache_bytes: None,
+    });
+    let smoke = |name: &str| format!("{}/fixtures/smoke/{name}", env!("CARGO_MANIFEST_DIR"));
+    let input = format!(
+        concat!(
+            "{{\"v\": 1, \"id\": 1, \"op\": \"check\", \"ideal_file\": \"{i}\", ",
+            "\"noisy_file\": \"{n}\", \"epsilon\": 0.05}}\n",
+            "{{\"v\": 1, \"id\": 2, \"op\": \"stats\"}}\n",
+        ),
+        i = smoke("qft3.qasm"),
+        n = smoke("qft3_depol.qasm"),
+    );
+    let stats_line = |input: &str| {
+        let mut out = Vec::new();
+        qaec_cli::serve::serve_batch(&service, input.as_bytes(), &mut out).expect("serve_batch");
+        let text = String::from_utf8(out).expect("utf8");
+        text.lines().last().expect("a stats reply").to_string()
+    };
+    let small = stats_line(&input);
+    assert!(small.contains("\"misses\": 1"), "{small}");
+    assert!(small.contains("\"reclaims\": 0"), "{small}");
+
+    let ideal = quantum_volume(4, 4, 0xDAC2021);
+    let noisy = insert_random_noise(&ideal, &NoiseChannel::Depolarizing { p: 0.999 }, 2, 5);
+    assert!(service
+        .handle(&check_request(&ideal, &noisy, 1e-3))
+        .result
+        .is_ok());
+    let stats = service.stats();
+    assert_eq!((stats.sessions, stats.reclaims), (2, 1), "{stats}");
+    let big = stats_line("{\"v\": 1, \"op\": \"stats\"}\n");
+    assert!(big.contains("\"reclaims\": 1"), "{big}");
 }
 
 #[test]

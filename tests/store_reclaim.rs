@@ -112,6 +112,35 @@ fn queries_survive_reclamation_between_them() {
     }
 }
 
+/// `Auto` compacts a one-thread session's owned store only once its
+/// payload reaches 256 KiB, so a sweep that stays under that budget
+/// keeps its warm store: a repeated 8-point sweep re-creates no node,
+/// where reclaim-on, which compacts at every point, re-creates each
+/// point's diagrams. The counts are bit-identical either way, and
+/// [`CompiledCheck::store_reclaims`] counts the compactions.
+#[test]
+fn auto_keeps_warm_reuse_under_the_owned_budget() {
+    let (ideal, noisy) = fixture(3, 4);
+    let repeated_nodes = |reclaim| {
+        let session = compile(&ideal, &noisy, &options(1, reclaim));
+        let first = session
+            .sweep_noise(EPSILON, &STRENGTHS)
+            .expect("first sweep");
+        let repeated = session.sweep_noise(EPSILON, &STRENGTHS).expect("repeated");
+        for (a, b) in first.iter().zip(&repeated) {
+            assert_eq!(a.fidelity.to_bits(), b.fidelity.to_bits(), "{reclaim:?}");
+        }
+        let nodes: Vec<u64> = repeated.iter().map(|p| p.stats.nodes_created).collect();
+        (nodes, session.store_reclaims())
+    };
+    let (auto, auto_reclaims) = repeated_nodes(StoreReclaimMode::Auto);
+    assert_eq!(auto, vec![0; STRENGTHS.len()], "Auto re-created nodes");
+    assert_eq!(auto_reclaims, 0);
+    let (on, on_reclaims) = repeated_nodes(StoreReclaimMode::On);
+    assert!(on.iter().all(|&n| n > 0), "reclaim-on {on:?}");
+    assert_eq!(on_reclaims, 2 * STRENGTHS.len() as u64);
+}
+
 /// The memory contract: on a multi-point sweep, reclaim-on retires every
 /// point's arenas at the point boundary (keeping only the fold's
 /// frontier), so its peak footprint is about one point's worth —

@@ -158,8 +158,11 @@ fn repeated_sweep_does_fewer_cont_calls() {
 /// Table I seed). A reclaim-off session's first sweep builds the fold;
 /// its repeated sweep does at most 0.35× the `cont_calls` of 8 cold
 /// one-shot checks, and every point equals its cold check bit for bit.
-/// A reclaim-on session answers the same bits with a peak footprint at
-/// most 1/1.5 of the reclaim-off one.
+/// Reclaim-on and `Auto` sessions answer the same bits with a peak
+/// footprint at most 1/1.5 of the reclaim-off one: each point outgrows
+/// the owned store's 256 KiB budget, so `Auto` too returns to the
+/// fold's frontier at every boundary and ends the sweep holding at most
+/// 1/16 of the reclaim-off store.
 #[test]
 fn qv6x4_sweeps_fold_to_0_35x_the_cold_work_and_reclaim_1_5x_of_the_peak() {
     const NOISE_SEED: u64 = 0xDAC2021;
@@ -173,17 +176,17 @@ fn qv6x4_sweeps_fold_to_0_35x_the_cold_work_and_reclaim_1_5x_of_the_peak() {
     let strengths = [0.999, 0.998, 0.997, 0.996, 0.995, 0.99, 0.98, 0.97];
     let epsilon = 1e-3;
     let opts = |reclaim| options(1, reclaim);
-    // A session's sweep, with its store's peak and current footprint.
+    // A session's sweep, with its store's current footprint and peak.
     let sweep = |session: &CompiledCheck| {
         let points = session.sweep_noise(epsilon, &strengths).expect("sweep");
         let (bytes, peak) = (session.warm_store_bytes(), session.warm_store_peak_bytes());
         assert!(bytes > 0 && peak >= bytes, "{bytes} B, peak {peak} B");
-        (points, peak)
+        (points, bytes, peak)
     };
-    // The cold checks and the reclaim-on session run on threads of their
-    // own. Each has its own store and one worker, so no counter depends
-    // on another.
-    let (off, repeated, on, cold) = std::thread::scope(|scope| {
+    // The cold checks and the reclaim-on and `Auto` sessions run on
+    // threads of their own. Each has its own store and one worker, so no
+    // counter depends on another.
+    let (off, repeated, on, auto, cold) = std::thread::scope(|scope| {
         let (ideal, noisy, opts, sweep) = (&ideal, &noisy, &opts, &sweep);
         let halves: Vec<_> = strengths
             .chunks(4)
@@ -199,9 +202,11 @@ fn qv6x4_sweeps_fold_to_0_35x_the_cold_work_and_reclaim_1_5x_of_the_peak() {
             })
             .collect();
         let on = scope.spawn(move || sweep(&compile(ideal, noisy, &opts(StoreReclaimMode::On))));
+        let auto =
+            scope.spawn(move || sweep(&compile(ideal, noisy, &opts(StoreReclaimMode::Auto))));
         let session = compile(ideal, noisy, &opts(StoreReclaimMode::Off));
         let off = sweep(&session);
-        let (repeated, _) = sweep(&session);
+        let (repeated, ..) = sweep(&session);
         let cold: Vec<EquivalenceReport> = halves
             .into_iter()
             .flat_map(|half| half.join().expect("cold check thread").expect("cold check"))
@@ -210,6 +215,7 @@ fn qv6x4_sweeps_fold_to_0_35x_the_cold_work_and_reclaim_1_5x_of_the_peak() {
             off,
             repeated,
             on.join().expect("reclaim-on sweep thread"),
+            auto.join().expect("auto sweep thread"),
             cold,
         )
     });
@@ -228,14 +234,25 @@ fn qv6x4_sweeps_fold_to_0_35x_the_cold_work_and_reclaim_1_5x_of_the_peak() {
         repeated_calls as f64 <= 0.35 * cold_calls as f64,
         "repeated sweep {repeated_calls} cont_calls vs cold {cold_calls}"
     );
-    let ((off_points, peak_off), (on_points, peak_on)) = (off, on);
-    for (k, (a, b)) in off_points.iter().zip(&on_points).enumerate() {
-        assert_eq!(a.fidelity.to_bits(), b.fidelity.to_bits(), "point {k}");
-        assert_eq!(a.verdict, b.verdict, "point {k}");
+    let (off_points, bytes_off, peak_off) = off;
+    for (mode, (points, _, peak)) in [("reclaim-on", &on), ("auto", &auto)] {
+        for (k, (a, b)) in off_points.iter().zip(points).enumerate() {
+            assert_eq!(
+                a.fidelity.to_bits(),
+                b.fidelity.to_bits(),
+                "{mode} point {k}"
+            );
+            assert_eq!(a.verdict, b.verdict, "{mode} point {k}");
+        }
+        assert!(
+            peak_off as f64 >= 1.5 * *peak as f64,
+            "reclaim-off peak {peak_off} B vs {mode} {peak} B"
+        );
     }
+    let bytes_auto = auto.1;
     assert!(
-        peak_off as f64 >= 1.5 * peak_on as f64,
-        "reclaim-off peak {peak_off} B vs reclaim-on {peak_on} B"
+        bytes_auto <= bytes_off / 16,
+        "auto holds {bytes_auto} B after the sweep vs reclaim-off {bytes_off} B"
     );
 }
 
