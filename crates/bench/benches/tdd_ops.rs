@@ -152,6 +152,46 @@ fn bench_intern(c: &mut Criterion) {
             }
         });
     });
+    // Structured values, the kind contractions produce: dyadic reals,
+    // dyadic values with a zero imaginary part, and runs of values 3 and
+    // 5 tolerances apart. Unlike uniform values these sit on the
+    // tolerance grid's bucket and cell edges.
+    let structured: Vec<C64> = (0..10_000)
+        .map(|k| {
+            let dyadic = |rng: &mut StdRng| {
+                rng.gen_range(-1024i32..1024) as f64 / (1u32 << rng.gen_range(0..12)) as f64
+            };
+            match k % 4 {
+                0 => C64::new(dyadic(&mut rng), dyadic(&mut rng)),
+                1 => C64::real(dyadic(&mut rng)),
+                2 => C64::real(rng.gen_range(-1.0..1.0)),
+                _ => {
+                    let (run, step) = ((k / 64) as f64 / 256.0, (k / 4 % 16) as f64);
+                    C64::new(run + step * 3e-10, -run - step * 5e-10)
+                }
+            }
+        })
+        .collect();
+    group.bench_function("private_structured_fresh", |b| {
+        b.iter(|| {
+            let mut table = WeightTable::new(1e-10);
+            for &z in &structured {
+                std::hint::black_box(table.intern(z));
+            }
+            table
+        });
+    });
+    // Hit-heavy: the structured stream interned twice over on a fresh
+    // table, so every value of the second pass finds its first.
+    group.bench_function("private_structured_twice", |b| {
+        b.iter(|| {
+            let mut table = WeightTable::new(1e-10);
+            for &z in structured.iter().chain(&structured) {
+                std::hint::black_box(table.intern(z));
+            }
+            table
+        });
+    });
     // A plan driver's pattern: a new weight scope per step, here every
     // 200 values, on a fresh owned store — what a one-worker run interns
     // on.

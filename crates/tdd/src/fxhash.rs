@@ -21,6 +21,14 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` on the Fx hasher.
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
+/// Bytes of backing storage `map` holds: per slot of capacity, the
+/// stored `(K, V)` tuple, alignment padding included, and one control
+/// byte (the std hash-table layout). Heap owned by keys or values is
+/// not counted.
+pub(crate) fn map_bytes<K, V>(map: &FxHashMap<K, V>) -> usize {
+    map.capacity() * (std::mem::size_of::<(K, V)>() + 1)
+}
+
 /// 64-bit Fx mixing constant (the golden-ratio fraction rustc uses).
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 

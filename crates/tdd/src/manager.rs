@@ -21,7 +21,7 @@
 //! interning rule, and none of its atomics, locks or stripes — what a
 //! run with one worker contracts on.
 
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::{map_bytes, FxHashMap, FxHashSet};
 use crate::store::{SharedTddStore, StoreEpoch};
 use crate::weight::{exact_bits, WeightId, WeightScope, WeightTable};
 use qaec_math::C64;
@@ -294,18 +294,12 @@ impl PrivateStore {
     /// unique-table capacity plus the weights — the counterpart of
     /// [`SharedTddStore::bytes_used`], so shared and unshared memory
     /// are comparable in reports. Capacity-based like the shared
-    /// estimate (hash-table entries count one control byte per bucket,
-    /// the std layout).
+    /// estimate (`fxhash::map_bytes` charges a hash map per slot).
     pub(crate) fn bytes_used(&self) -> usize {
-        let exact_entry = std::mem::size_of::<(u64, u64)>() + std::mem::size_of::<WeightId>();
         self.nodes.capacity() * std::mem::size_of::<Node>()
-            + self.unique.capacity()
-                * (std::mem::size_of::<Node>() + std::mem::size_of::<NodeId>() + 1)
+            + map_bytes(&self.unique)
             + self.weights.bytes_used()
-            + self
-                .exact
-                .as_ref()
-                .map_or(0, |ids| ids.capacity() * (exact_entry + 1))
+            + self.exact.as_ref().map_or(0, map_bytes)
     }
 
     /// The id of `z`'s exact bits in an owned store, minted on first
@@ -1114,6 +1108,36 @@ impl TddManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn owned_store_charges_each_map_slot_its_stored_tuple() {
+        // A slot holds its stored tuple, alignment padding included,
+        // plus one control byte.
+        let node_slot = std::mem::size_of::<(Node, NodeId)>() + 1;
+        let exact_slot = std::mem::size_of::<((u64, u64), WeightId)>() + 1;
+        assert_eq!((node_slot, exact_slot), (25, 25));
+
+        let mut m = TddManager::new_owned();
+        for k in 0..300 {
+            m.begin_weight_scope();
+            let low = m.terminal(C64::real(f64::from(k) + 0.5));
+            let high = m.terminal(C64::new(0.25, f64::from(k)));
+            m.make_node(k as u32 % 7, low, high);
+        }
+        let TddStore::Private(p) = &m.store else {
+            panic!("an owned store is private");
+        };
+        let exact = p
+            .exact
+            .as_ref()
+            .expect("an owned store keeps exact-bits ids");
+        assert!(exact.len() > 300 && p.unique.len() > 100);
+        let expected = p.nodes.capacity() * std::mem::size_of::<Node>()
+            + p.unique.capacity() * node_slot
+            + p.weights.bytes_used()
+            + exact.capacity() * exact_slot;
+        assert_eq!(p.bytes_used(), expected);
+    }
 
     #[test]
     fn terminal_edges() {

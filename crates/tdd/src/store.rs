@@ -67,7 +67,7 @@
 //!   lands on depends on who inserts first — and follow the stripe
 //!   layout, but no value ever depends on an id.)
 
-use crate::fxhash::{self, FxHashMap};
+use crate::fxhash::{self, map_bytes, FxHashMap};
 use crate::manager::{Edge, Node, NodeId, TddStats, TERMINAL_VAR};
 use crate::weight::WeightId;
 use qaec_math::C64;
@@ -525,7 +525,6 @@ impl SharedTddStore {
     /// nor free before the store drops, and the service layer's byte
     /// budget meters workload growth.
     pub fn bytes_used(&self) -> usize {
-        let map_bytes = |capacity: usize, entry: usize| capacity * (entry + 1);
         let mut bytes = 0usize;
         for shard in &self.nodes {
             bytes += shard.bytes_allocated();
@@ -537,21 +536,14 @@ impl SharedTddStore {
         for index in 0..self.elim_sets.len() {
             bytes += self.elim_sets.get(index).len() * std::mem::size_of::<u32>();
         }
-        let node_entry = std::mem::size_of::<Node>() + std::mem::size_of::<NodeId>();
         for stripe in &self.node_stripes {
-            let map = stripe.map.lock().expect("node stripe poisoned");
-            bytes += map_bytes(map.capacity(), node_entry);
+            bytes += map_bytes(&stripe.map.lock().expect("node stripe poisoned"));
         }
-        let exact_entry = std::mem::size_of::<(u64, u64)>() + std::mem::size_of::<WeightId>();
         for stripe in &self.exact_stripes {
-            let stripe = stripe.lock().expect("exact weight stripe poisoned");
-            bytes += map_bytes(stripe.capacity(), exact_entry);
+            bytes += map_bytes(&stripe.lock().expect("exact weight stripe poisoned"));
         }
         let elim = self.elim_ids.lock().expect("elim set map poisoned");
-        bytes += map_bytes(
-            elim.capacity(),
-            std::mem::size_of::<Vec<u32>>() + std::mem::size_of::<u32>(),
-        );
+        bytes += map_bytes(&elim);
         bytes += elim
             .keys()
             .map(|levels| levels.len() * std::mem::size_of::<u32>())
@@ -1135,6 +1127,58 @@ mod tests {
 
         // And the footprint is what stats() reports.
         assert_eq!(store.stats().store_bytes, store.bytes_used() as u64);
+    }
+
+    #[test]
+    fn bytes_used_charges_each_map_slot_its_stored_tuple() {
+        // A slot holds its stored tuple, alignment padding included,
+        // plus one control byte.
+        let node_slot = std::mem::size_of::<(Node, NodeId)>() + 1;
+        let exact_slot = std::mem::size_of::<((u64, u64), WeightId)>() + 1;
+        let elim_slot = std::mem::size_of::<(Vec<u32>, u32)>() + 1;
+        assert_eq!((node_slot, exact_slot, elim_slot), (25, 25, 33));
+
+        let store = SharedTddStore::new();
+        let worker = store.register_worker();
+        for k in 0..300u32 {
+            let weight = store.intern_weight_exact(C64::new(f64::from(k) * 0.25, 1.0));
+            let high = Edge {
+                node: NodeId::TERMINAL,
+                weight,
+            };
+            store.unique_node(
+                Node {
+                    var: k % 7,
+                    low: Edge::ZERO,
+                    high,
+                },
+                worker,
+            );
+            store.intern_elim_set((0..k % 11).collect());
+        }
+
+        let u32s = std::mem::size_of::<u32>();
+        let mut expected = store.elim_sets.bytes_allocated();
+        for shard in &store.nodes {
+            expected += shard.bytes_allocated();
+        }
+        for shard in &store.weights {
+            expected += shard.bytes_allocated();
+        }
+        for index in 0..store.elim_sets.len() {
+            expected += store.elim_sets.get(index).len() * u32s;
+        }
+        for stripe in &store.node_stripes {
+            expected += stripe.map.lock().unwrap().capacity() * node_slot;
+        }
+        for stripe in &store.exact_stripes {
+            expected += stripe.lock().unwrap().capacity() * exact_slot;
+        }
+        let elim = store.elim_ids.lock().unwrap();
+        expected += elim.capacity() * elim_slot;
+        expected += elim.keys().map(|levels| levels.len() * u32s).sum::<usize>();
+        drop(elim);
+        assert_eq!(store.bytes_used(), expected);
     }
 
     #[test]

@@ -9,11 +9,15 @@
 //!
 //! The tolerance rule itself lives in one place, `ToleranceIndex`: the
 //! private table and the scoped glue (see `crate::manager`) both find
-//! representatives through it. The scoped rule's per-scope state is one
-//! type, `WeightScope`, whichever store keeps the exact-bits ids behind
-//! it: an owned store's map or the shared store's striped ones.
+//! representatives through it. The rule is stated on a grid of `2·tol`
+//! buckets — the first-come representative in a value's 3×3 bucket
+//! neighbourhood — and the index stores representatives per cell of
+//! 32×32 buckets, so a lookup is one hash probe unless the neighbourhood
+//! crosses a cell edge. The scoped rule's per-scope state is one type,
+//! `WeightScope`, whichever store keeps the exact-bits ids behind it: an
+//! owned store's map or the shared store's striped ones.
 
-use crate::fxhash::FxHashMap;
+use crate::fxhash::{map_bytes, FxHashMap};
 use qaec_math::C64;
 use std::collections::hash_map::Entry;
 
@@ -217,8 +221,10 @@ pub(crate) fn exact_bits(z: C64) -> (u64, u64) {
 /// step) the first value seen in a tolerance neighbourhood becomes its
 /// representative, and each representative interns store-wide by exact
 /// bits. A value resolves in three tiers: the scope memo (its exact bits
-/// seen before in this scope), then the tolerance index, then — for a
-/// new representative — the store's exact-bits ids. [`Self::clear`]
+/// seen before in this scope), then the tolerance index (the
+/// first-come representative of the value's 3×3 bucket neighbourhood,
+/// found in one index cell, or two or four at a cell edge), then — for
+/// a new representative — the store's exact-bits ids. [`Self::clear`]
 /// empties the first two at every scope boundary; the third is the
 /// store's, so equal bits get one id across scopes (and, on a shared
 /// store, across managers). Each scope is a pure function of its operand
@@ -265,11 +271,21 @@ impl WeightScope {
     }
 }
 
-/// End of a bucket's chain in [`ToleranceIndex`].
+/// End of a cell's chain in [`ToleranceIndex`].
 const NIL: u32 = u32::MAX;
 
+/// Fine buckets per side of a [`ToleranceIndex`] cell.
+const CELL: i64 = 32;
+
+/// The cell of a bucket coordinate: shifted by half a cell, then
+/// floored, saturating like the bucket key itself.
+#[inline]
+fn cell(k: i64) -> i64 {
+    k.saturating_add(CELL / 2).div_euclid(CELL)
+}
+
 /// One representative in a [`ToleranceIndex`]: its value, its id and
-/// the next representative of its bucket.
+/// the next representative of its cell.
 #[derive(Clone, Copy, Debug)]
 struct Representative {
     value: C64,
@@ -281,19 +297,35 @@ struct Representative {
 /// which both [`WeightTable`] and a scoped shared-store manager decide
 /// that two values are "the same" weight.
 ///
-/// Values are bucketed on a grid of width `2·tol`, so the 3×3 bucket
-/// neighbourhood of a value holds every representative within `tol`
-/// (Chebyshev distance). Representatives live in one flat vector; each
-/// bucket maps to the `(first, last)` positions of a chain linked
-/// through that vector in insertion order, so electing a representative
-/// appends one entry and allocates nothing per bucket, and [`Self::clear`]
-/// frees nothing. A lookup returns the first match in row-major probe
-/// order (`re` offset −1, 0, 1, then `im` offset within it) and, within
-/// a bucket, the earliest inserted — the first-come representative.
+/// The rule is defined on fine buckets of width `2·tol`: a value's
+/// bucket is `(z / 2·tol).round()` per component, saturating at
+/// `i64::MAX`/`MIN`. Two values within `tol` (Chebyshev distance) have
+/// buckets at most 1 apart per component, so the 3×3 bucket
+/// neighbourhood of `z` holds every representative within `tol` of it.
+/// A lookup returns the match whose bucket comes first in row-major
+/// order over that neighbourhood (`re` offset −1, 0, 1, then `im`
+/// offset within it) and, within a bucket, the earliest inserted — the
+/// first-come representative.
+///
+/// Representatives are chained per cell of 32×32 buckets, so a lookup
+/// probes the one cell that holds the whole neighbourhood, or two or
+/// four where it crosses a cell edge. A cell is a bucket key shifted by
+/// 16, then floored by 32. The shift keeps common values mid-cell: at
+/// the default `tol = 1e-10`, `1/(2·tol)` is 5·10⁹ = 2⁹·5¹⁰, so a zero
+/// component and every multiple of 1/16 has a bucket key divisible by
+/// 32, which unshifted cells would put on an edge. A chain runs in
+/// insertion order; the walk keeps the match whose bucket is least in
+/// row-major order and, among equal buckets, the first found, so it
+/// returns what a probe of the nine buckets would. A representative
+/// equal to `z` returns at once, as no other representative lies
+/// within tolerance of one. Representatives live in one flat vector;
+/// each cell maps to the `(first, last)` positions of its chain, so
+/// electing a representative appends one entry and allocates nothing
+/// per cell, and [`Self::clear`] frees nothing.
 #[derive(Clone, Debug)]
 pub(crate) struct ToleranceIndex {
     tol: f64,
-    buckets: FxHashMap<(i64, i64), (u32, u32)>,
+    cells: FxHashMap<(i64, i64), (u32, u32)>,
     reps: Vec<Representative>,
 }
 
@@ -302,7 +334,7 @@ impl ToleranceIndex {
     pub(crate) fn new(tol: f64) -> Self {
         ToleranceIndex {
             tol,
-            buckets: FxHashMap::default(),
+            cells: FxHashMap::default(),
             reps: Vec::new(),
         }
     }
@@ -319,6 +351,14 @@ impl ToleranceIndex {
         z.re.abs() <= self.tol && z.im.abs() <= self.tol
     }
 
+    /// The fine bucket of `z`; the `as i64` cast saturates huge values
+    /// at `i64::MAX`/`MIN`.
+    #[inline]
+    fn bucket(&self, z: C64) -> (i64, i64) {
+        let w = 2.0 * self.tol;
+        ((z.re / w).round() as i64, (z.im / w).round() as i64)
+    }
+
     /// The id of the first-come representative within tolerance of
     /// `z`; on a miss `z` becomes a representative under the id `mint`
     /// returns (called only then).
@@ -328,26 +368,37 @@ impl ToleranceIndex {
         z: C64,
         mint: impl FnOnce() -> WeightId,
     ) -> WeightId {
-        let w = 2.0 * self.tol;
-        let (kr, ki) = ((z.re / w).round() as i64, (z.im / w).round() as i64);
-        for dr in -1..=1i64 {
-            for di in -1..=1i64 {
-                // The bucket key saturates at i64::MAX/MIN for huge values
-                // (the `as i64` cast clamps), so the probe must saturate too.
-                let key = (kr.saturating_add(dr), ki.saturating_add(di));
-                let Some(&(mut at, _)) = self.buckets.get(&key) else {
+        let (kr, ki) = self.bucket(z);
+        // The neighbourhood saturates as the bucket key does.
+        let rows = cell(kr.saturating_sub(1))..=cell(kr.saturating_add(1));
+        let columns = cell(ki.saturating_sub(1))..=cell(ki.saturating_add(1));
+        let mut first: Option<Representative> = None;
+        for cr in rows {
+            for ci in columns.clone() {
+                let Some(&(mut at, _)) = self.cells.get(&(cr, ci)) else {
                     continue;
                 };
                 while at != NIL {
                     let rep = self.reps[at as usize];
+                    if rep.value == z {
+                        return rep.id;
+                    }
                     if (rep.value.re - z.re).abs() <= self.tol
                         && (rep.value.im - z.im).abs() <= self.tol
                     {
-                        return rep.id;
+                        first = match first {
+                            Some(seen) if self.bucket(seen.value) <= self.bucket(rep.value) => {
+                                Some(seen)
+                            }
+                            _ => Some(rep),
+                        };
                     }
                     at = rep.next;
                 }
             }
+        }
+        if let Some(rep) = first {
+            return rep.id;
         }
         let id = mint();
         assert!(self.reps.len() < NIL as usize, "tolerance index full");
@@ -357,7 +408,7 @@ impl ToleranceIndex {
             id,
             next: NIL,
         });
-        match self.buckets.entry((kr, ki)) {
+        match self.cells.entry((cell(kr), cell(ki))) {
             Entry::Occupied(mut chain) => {
                 let last = &mut chain.get_mut().1;
                 self.reps[*last as usize].next = at;
@@ -372,17 +423,14 @@ impl ToleranceIndex {
 
     /// Forgets every representative, keeping the allocated capacity.
     pub(crate) fn clear(&mut self) {
-        self.buckets.clear();
+        self.cells.clear();
         self.reps.clear();
     }
 
     /// Bytes of backing storage: the representative vector's capacity
-    /// plus the bucket map's (entry size and one control byte per
-    /// bucket, the std hash-table layout).
+    /// plus the cell map's.
     pub(crate) fn bytes_used(&self) -> usize {
-        let bucket = std::mem::size_of::<((i64, i64), (u32, u32))>();
-        self.reps.capacity() * std::mem::size_of::<Representative>()
-            + self.buckets.capacity() * (bucket + 1)
+        self.reps.capacity() * std::mem::size_of::<Representative>() + map_bytes(&self.cells)
     }
 }
 
@@ -543,5 +591,161 @@ mod tests {
         let a = t.intern(C64::new(1e300, -1e300));
         assert_eq!(t.intern(C64::new(1e300, -1e300)), a);
         assert_ne!(t.intern(C64::new(2e300, -1e300)), a);
+    }
+}
+
+/// The cell index against a direct probe of the nine buckets, on seeded
+/// streams.
+#[cfg(test)]
+mod probe_reference {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The 3×3 probe: each `2·tol` bucket keeps its representatives in
+    /// insertion order, and a lookup walks the nine buckets around `z`
+    /// row-major, taking the first match. [`ToleranceIndex`] must
+    /// return the same id on every lookup.
+    struct GridProbe {
+        tol: f64,
+        buckets: FxHashMap<(i64, i64), Vec<(C64, WeightId)>>,
+    }
+
+    impl GridProbe {
+        fn new(tol: f64) -> Self {
+            GridProbe {
+                tol,
+                buckets: FxHashMap::default(),
+            }
+        }
+
+        fn find_or_insert_with(&mut self, z: C64, mint: impl FnOnce() -> WeightId) -> WeightId {
+            let w = 2.0 * self.tol;
+            let (kr, ki) = ((z.re / w).round() as i64, (z.im / w).round() as i64);
+            for dr in -1..=1i64 {
+                for di in -1..=1i64 {
+                    let key = (kr.saturating_add(dr), ki.saturating_add(di));
+                    for &(value, id) in self.buckets.get(&key).into_iter().flatten() {
+                        if (value.re - z.re).abs() <= self.tol
+                            && (value.im - z.im).abs() <= self.tol
+                        {
+                            return id;
+                        }
+                    }
+                }
+            }
+            let id = mint();
+            self.buckets.entry((kr, ki)).or_default().push((z, id));
+            id
+        }
+
+        fn clear(&mut self) {
+            self.buckets.clear();
+        }
+    }
+
+    /// The default tolerance, whose `1/(2·tol)` is a multiple of 32;
+    /// a power of two, on whose grid dyadic values sit at bucket
+    /// centres; and coarse ones, where a cell spans many values.
+    const TOLERANCES: [f64; 5] = [1e-10, 1.0 / (1u64 << 30) as f64, 1e-3, 0.1, 0.37];
+
+    /// Centres of the clusters the streams draw from.
+    const ANCHORS: [f64; 5] = [0.5, -0.5, std::f64::consts::FRAC_1_SQRT_2, 0.3, -1e-3];
+
+    /// The value of one stream step, shaped by `shape` from the raw
+    /// draws `a`, `b` (small integers) and `f` (in `[−1, 1)`).
+    fn stream_value(tol: f64, shape: u8, a: i64, b: i64, f: f64, seen: &[C64]) -> C64 {
+        let w = 2.0 * tol;
+        let anchor = |k: i64| ANCHORS[k.rem_euclid(ANCHORS.len() as i64) as usize];
+        // Within a bucket or two of a cell edge (bucket keys 32c − 17
+        // and 32c − 16 lie on either side of one), ±1.5 tol around it.
+        let edge = |c: i64, j: i64, f: f64| ((CELL * c + j) as f64 - 16.5) * w + f * 1.5 * tol;
+        match shape % 8 {
+            0 => C64::new(
+                edge(a.rem_euclid(7) - 3, b.rem_euclid(3) - 1, f),
+                edge(b.rem_euclid(5) - 2, a.rem_euclid(3) - 1, -f),
+            ),
+            1 => C64::new(edge(a.rem_euclid(7) - 3, b.rem_euclid(3) - 1, f), 0.0),
+            // Dyadic values, with zero or negative-zero imaginary parts.
+            2 => {
+                let im = [0.0, -0.0, b as f64 / 16.0][a.rem_euclid(3) as usize];
+                C64::new(a as f64 / (1u64 << b.rem_euclid(8)) as f64, im)
+            }
+            // Clusters: offsets of up to 2.5 tol and 3 tol around a few
+            // anchors, so representatives sit 1–3 tolerances apart and a
+            // lookup often matches several.
+            3 => C64::new(
+                anchor(a) + b as f64 / 16.0 * tol,
+                anchor(a + b) * f.signum() + f * 3.0 * tol,
+            ),
+            4 => {
+                let side = anchor(b) + f * 2.0 * tol;
+                match a.rem_euclid(4) {
+                    0 => C64::new(side, -0.0),
+                    1 => C64::new(-0.0, side),
+                    2 => C64::new(0.0, side),
+                    _ => C64::new(-0.0, -0.0),
+                }
+            }
+            // Magnitudes whose bucket keys saturate at i64::MAX/MIN, at
+            // and around the first saturated key.
+            5 => {
+                let limit = i64::MAX as f64 * w;
+                let huge =
+                    [1e300, limit, limit * (1.0 + f * 1e-3), 2.5 * limit][b.rem_euclid(4) as usize];
+                let sign = if a < 0 { -1.0 } else { 1.0 };
+                match a.rem_euclid(3) {
+                    0 => C64::new(sign * huge, anchor(b) + f * tol),
+                    1 => C64::new(anchor(b) + f * tol, sign * huge),
+                    _ => C64::new(sign * huge, -sign * huge),
+                }
+            }
+            // An earlier value again, exactly or within half a tolerance.
+            6 if !seen.is_empty() => {
+                let z = seen[a.rem_euclid(seen.len() as i64) as usize];
+                if b % 2 == 0 {
+                    z
+                } else {
+                    C64::new(z.re + f * 0.5 * tol, z.im - f * 0.5 * tol)
+                }
+            }
+            _ => C64::new(2.0 * f, a as f64 / 40.0 + b as f64 * tol),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn cell_index_returns_the_3x3_probes_ids(
+            tol in (0..TOLERANCES.len()).prop_map(|k| TOLERANCES[k]),
+            clears in 0u8..6,
+            steps in proptest::collection::vec(
+                (any::<u8>(), -40i64..40, -40i64..40, -1.0f64..1.0),
+                1..500,
+            ),
+        ) {
+            let mut cells = ToleranceIndex::new(tol);
+            let mut grid = GridProbe::new(tol);
+            let (mut cell_ids, mut grid_ids) = (0u32, 0u32);
+            let mut seen = Vec::new();
+            for (at, &(shape, a, b, f)) in steps.iter().enumerate() {
+                if shape < clears {
+                    cells.clear();
+                    grid.clear();
+                    continue;
+                }
+                let z = stream_value(tol, shape, a, b, f, &seen);
+                seen.push(z);
+                let got = cells.find_or_insert_with(z, || {
+                    cell_ids += 1;
+                    WeightId(cell_ids)
+                });
+                let want = grid.find_or_insert_with(z, || {
+                    grid_ids += 1;
+                    WeightId(grid_ids)
+                });
+                prop_assert_eq!(got, want, "step {} of {}: {:?} at tol {}", at, steps.len(), z, tol);
+            }
+        }
     }
 }
